@@ -185,45 +185,38 @@ class Potential:
             out = out + (w * k[i]) * a[tuple(sl)]
         return out
 
-    def value_grid(self, axes):
-        shape = [len(a) for a in axes]
-        out = np.zeros(shape)
-        zero = (0,) * self.d
-        if zero in self.coeffs:
-            out += self.coeffs[zero].real
-        for k in self._pos_reps():
-            v = self.coeffs[k]
-            ph = self._phase(k, axes)
-            out += 2.0 * (v.real * np.cos(ph) - v.imag * np.sin(ph))
+    def deriv_coeffs(self, *axes) -> dict:
+        """Fourier coefficients of the derivative of V along each index in ``axes``."""
+        w = TWO_PI / self.torus_length
+        out = {}
+        for k, v in self.coeffs.items():
+            c = v * math.prod(1j * w * k[i] for i in axes)
+            if c != 0:
+                out[k] = c
         return out
+
+    def _grid(self, coeffs, axes):
+        """Grid values of the real function sum_k c_k exp(i w k.q)."""
+        out = np.zeros([len(a) for a in axes])
+        for k, c in coeffs.items():
+            if not any(k):
+                out += c.real
+            elif next(ki for ki in k if ki != 0) > 0:
+                ph = self._phase(k, axes)
+                out += 2.0 * (c.real * np.cos(ph) - c.imag * np.sin(ph))
+        return out
+
+    def value_grid(self, axes):
+        return self._grid(self.coeffs, axes)
 
     def grad_grid(self, axes):
         """Gradient, shape (d, n1, ..., nd)."""
-        w = TWO_PI / self.torus_length
-        shape = [self.d] + [len(a) for a in axes]
-        out = np.zeros(shape)
-        for k in self._pos_reps():
-            v = self.coeffs[k]
-            ph = self._phase(k, axes)
-            # d/dq_i of 2 Re(v e^{i ph}) = 2 Re(i w k_i v e^{i ph})
-            common = -2.0 * (v.real * np.sin(ph) + v.imag * np.cos(ph))
-            for i in range(self.d):
-                out[i] += (w * k[i]) * common
-        return out
+        return np.array([self._grid(self.deriv_coeffs(i), axes) for i in range(self.d)])
 
     def hessian_grid(self, axes):
         """Hessian, shape (d, d, n1, ..., nd)."""
-        w = TWO_PI / self.torus_length
-        shape = [self.d, self.d] + [len(a) for a in axes]
-        out = np.zeros(shape)
-        for k in self._pos_reps():
-            v = self.coeffs[k]
-            ph = self._phase(k, axes)
-            common = -2.0 * (v.real * np.cos(ph) - v.imag * np.sin(ph))
-            for i in range(self.d):
-                for j in range(self.d):
-                    out[i, j] += (w * k[i]) * (w * k[j]) * common
-        return out
+        return np.array([[self._grid(self.deriv_coeffs(i, j), axes) for j in range(self.d)]
+                         for i in range(self.d)])
 
     def laplacian_grid(self, axes):
         hess = self.hessian_grid(axes)
@@ -402,6 +395,113 @@ def fourier_value_table(q, n_q, torus_length):
     return out
 
 
+def _trig_exp_table(n_q):
+    """(E, s) with chi_a = s_a sum_k E[a, n_q + k] exp(i w k q) for k = -n_q..n_q.
+
+    E holds only 0, 1 and +-i; s is 1 for the constant, 1/sqrt2 otherwise.
+    """
+    n = 2 * n_q + 1
+    E = np.zeros((n, n), dtype=complex)
+    E[0, n_q] = 1.0
+    for k in range(1, n_q + 1):
+        E[2 * k - 1, n_q + k] = E[2 * k - 1, n_q - k] = 1.0
+        E[2 * k, n_q + k], E[2 * k, n_q - k] = -1j, 1j
+    s = np.full(n, math.sqrt(0.5))
+    s[0] = 1.0
+    return E, s
+
+
+def fourier_mult(coeffs, d, n_q) -> sp.csr_matrix:
+    """Multiplication by f(q) = sum_m c_m exp(i w m.q) on the tensor trig family.
+
+    ``coeffs`` must hold c_{-m} = conj(c_m), so that f is real.  Multiplying
+    by exp(i w m_j q_j) shifts exponential index k to k + m_j, so each mode
+    couples trig index k only to k +- m, and each entry of a mode's block is
+    one exact product: structural zeros are exact zeros.
+    """
+    E, s = _trig_exp_table(n_q)
+    n = E.shape[0]
+    pair = np.outer(s, s)
+    pair[1:, 1:] = 0.5
+    out = sp.csr_matrix((n**d, n**d), dtype=complex)
+    for m, c in coeffs.items():
+        term = np.array([[c]])
+        for mj in m:
+            block = pair * (E.conj() @ np.eye(n, k=-mj) @ E.T)
+            term = sp.kron(term, block, format="csr")
+        out = out + term
+    out = sp.csr_matrix(out.real)
+    out.eliminate_zeros()
+    return out
+
+
+def position_deriv(i, d, n_q, torus_length) -> sp.csr_matrix:
+    """Plain d/dq_i on the tensor trigonometric family."""
+    out = sp.identity(1, format="csr")
+    for j in range(d):
+        factor = (sp.csr_matrix(fourier_deriv_1d(n_q, torus_length)) if j == i
+                  else sp.identity(2 * n_q + 1, format="csr"))
+        out = sp.kron(out, factor, format="csr")
+    return out
+
+
+def witten_deriv(potential: Potential, beta, n_q, i) -> sp.csr_matrix:
+    """d/dq_i + (beta/2) dV/dq_i, the flat image of the nu-derivative."""
+    d = potential.d
+    return (position_deriv(i, d, n_q, potential.torus_length)
+            + 0.5 * beta * fourier_mult(potential.deriv_coeffs(i), d, n_q))
+
+
+def position_grid_size(n_q, potential: Potential) -> int:
+    """Uniform grid points per axis: exact for every assembled trig-polynomial
+    entry and fine enough to resolve exp(-beta V / 2) to machine precision
+    for moderate potentials."""
+    return max(4 * n_q + 4, 2 * (2 * n_q + max(potential.degrees)) + 2, 64)
+
+
+def sqrt_rho_coeffs(potential: Potential, beta, n_q) -> np.ndarray:
+    """Unit coefficients of sqrt(rho) in the tensor trigonometric family.
+
+    The grid quadrature phi.T @ sqrt(rho) / N^d, taken from one FFT.
+    """
+    n_grid, d = position_grid_size(n_q, potential), potential.d
+    axes = [np.arange(n_grid) * (potential.torus_length / n_grid)] * d
+    v = potential.value_grid(axes)
+    hat = np.fft.fftn(np.exp(-0.5 * beta * (v - v.min())))
+    idx = (-np.arange(-n_q, n_q + 1)) % n_grid
+    c = hat[np.ix_(*([idx] * d))]
+    E, s = _trig_exp_table(n_q)
+    for axis in range(d):
+        c = np.moveaxis(np.tensordot(s[:, None] * E, c, axes=(1, axis)), 0, axis)
+    c = c.real.reshape(-1)
+    return c / np.linalg.norm(c)
+
+
+def householder_vector(c) -> np.ndarray | None:
+    """v with (1 - 2 v v^T / v.v) e_0 = c for a unit c; None when c is e_0."""
+    v = c.copy()
+    v[0] -= 1.0
+    return None if np.linalg.norm(v) < 1e-13 else v
+
+
+def validated_potential(spec: BasisSpec, potential: Potential | None = None,
+                        max_dim: int | None = None) -> Potential:
+    """The potential (flat when None) after the checks every position problem
+    shares: matching dimension and torus, and the dimension guard on spec."""
+    if potential is None:
+        potential = Potential.zero(spec.d, spec.torus_length)
+    if potential.d != spec.d:
+        raise ConfigError([f"potential dimension {potential.d} != basis dimension {spec.d}"])
+    if abs(potential.torus_length - spec.torus_length) > 1e-12 * spec.torus_length:
+        raise ConfigError(["potential and basis disagree on the torus length"])
+    limit = max_dim if max_dim is not None else max_dim_default()
+    if spec.dim_span > limit:
+        raise NumericalFailure(
+            f"problem too large: basis dimension {spec.dim_span} exceeds max_dim={limit}"
+        )
+    return potential
+
+
 # ---------------------------------------------------------------------------
 # assembled basis
 # ---------------------------------------------------------------------------
@@ -423,27 +523,13 @@ class BasisSet:
 
     def __init__(self, spec: BasisSpec, potential: Potential | None = None,
                  tol_identity: float = DEFAULT_TOL_IDENTITY, max_dim: int | None = None):
-        if potential is None:
-            potential = Potential.zero(spec.d, spec.torus_length)
-        if potential.d != spec.d:
-            raise ConfigError([f"potential dimension {potential.d} != basis dimension {spec.d}"])
-        if abs(potential.torus_length - spec.torus_length) > 1e-12 * spec.torus_length:
-            raise ConfigError(["potential and basis disagree on the torus length"])
-        limit = max_dim if max_dim is not None else max_dim_default()
-        if spec.dim_span > limit:
-            raise NumericalFailure(
-                f"problem too large: basis dimension {spec.dim_span} exceeds max_dim={limit}"
-            )
+        potential = validated_potential(spec, potential, max_dim)
         self.spec = spec
         self.potential = potential
         self.tol_identity = tol_identity
 
         d, n_q = spec.d, spec.n_q
-        deg = max(potential.degrees) if not potential.is_zero else 0
-        # Uniform grid: exact for every assembled trig-polynomial entry and
-        # fine enough to resolve exp(-beta V / 2) to machine precision for
-        # moderate potentials.
-        self.n_grid = max(4 * n_q + 4, 2 * (2 * n_q + deg) + 2, 64)
+        self.n_grid = position_grid_size(n_q, potential)
         self.pos_axis = np.arange(self.n_grid) * (spec.torus_length / self.n_grid)
         axes = [self.pos_axis] * d
 
@@ -461,8 +547,6 @@ class BasisSet:
             phi = np.einsum("ga,hb->ghab", phi.reshape(phi.shape[0], -1), table1d)
             phi = phi.reshape(phi.shape[0] * table1d.shape[0], -1)
         self.phi = phi  # (n_grid^d, n_pos)
-
-        self.deriv_1d = fourier_deriv_1d(n_q, spec.torus_length)
 
         # momentum and xi blocks
         self.herm = HermiteOps(spec.mass / spec.beta, spec.n_p)
@@ -488,14 +572,9 @@ class BasisSet:
     def _build_mean_zero_map(self):
         spec = self.spec
         n_pos = spec.n_pos
-        # coefficients of sqrt(rho) in the trigonometric family
-        c = self.phi.T @ self.sqrt_rho / self.n_grid**spec.d
-        c_norm = float(np.linalg.norm(c))
-        c = c / c_norm
-        self.c_pos = c
-        v = c.copy()
-        v[0] -= 1.0
-        if np.linalg.norm(v) < 1e-13:
+        self.c_pos = sqrt_rho_coeffs(self.potential, spec.beta, spec.n_q)
+        v = householder_vector(self.c_pos)
+        if v is None:
             T = np.eye(n_pos)[:, 1:]
         else:
             H = np.eye(n_pos) - 2.0 * np.outer(v, v) / float(v @ v)
@@ -551,26 +630,9 @@ class BasisSet:
 
     # -- assembly helpers ----------------------------------------------------
 
-    def position_mult(self, f_grid) -> np.ndarray:
-        """Multiplication by the grid-sampled function, in trig coordinates."""
-        f = np.asarray(f_grid).reshape(-1)
-        M = self.phi.T @ (f[:, None] * self.phi) / self.n_grid**self.spec.d
-        return 0.5 * (M + M.T)
-
-    def position_deriv(self, i) -> np.ndarray:
-        """Plain d/dq_i on the tensor trigonometric family."""
-        mats = [np.eye(self.spec.n_pos_1d)] * self.spec.d
-        mats[i] = self.deriv_1d
-        out = mats[0]
-        for m in mats[1:]:
-            out = np.kron(out, m)
-        return out
-
-    def witten_deriv(self, i) -> np.ndarray:
+    def witten_deriv(self, i) -> sp.csr_matrix:
         """d/dq_i + (beta/2) dV/dq_i, the flat image of the nu-derivative."""
-        axes = [self.pos_axis] * self.spec.d
-        dv = self.potential.grad_grid(axes)[i].reshape(-1)
-        return self.position_deriv(i) + 0.5 * self.spec.beta * self.position_mult(dv)
+        return witten_deriv(self.potential, self.spec.beta, self.spec.n_q, i)
 
     def span_kron(self, pos_mat=None, herm_mats=None, xi_mat=None) -> sp.csr_matrix:
         """Kronecker assembly pos x p_1 x ... x p_d x xi on the full span."""

@@ -170,7 +170,8 @@ def _bound_report(config: RunConfig, gamma: float, epsilon: float | None,
     return mod.model_bound_report(
         _model_spec(config, gamma, epsilon), _basis_spec(config),
         potential=config.potential(), constants=constants,
-        rel_tol=config.conv_tol, tol_identity=config.tol_identity)
+        rel_tol=config.conv_tol, tol_identity=config.tol_identity,
+        rank_tol=config.rank_tol)
 
 
 def _config_constants(config: RunConfig) -> dict:
@@ -372,6 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    saved_max_dim = os.environ.get("HYPOCO_MAX_DIM")  # --max-dim sets it for this call
     try:
         return args.func(args)
     except HypocoError as exc:
@@ -380,6 +382,11 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         sys.stderr.write(f"ConfigError: {exc}\n")
         return ConfigError([str(exc)]).exit_code
+    finally:
+        if saved_max_dim is None:
+            os.environ.pop("HYPOCO_MAX_DIM", None)
+        else:
+            os.environ["HYPOCO_MAX_DIM"] = saved_max_dim
 
 
 if __name__ == "__main__":

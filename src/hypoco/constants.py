@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .basis import (TWO_PI, BasisSpec, Potential, build_basis,
-                    fourier_deriv_1d, fourier_value_table, gauss_hermite_rule)
+from .basis import (TWO_PI, BasisSpec, Potential, fourier_deriv_1d,
+                    fourier_value_table, gauss_hermite_rule, householder_vector,
+                    sqrt_rho_coeffs, validated_potential, witten_deriv)
 from .errors import ConfigError, InvariantViolation, NumericalFailure
 
 #: flooring for c1 and c3 so strict positivity holds even for flat potentials
@@ -134,10 +136,12 @@ def poincare_constant(measure: str, *, potential: Potential | None = None,
     """Smallest nonzero eigenvalue of grad*grad for the marginal measure.
 
     For the position marginal the weighted Laplacian -Delta + beta grad V .
-    grad is assembled in the square-root-conjugated trigonometric basis,
-    where the constant mode is excluded structurally; the reported constant
-    is therefore the bottom of the restricted spectrum.  The Gaussian
-    momentum marginal has the known gap beta/mass.
+    grad is W = sum_i D_i^T D_i, with D_i the sparse Witten derivatives in
+    the square-root-conjugated trigonometric basis.  One sparse LU of the
+    bordered [[W, c], [c^T, 0]] inverts W on the complement of the constant
+    mode c, where ARPACK finds the bottom eigenvalue by shift-invert; the
+    eigenvector is reported in the basis coordinates T of that complement.
+    The Gaussian momentum marginal has the known gap beta/mass.
     """
     if measure in ("momentum", "kappa"):
         vec = np.zeros(2)
@@ -146,27 +150,35 @@ def poincare_constant(measure: str, *, potential: Potential | None = None,
                               residual=0.0, measure="momentum")
     if measure not in ("position", "nu"):
         raise ConfigError([f"unknown measure {measure!r}; expected position or momentum"])
-    spec = BasisSpec(d=d, n_q=n_q, n_p=1, beta=beta, mass=1.0,
-                     torus_length=torus_length)
-    basis = build_basis(spec, potential=potential)
-    w = None
-    for i in range(d):
-        di = basis.witten_deriv(i)
-        term = di.T @ di
-        w = term if w is None else w + term
-    w = np.asarray(w.todense()) if hasattr(w, "todense") else np.asarray(w)
-    wr = basis.T.T @ w @ basis.T
-    wr = 0.5 * (wr + wr.T)
+    if n_q < 1:
+        raise ConfigError(["the position Poincare constant needs n_q >= 1"])
+    potential = validated_potential(
+        BasisSpec(d=d, n_q=n_q, n_p=0, beta=beta, torus_length=torus_length), potential)
+    w = sum(di.T @ di for di in (witten_deriv(potential, beta, n_q, i) for i in range(d)))
+    c = sqrt_rho_coeffs(potential, beta, n_q)
+    n = c.size
     try:
-        vals, vecs = sla.eigh(wr)
-    except sla.LinAlgError as exc:
+        lu = spla.splu(sp.bmat([[w, c[:, None]], [c[None, :], None]], format="csc"))
+
+        def inverse(r):
+            return lu.solve(np.append(r - c * (c @ r), 0.0))[:n]
+
+        op = spla.LinearOperator((n, n), matvec=inverse, dtype=float)
+        v0 = np.random.default_rng(0).standard_normal(n)  # fixed: reruns agree bitwise
+        x = spla.eigsh(op, k=1, which="LA", v0=v0)[1][:, 0]
+    except RuntimeError as exc:  # splu and ArpackError
         raise NumericalFailure(f"solver failure: {exc}") from exc
-    k2 = float(vals[0])
-    vec = vecs[:, 0]
-    residual = float(np.linalg.norm(wr @ vec - k2 * vec))
+    x = inverse(x)  # one inverse-iteration step through the same LU
+    x /= np.linalg.norm(x)
+    wx = w @ x
+    k2 = float(x @ wx)
+    residual = float(np.linalg.norm(wx - c * (c @ wx) - k2 * x))
     if residual > 1e-8 * max(abs(k2), 1.0):
         raise NumericalFailure(f"solver failure: eigenresidual {residual:.3e}")
-    return PoincareResult(constant=k2, eigenvector=vec, residual=residual,
+    v = householder_vector(c)
+    if v is not None:
+        x = x - 2.0 * v * (v @ x) / (v @ v)
+    return PoincareResult(constant=k2, eigenvector=x[1:], residual=residual,
                           measure="position", n_q=n_q)
 
 

@@ -298,7 +298,8 @@ def adl_bound(dec: Decomposition, constants: dict,
 
 
 def _evaluate(model: ModelSpec, spec: BasisSpec, potential: Potential | None,
-              constants: dict, tol_identity: float, norm_method: str):
+              constants: dict, tol_identity: float, norm_method: str,
+              rank_tol: float):
     basis = build_basis(spec, potential=potential, tol_identity=tol_identity)
     ops = assemble_model(basis, model)
     rep = verify_structural_assumptions(ops, tol=tol_identity)
@@ -306,7 +307,7 @@ def _evaluate(model: ModelSpec, spec: BasisSpec, potential: Potential | None,
         raise InvariantViolation(
             "structural assumptions failed before decomposition:\n" + rep.table()
         )
-    dec = build_decomposition(ops, tol_identity=tol_identity)
+    dec = build_decomposition(ops, rank_tol=rank_tol, tol_identity=tol_identity)
     schur_complement(dec, check=True, tol_identity=tol_identity)
     if model.model == "langevin":
         bound, details = langevin_bound_general(dec, constants)
@@ -325,26 +326,28 @@ def model_bound_report(model: ModelSpec, spec: BasisSpec,
                        check_convergence: bool = True,
                        rel_tol: float = CONVERGENCE_RTOL,
                        tol_identity: float = DEFAULT_TOL_IDENTITY,
-                       norm_method: str = "auto") -> BoundReport:
+                       norm_method: str = "auto",
+                       rank_tol: float = 1e-12) -> BoundReport:
     """BoundReport carrying the dynamics-specific bound for one configuration.
 
     The constants dictionary (spectral gaps etc.) is computed once at a
     refined position cutoff when not supplied, and reused across the
     convergence doublings, which affect only the operator truncation.
+    ``rank_tol`` is the relative rank threshold of the H1 split.
     """
     if constants is None:
         constants = constants_summary(potential, model.beta, model.mass,
                                       model.d, n_q=max(32, 2 * spec.n_q),
                                       torus_length=spec.torus_length)
     rep, dec, bound, details, exact = _evaluate(
-        model, spec, potential, constants, tol_identity, norm_method)
+        model, spec, potential, constants, tol_identity, norm_method, rank_tol)
     converged_q = converged_p = True
     if check_convergence:
         flags = []
         for name in ("n_q", "n_p"):
             doubled = replace(spec, **{name: 2 * getattr(spec, name)})
             _, _, b2, _, e2 = _evaluate(model, doubled, potential, constants,
-                                        tol_identity, norm_method)
+                                        tol_identity, norm_method, rank_tol)
             flags.append(abs(b2 - bound) < rel_tol * abs(bound)
                          and abs(e2 - exact) < rel_tol * abs(exact))
         converged_q, converged_p = flags

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import DEFAULT_TOL_IDENTITY, BasisSet, Potential
+from .basis import DEFAULT_TOL_IDENTITY, BasisSet, Potential, fourier_mult, position_deriv
 from .errors import ConfigError
 
 MODELS = ("langevin", "boltzmann_rhmc", "adaptive_langevin")
@@ -104,14 +104,12 @@ def _hamiltonian_span(basis: BasisSet) -> sp.csr_matrix:
     each term a Kronecker product of a symmetric and an antisymmetric factor.
     """
     spec = basis.spec
-    axes = [basis.pos_axis] * spec.d
-    grad_v = None if basis.potential.is_zero else basis.potential.grad_grid(axes)
     out = None
     for i in range(spec.d):
-        term = basis.span_kron(pos_mat=basis.position_deriv(i),
+        term = basis.span_kron(pos_mat=position_deriv(i, spec.d, spec.n_q, spec.torus_length),
                                herm_mats={i: basis.herm.mult / spec.mass})
-        if grad_v is not None:
-            mult = basis.position_mult(grad_v[i].reshape(-1))
+        if not basis.potential.is_zero:
+            mult = fourier_mult(basis.potential.deriv_coeffs(i), spec.d, spec.n_q)
             term = term - basis.span_kron(pos_mat=mult, herm_mats={i: basis.herm.anti})
         out = term if out is None else out + term
     return out

@@ -46,9 +46,9 @@ def operator_norm(mat) -> float:
 class Decomposition:
     """Orthonormal H0/H1/H2 bases and the generator blocks in them.
 
-    P0, P1, P2 are stored as columns in the full working space; Q1 and Q2
-    hold the H1/H2 bases in H+ coordinates for block computations.  A10 is
-    square (dim0 = dim1) and invertible whenever the build succeeded.
+    H0 is the coordinate block ``idx0``; Q1 and Q2 hold the H1/H2 bases in
+    H+ coordinates for block computations.  A10 is square (dim0 = dim1) and
+    invertible whenever the build succeeded.
     """
 
     ops: ModelOperators
@@ -85,29 +85,6 @@ class Decomposition:
     @property
     def dim2(self) -> int:
         return self.Q2.shape[1]
-
-    def _embed_plus(self, q: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim, q.shape[1]))
-        out[self.idx_plus] = q
-        return out
-
-    @property
-    def P0(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim0))
-        out[self.idx0, np.arange(self.dim0)] = 1.0
-        return out
-
-    @property
-    def P1(self) -> np.ndarray:
-        return self._embed_plus(self.Q1)
-
-    @property
-    def P2(self) -> np.ndarray:
-        return self._embed_plus(self.Q2)
-
-    @property
-    def A01(self) -> np.ndarray:
-        return -self.A10.T
 
     def lu_pp(self):
         """Cached sparse LU factorization of the H+ block of the generator."""
@@ -316,6 +293,8 @@ def exact_resolvent_norm(L, method: str = "auto",
 
     ``method`` is "dense" (full SVD), "iterative" (power iteration on the
     inverse normal operator via sparse LU), or "auto" to pick by dimension.
+    The iteration raises NumericalFailure when ``max_iter`` steps end before
+    the relative change of the estimate falls to ``tol``.
     """
     if method not in ("auto", "dense", "iterative"):
         raise ConfigError([f"unknown method {method!r}"])
@@ -339,7 +318,7 @@ def exact_resolvent_norm(L, method: str = "auto",
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    lam = 0.0
+    lam, change = 0.0, np.inf
     for _ in range(max_iter):
         # one application of (L^T L)^{-1} = L^{-1} L^{-T}
         z = lu.solve(lu.solve(v, trans="T"), trans="N")
@@ -347,11 +326,14 @@ def exact_resolvent_norm(L, method: str = "auto",
         if not np.isfinite(new_lam) or new_lam > 1e28:
             raise NumericalFailure("numerically singular: inverse iteration diverged")
         v = z / new_lam
-        if abs(new_lam - lam) <= tol * new_lam:
-            lam = new_lam
-            break
+        change = abs(new_lam - lam) / new_lam
         lam = new_lam
-    return float(np.sqrt(lam))
+        if change <= tol:
+            return float(np.sqrt(lam))
+    raise NumericalFailure(
+        f"exact resolvent norm: inverse iteration not converged after {max_iter} "
+        f"iterations, last relative change {change:.3e} > tol {tol:.1e}"
+    )
 
 
 # ---------------------------------------------------------------------------

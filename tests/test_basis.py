@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypoco.basis import (TWO_PI, BasisSpec, Potential, build_basis,
-                          fourier_deriv_1d, fourier_value_table,
+                          fourier_deriv_1d, fourier_mult, fourier_value_table,
                           gauss_hermite_rule, hermite_value_table)
 from hypoco.errors import ConfigError, NumericalFailure
 
@@ -216,6 +216,36 @@ def test_witten_derivative_annihilates_sqrt_rho_direction(cos_basis):
     # D applied to the flat representation of the constant function is zero
     w = cos_basis.witten_deriv(0)
     assert np.linalg.norm(w @ cos_basis.c_pos) < 1e-10
+
+
+@pytest.mark.parametrize("d, text", [
+    (1, "0:0.7,0;1:0.5,0;2:0.1,-0.3"),
+    (2, "1 0:0.5,0;0 1:0.5,0"),
+    (2, "1 1:0.2,0.1;0 2:0.3,-0.2"),
+])
+def test_fourier_mult_matches_quadrature(d, text):
+    # multiplication by V and by each dV/dq_i from the Fourier coefficients
+    # against the grid quadrature phi^T diag(f) phi / N^d: same values, and
+    # the quadrature's rounding noise sits exactly on the structural zeros
+    pot = Potential.from_string(text, d=d)
+    n_q = 5
+    basis = build_basis(BasisSpec(d=d, n_q=n_q, n_p=0), potential=pot)
+    axes = [basis.pos_axis] * d
+    cases = [(pot.coeffs, pot.value_grid(axes))]
+    cases += [(pot.deriv_coeffs(i), pot.grad_grid(axes)[i]) for i in range(d)]
+    for coeffs, grid in cases:
+        f = grid.reshape(-1)
+        quad = basis.phi.T @ (f[:, None] * basis.phi) / basis.n_grid**d
+        exact = fourier_mult(coeffs, d, n_q).toarray()
+        assert np.max(np.abs(exact - quad)) < 1e-13
+        assert np.array_equal(exact != 0.0, np.abs(quad) > 1e-13)
+
+
+def test_sqrt_rho_coefficients_match_quadrature():
+    pot = Potential.from_string("1 1:0.2,0.1;1 0:0.5,0", d=2)
+    basis = build_basis(BasisSpec(d=2, n_q=5, n_p=0), potential=pot)
+    quad = basis.phi.T @ basis.sqrt_rho / basis.n_grid**2
+    assert np.max(np.abs(basis.c_pos - quad / np.linalg.norm(quad))) < 1e-14
 
 
 @settings(max_examples=20, deadline=None)

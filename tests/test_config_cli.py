@@ -150,6 +150,19 @@ def test_cli_max_dim_guard(cfg_path, capsys):
         os.environ.pop("HYPOCO_MAX_DIM", None)
 
 
+def test_cli_max_dim_leaves_environment_unchanged(cfg_path):
+    before = dict(os.environ)
+    assert main(["verify", "--config", cfg_path, "--max-dim", "100000"]) == 0
+    assert dict(os.environ) == before
+
+
+def test_cli_rank_tol_reaches_decomposition(tmp_path, capsys):
+    path = tmp_path / "rank.cfg"
+    path.write_text(BASE_CFG + "rank_tol = 1.0\n")
+    assert main(["bound", "--config", str(path)]) == 1
+    assert "macroscopic coercivity failure" in capsys.readouterr().err
+
+
 def test_cli_verify_passes(cfg_path, tmp_path, capsys):
     out = tmp_path / "verify.json"
     assert main(["verify", "--config", cfg_path, "--json", str(out)]) == 0

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypoco.basis import Potential
+from hypoco.basis import BasisSpec, Potential, build_basis
 from hypoco.constants import (case_constants, check_bochner, check_controlH2,
                               check_villani_lemma, constants_summary,
                               estimate_growth_constants, estimate_hessian_K,
                               estimate_lsi_c3, growth_case_iii_cprime,
                               kinetic_matrices, lambda_min_M, nu_exp_moments,
                               poincare_constant)
-from hypoco.errors import ConfigError, InvariantViolation
+from hypoco.errors import ConfigError, InvariantViolation, NumericalFailure
 
 from conftest import COS_COS2, COS_Q
 
@@ -46,6 +46,34 @@ def test_poincare_separable_2d_matches_1d():
     k1 = poincare_constant("nu", potential=pot1, beta=1.0, d=1, n_q=12).constant
     k2 = poincare_constant("nu", potential=pot2, beta=1.0, d=2, n_q=12).constant
     assert abs(k1 - k2) < 1e-9 * k1
+
+
+@pytest.mark.parametrize("text", ["1 0:0.5,0;0 1:0.5,0", "1 1:0.2,0.1;1 0:0.5,0", "0"])
+def test_poincare_sparse_matches_dense_eigh(text):
+    # the shift-invert solve against a dense eigh of W restricted by T
+    pot = Potential.from_string(text, d=2)
+    basis = build_basis(BasisSpec(d=2, n_q=12, n_p=0), potential=pot)
+    w = sum(basis.witten_deriv(i).T @ basis.witten_deriv(i) for i in range(2))
+    wr = basis.T.T @ w.toarray() @ basis.T
+    dense = float(np.linalg.eigvalsh(wr)[0])
+    res = poincare_constant("nu", potential=pot, beta=1.0, d=2, n_q=12)
+    assert abs(res.constant - dense) < 1e-10 * dense
+    assert res.eigenvector.shape == (basis.spec.n_pos - 1,)
+    vec = res.eigenvector
+    assert np.linalg.norm(wr @ vec - res.constant * vec) < 1e-8
+
+
+def test_poincare_position_checks(monkeypatch):
+    with pytest.raises(ConfigError, match="potential dimension"):
+        poincare_constant("nu", potential=Potential.from_string(COS_Q, d=1), d=2, n_q=4)
+    with pytest.raises(ConfigError, match="torus length"):
+        poincare_constant("nu", potential=Potential.from_string(COS_Q, d=1), d=1,
+                          n_q=4, torus_length=1.0)
+    with pytest.raises(ConfigError, match="n_q >= 1"):
+        poincare_constant("nu", potential=None, d=1, n_q=0)
+    monkeypatch.setenv("HYPOCO_MAX_DIM", "80")
+    with pytest.raises(NumericalFailure, match="problem too large"):
+        poincare_constant("nu", potential=None, d=2, n_q=4)
 
 
 def test_poincare_unknown_measure():

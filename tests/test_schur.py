@@ -189,6 +189,13 @@ def test_exact_resolvent_norm_methods_agree():
     assert abs(direct - iterative) < 1e-6 * direct
 
 
+def test_exact_resolvent_norm_iterative_reports_nonconvergence():
+    rng = np.random.default_rng(5)
+    mat = sp.csr_matrix(rng.standard_normal((40, 40)) - 5.0 * np.eye(40))
+    with pytest.raises(NumericalFailure, match="inverse iteration not converged.*relative change"):
+        exact_resolvent_norm(mat, method="iterative", max_iter=1)
+
+
 def test_theorem_bound_frozen_values():
     assert theorem_bound(1.0, 1.0, 1.0, 1.0, 0.0) == 5.0
     assert theorem_bound(2.0, 1.0, 1.0, 1.0, 1.0) == 4.5
