@@ -25,7 +25,6 @@ from .config import RunConfig, parse_config, parse_range
 from .container import save_container
 from .errors import ConfigError, HypocoError, NumericalFailure
 from .operators import ModelSpec, assemble_model, verify_structural_assumptions
-from .schur import BOUND_JSON_KEYS  # noqa: F401  (re-exported for reports)
 
 CSV_COLUMNS = ("model", "gamma", "epsilon", "d", "n_q", "n_p",
                "s", "a", "bound", "exact", "margin", "converged")
@@ -245,17 +244,19 @@ def cmd_lemmas(args) -> int:
     return 0
 
 
+def _csv_row(config: RunConfig, gamma: float, epsilon: float | None, report) -> dict:
+    return {"model": config.model, "gamma": float(gamma), "epsilon": epsilon,
+            "d": config.d, "n_q": config.n_q, "n_p": config.n_p,
+            "s": report.s, "a": report.a, "bound": report.bound,
+            "exact": report.exact, "margin": report.margin,
+            "converged": report.converged}
+
+
 def _sweep_worker(payload: dict) -> dict:
     config = RunConfig(**payload["config"])
     report = _bound_report(config, payload["gamma"], payload["epsilon"],
                            constants=payload["constants"])
-    row = {"model": config.model, "gamma": float(payload["gamma"]),
-           "epsilon": payload["epsilon"], "d": config.d,
-           "n_q": config.n_q, "n_p": config.n_p,
-           "s": report.s, "a": report.a, "bound": report.bound,
-           "exact": report.exact, "margin": report.margin,
-           "converged": report.converged}
-    return row
+    return _csv_row(config, payload["gamma"], payload["epsilon"], report)
 
 
 def _config_payload(config: RunConfig) -> dict:
@@ -295,10 +296,9 @@ def cmd_sweep(args) -> int:
 def cmd_report(args) -> int:
     config = _load_config(args)
     gamma, epsilon = _first_point(config)
-    _, ops = _assemble(config)
-    verify = verify_structural_assumptions(ops, tol=config.tol_identity)
     constants = _config_constants(config)
     bound = _bound_report(config, gamma, epsilon, constants=constants)
+    verify = bound.assumptions
     document = {
         "config": {**_config_payload(config),
                    "gamma": gamma, "epsilon": epsilon},
@@ -315,14 +315,7 @@ def cmd_report(args) -> int:
     if args.json:
         sys.stdout.write(_json_dumps(document))
     if args.csv:
-        row = {"model": config.model, "gamma": gamma, "epsilon": epsilon,
-               "d": config.d, "n_q": config.n_q, "n_p": config.n_p,
-               "s": bound.s, "a": bound.a, "bound": bound.bound,
-               "exact": bound.exact, "margin": bound.margin,
-               "converged": bound.converged}
-        _emit(_csv_text([row]), args.csv)
-    if not verify.passed:
-        return 1
+        _emit(_csv_text([_csv_row(config, gamma, epsilon, bound)]), args.csv)
     if not bound.converged:
         return 3
     if config.model != "adaptive_langevin" and bound.margin < 1.0:

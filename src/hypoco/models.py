@@ -12,15 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as sla
 
 from .basis import DEFAULT_TOL_IDENTITY, BasisSpec, Potential, build_basis
 from .constants import case_constants, constants_summary, gauss_hermite_rule
 from .errors import ConfigError, InvariantViolation, NumericalFailure
 from .operators import ModelOperators, ModelSpec, assemble_model, verify_structural_assumptions
 from .schur import (CONVERGENCE_RTOL, BoundReport, Decomposition,
-                    build_decomposition, exact_resolvent_norm, operator_norm,
-                    schur_complement)
+                    build_decomposition, exact_resolvent_norm,
+                    intermediate_norms, macroscopic_coercivity, norm_X21,
+                    operator_norm, schur_complement, theorem_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +112,11 @@ def _model_norms(dec: Decomposition) -> dict:
     ops = dec.ops
     gamma = ops.model.gamma
     out = {
+        "a": macroscopic_coercivity(dec),
         "norm_S11": operator_norm(dec.S11),
         "norm_S21": operator_norm(dec.Q2.T @ np.asarray(
             ops.S.matrix[dec.idx_plus][:, dec.idx_plus] @ dec.Q1)),
-        "norm_L21A10inv": operator_norm(
-            np.linalg.solve(dec.A10.T, dec.L21.T).T),
+        "norm_L21A10inv": norm_X21(dec),
         "X2": norm_X_hamiltonian_squared(dec),
     }
     if ops.model.model != "boltzmann_rhmc":
@@ -274,7 +274,6 @@ def adl_bound(dec: Decomposition, constants: dict,
         raise ConfigError(["adl_bound requires the adaptive_langevin model"])
     if epsilon is not None and abs(epsilon - ops.model.epsilon) > 1e-12:
         raise ConfigError(["epsilon disagrees with the assembled model"])
-    from .schur import intermediate_norms, theorem_bound
     residual = adl_AstarA_residual(ops)
     norms = intermediate_norms(dec, check_t3=False)
     a2 = adl_a_squared(ops.model.beta, ops.basis.spec.d, ops.model.epsilon,
@@ -298,8 +297,7 @@ def adl_bound(dec: Decomposition, constants: dict,
 
 
 def _evaluate(model: ModelSpec, spec: BasisSpec, potential: Potential | None,
-              constants: dict, tol_identity: float, norm_method: str,
-              rank_tol: float):
+              constants: dict, tol_identity: float, rank_tol: float):
     basis = build_basis(spec, potential=potential, tol_identity=tol_identity)
     ops = assemble_model(basis, model)
     rep = verify_structural_assumptions(ops, tol=tol_identity)
@@ -315,9 +313,8 @@ def _evaluate(model: ModelSpec, spec: BasisSpec, potential: Potential | None,
         bound, details = rhmc_bound(dec, constants)
     else:
         bound, details = adl_bound(dec, constants)
-    details["a_numeric"] = float(sla.svdvals(dec.A10)[-1])
-    exact = exact_resolvent_norm(ops.L, method=norm_method)
-    return rep, dec, bound, details, exact
+    exact = exact_resolvent_norm(ops.L)
+    return rep, bound, details, exact
 
 
 def model_bound_report(model: ModelSpec, spec: BasisSpec,
@@ -326,7 +323,6 @@ def model_bound_report(model: ModelSpec, spec: BasisSpec,
                        check_convergence: bool = True,
                        rel_tol: float = CONVERGENCE_RTOL,
                        tol_identity: float = DEFAULT_TOL_IDENTITY,
-                       norm_method: str = "auto",
                        rank_tol: float = 1e-12) -> BoundReport:
     """BoundReport carrying the dynamics-specific bound for one configuration.
 
@@ -339,15 +335,15 @@ def model_bound_report(model: ModelSpec, spec: BasisSpec,
         constants = constants_summary(potential, model.beta, model.mass,
                                       model.d, n_q=max(32, 2 * spec.n_q),
                                       torus_length=spec.torus_length)
-    rep, dec, bound, details, exact = _evaluate(
-        model, spec, potential, constants, tol_identity, norm_method, rank_tol)
+    rep, bound, details, exact = _evaluate(
+        model, spec, potential, constants, tol_identity, rank_tol)
     converged_q = converged_p = True
     if check_convergence:
         flags = []
         for name in ("n_q", "n_p"):
             doubled = replace(spec, **{name: 2 * getattr(spec, name)})
-            _, _, b2, _, e2 = _evaluate(model, doubled, potential, constants,
-                                        tol_identity, norm_method, rank_tol)
+            _, b2, _, e2 = _evaluate(model, doubled, potential, constants,
+                                     tol_identity, rank_tol)
             flags.append(abs(b2 - bound) < rel_tol * abs(bound)
                          and abs(e2 - exact) < rel_tol * abs(exact))
         converged_q, converged_p = flags
@@ -356,14 +352,13 @@ def model_bound_report(model: ModelSpec, spec: BasisSpec,
     return BoundReport(
         model=model.model, gamma=model.gamma,
         n_q=spec.n_q, n_p=spec.n_p, n_xi=spec.n_xi if spec.has_xi else 0,
-        s=rep.s_numeric, a=details["a_numeric"],
-        norm_S11=details.get("norm_S11", float("nan")),
-        norm_R22=details.get("norm_R22", 1.0),
-        norm_L21A10inv=details.get("norm_L21A10inv", float("nan")),
+        s=rep.s_numeric, a=details["a"],
+        norm_S11=details["norm_S11"], norm_R22=details.get("norm_R22", 1.0),
+        norm_L21A10inv=details["norm_L21A10inv"],
         bound=bound, exact=exact,
         converged=converged_q and converged_p,
         converged_q=converged_q, converged_p=converged_p,
-        details=details,
+        assumptions=rep, details=details,
     )
 
 

@@ -11,16 +11,16 @@ and inverse power iteration) for the exact resolvent norm.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import DEFAULT_TOL_IDENTITY, BasisSpec, Potential, build_basis
+from .basis import DEFAULT_TOL_IDENTITY
 from .errors import ConfigError, InvariantViolation, NumericalFailure
-from .operators import ModelOperators, ModelSpec, assemble_model, verify_structural_assumptions
+from .operators import AssumptionReport, ModelOperators
 
 #: dense SVD is used for exact norms below this dimension, iteration above
 DENSE_THRESHOLD = 4000
@@ -358,23 +358,32 @@ def theorem_bound(s: float, a: float, norm_S11: float,
     return 2.0 * (norm_S11 / a**2 + norm_R22 * norm_X21**2 / s) + 3.0 / s
 
 
+def norm_X21(dec: Decomposition) -> float:
+    """Norm of the X21 block L21 A10 (A*A)^{-1}.
+
+    Evaluated as |L21 A10^{-T}|, using that A10 is square:
+    A10 (A10^T A10)^{-1} = A10^{-T}.  A10 is not symmetric in general, so
+    this differs from |L21 A10^{-1}|.
+    """
+    if not dec.dim2:
+        return 0.0
+    return operator_norm(np.linalg.solve(dec.A10, dec.L21.T).T)
+
+
 def intermediate_norms(dec: Decomposition, check_t3: bool = True,
                        t3_rtol: float = 1e-8) -> dict:
     """Operator norms entering the resolvent bound, plus proof diagnostics.
 
-    The X21 block L21 A10 (A*A)^{-1} is evaluated as L21 A10^{-T}, using that
-    A10 is square: A10 (A10^T A10)^{-1} = A10^{-T}.  When ``check_t3`` is on,
-    the factorization identity T3* T3 = -(S on H+)^{-1} behind the 3/s term
-    is verified against a dense inverse.
+    When ``check_t3`` is on, the factorization identity T3* T3 = -(S on H+)^{-1}
+    behind the 3/s term is verified against a dense inverse.
     """
-    a = float(sla.svdvals(dec.A10)[-1])
-    x21 = np.linalg.solve(dec.A10, dec.L21.T).T if dec.dim2 else np.zeros((0, dec.dim1))
+    a = macroscopic_coercivity(dec)
     out = {
         "a": a,
         "norm_S11": operator_norm(dec.S11),
         "norm_L11": operator_norm(dec.L11),
         "norm_R22": operator_norm(dec.R22),
-        "norm_L21A10inv": operator_norm(x21),
+        "norm_L21A10inv": norm_X21(dec),
         "norm_A10inv": 1.0 / a,
         "l11_symmetry_residual": dec.l11_symmetry_residual,
         "pi1_idempotency_residual": dec.pi1_idempotency_residual,
@@ -397,7 +406,7 @@ def intermediate_norms(dec: Decomposition, check_t3: bool = True,
 
 
 # ---------------------------------------------------------------------------
-# full report
+# report record (built by hypoco.models.model_bound_report)
 # ---------------------------------------------------------------------------
 
 BOUND_JSON_KEYS = ("s", "a", "norm_S11", "norm_R22", "norm_L21A10inv",
@@ -423,6 +432,8 @@ class BoundReport:
     converged: bool
     converged_q: bool
     converged_p: bool
+    #: structural check of the base evaluation that produced the bound
+    assumptions: AssumptionReport
     details: dict = field(default_factory=dict)
 
     @property
@@ -430,77 +441,8 @@ class BoundReport:
         return self.bound / self.exact
 
     def to_json_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "a": self.a,
-            "norm_S11": self.norm_S11,
-            "norm_R22": self.norm_R22,
-            "norm_L21A10inv": self.norm_L21A10inv,
-            "bound": self.bound,
-            "exact": self.exact,
-            "margin": self.margin,
-            "converged": self.converged,
-        }
+        return {key: getattr(self, key) for key in BOUND_JSON_KEYS}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True,
                           separators=(",", ":"))
-
-
-def _bound_and_exact(model: ModelSpec, spec: BasisSpec,
-                     potential: Potential | None,
-                     check_t3: bool, tol_identity: float,
-                     norm_method: str):
-    basis = build_basis(spec, potential=potential, tol_identity=tol_identity)
-    ops = assemble_model(basis, model)
-    rep = verify_structural_assumptions(ops, tol=tol_identity)
-    if not rep.passed:
-        raise InvariantViolation(
-            "structural assumptions failed before decomposition:\n" + rep.table()
-        )
-    dec = build_decomposition(ops, tol_identity=tol_identity)
-    schur_complement(dec, check=True, tol_identity=tol_identity)
-    norms = intermediate_norms(dec, check_t3=check_t3)
-    bound = theorem_bound(rep.s_numeric, norms["a"], norms["norm_S11"],
-                          norms["norm_R22"], norms["norm_L21A10inv"])
-    exact = exact_resolvent_norm(ops.L, method=norm_method)
-    return rep, norms, bound, exact
-
-
-def bound_report(model: ModelSpec, spec: BasisSpec,
-                 potential: Potential | None = None, *,
-                 check_convergence: bool = True,
-                 rel_tol: float = CONVERGENCE_RTOL,
-                 check_t3: bool = True,
-                 tol_identity: float = DEFAULT_TOL_IDENTITY,
-                 norm_method: str = "auto") -> BoundReport:
-    """Assemble, decompose, bound and cross-check one configuration.
-
-    The convergence flag doubles n_q and n_p separately and requires both the
-    bound and the exact norm to move by less than ``rel_tol`` relatively.
-    """
-    rep, norms, bound, exact = _bound_and_exact(
-        model, spec, potential, check_t3, tol_identity, norm_method)
-    converged_q = converged_p = True
-    if check_convergence:
-        flags = []
-        for name in ("n_q", "n_p"):
-            doubled = replace(spec, **{name: 2 * getattr(spec, name)})
-            _, _, b2, e2 = _bound_and_exact(
-                model, doubled, potential, False, tol_identity, norm_method)
-            ok = (abs(b2 - bound) < rel_tol * abs(bound)
-                  and abs(e2 - exact) < rel_tol * abs(exact))
-            flags.append(ok)
-        converged_q, converged_p = flags
-    details = dict(norms)
-    details["structural_residuals"] = rep.residuals
-    return BoundReport(
-        model=model.model, gamma=model.gamma,
-        n_q=spec.n_q, n_p=spec.n_p, n_xi=spec.n_xi if spec.has_xi else 0,
-        s=rep.s_numeric, a=norms["a"], norm_S11=norms["norm_S11"],
-        norm_R22=norms["norm_R22"], norm_L21A10inv=norms["norm_L21A10inv"],
-        bound=bound, exact=exact,
-        converged=converged_q and converged_p,
-        converged_q=converged_q, converged_p=converged_p,
-        details=details,
-    )

@@ -2,10 +2,12 @@
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
+import hypoco.basis
 from hypoco.cli import CSV_COLUMNS, main
 from hypoco.config import RunConfig, parse_config, parse_config_text, parse_range
 from hypoco.container import load_container
@@ -263,6 +265,26 @@ def test_cli_report_reruns_byte_identical(cfg_path, tmp_path):
     assert document["assumptions"]["passed"] is True
     assert document["bound"]["bound"] >= document["bound"]["exact"]
     assert document["config"]["model"] == "langevin"
+
+
+def test_cli_report_builds_each_basis_once(tmp_path, monkeypatch):
+    # the assumptions block comes from the bound's own base evaluation:
+    # one basis for the base cutoff and one per doubling, nothing else
+    built = []
+    original = hypoco.basis.build_basis
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hypoco") and getattr(module, "build_basis", None) is original:
+            monkeypatch.setattr(module, "build_basis", counting)
+    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "langevin_1d.cfg")
+    out = tmp_path / "report.json"
+    assert main(["report", "--config", cfg, "--json", str(out)]) == 0
+    assert [(spec.n_q, spec.n_p) for spec in built] == [(8, 8), (16, 8), (8, 16)]
+    assert json.loads(out.read_text())["assumptions"]["passed"] is True
 
 
 def test_cli_adaptive_model_epsilon_column(tmp_path):

@@ -32,7 +32,7 @@ from hypoco.models import (
     uij_moment,
 )
 from hypoco.operators import ModelSpec, assemble_model
-from hypoco.schur import build_decomposition
+from hypoco.schur import build_decomposition, intermediate_norms
 
 from conftest import COS_Q
 
@@ -351,6 +351,20 @@ def test_model_bound_report_convergence_flags():
     assert not report.converged
 
 
+@pytest.mark.parametrize("which", ["langevin", "boltzmann_rhmc"])
+def test_model_bound_report_x21_matches_intermediate_norms(which, langevin_ops,
+                                                           rhmc_ops):
+    # one X21 = L21 A10 (A*A)^{-1}; A10 is not symmetric, so L21 A10^{-1}
+    # would be a different number under the same key
+    ops = {"langevin": langevin_ops, "boltzmann_rhmc": rhmc_ops}[which]
+    dec = build_decomposition(ops)
+    assert np.max(np.abs(dec.A10 - dec.A10.T)) > 1.0
+    report = model_bound_report(ops.model, ops.basis.spec, ops.basis.potential,
+                                check_convergence=False)
+    expected = intermediate_norms(dec, check_t3=False)["norm_L21A10inv"]
+    assert report.norm_L21A10inv == pytest.approx(expected, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # property-based checks
 # ---------------------------------------------------------------------------
@@ -375,3 +389,29 @@ def test_adl_envelope_at_least_one(gamma, epsilon):
     swapped = adl_envelope(1.0 / gamma, epsilon)
     assert math.isclose(env, adl_envelope(gamma, epsilon))
     assert swapped >= 1.0
+
+
+@st.composite
+def band_limited_potential(draw):
+    """'1:a,b;2:c,d;...' with degree <= 3 and coefficients in [-1/2, 1/2]."""
+    degree = draw(st.integers(0, 3))
+    coef = st.floats(-0.5, 0.5)
+    return ";".join(f"{k}:{draw(coef)!r},{draw(coef)!r}"
+                    for k in range(1, degree + 1)) or "0"
+
+
+@given(potential=band_limited_potential(), beta=st.floats(0.5, 2.0),
+       mass=st.floats(0.5, 2.0), log_gamma=st.floats(-2.0, 2.0),
+       model=st.sampled_from(["langevin", "boltzmann_rhmc"]))
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_model_bound_report_sound_on_random_potentials(potential, beta, mass,
+                                                       log_gamma, model):
+    # soundness beyond the hand-picked potentials: margin >= 1 wherever the
+    # cutoff doubling says the point is resolved
+    spec = BasisSpec(d=1, n_q=8, n_p=8, beta=beta, mass=mass)
+    report = model_bound_report(
+        ModelSpec(model=model, gamma=10.0**log_gamma, beta=beta, mass=mass, d=1),
+        spec, Potential.from_string(potential, d=1))
+    assert report.exact > 0
+    if report.converged:
+        assert report.margin >= 1.0
