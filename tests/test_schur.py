@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,7 @@ from hypoco.errors import ConfigError, InvariantViolation, NumericalFailure
 from hypoco.models import model_bound_report
 from hypoco.operators import (ModelSpec, SparseOperator, assemble_model,
                               verify_structural_assumptions)
-from hypoco.schur import (Decomposition, block_resolvent,
+from hypoco.schur import (DENSE_THRESHOLD, Decomposition, block_resolvent,
                           build_decomposition, exact_resolvent_norm,
                           intermediate_norms, macroscopic_coercivity,
                           operator_norm, scatter_blocks, schur_complement,
@@ -108,6 +109,20 @@ def test_rank_deficient_transfer_detected(langevin_ops):
         build_decomposition(fake)
 
 
+def test_asymmetric_reversal_detected(langevin_ops):
+    # |R22| is taken from a symmetric eigensolve, which needs R22 = R22^T
+    r = langevin_ops.reversal.matrix.tolil()
+    i, j = langevin_ops.idx_plus[-2:]
+    r[i, j] += 1e-3
+    broken = SparseOperator("broken", sp.csr_matrix(r), "general")
+    fake = type(langevin_ops)(model=langevin_ops.model,
+                              basis=langevin_ops.basis, A=langevin_ops.A,
+                              S=langevin_ops.S, pi0=langevin_ops.pi0,
+                              reversal=broken)
+    with pytest.raises(InvariantViolation, match="R22 symmetry residual"):
+        build_decomposition(fake)
+
+
 def test_a10_inverse_times_sigma_min_is_one(langevin_dec):
     norms = intermediate_norms(langevin_dec)
     sigma_min = sla.svdvals(langevin_dec.A10)[-1]
@@ -198,6 +213,56 @@ def test_exact_resolvent_norm_iterative_reports_nonconvergence():
         exact_resolvent_norm(mat, method="iterative", max_iter=1)
 
 
+@pytest.fixture(scope="module")
+def adl_ops_nq12(cos_potential):
+    basis = build_basis(BasisSpec(d=1, n_q=12, n_p=6, has_xi=True, n_xi=6),
+                        potential=cos_potential)
+    return assemble_model(basis, ModelSpec(model="adaptive_langevin",
+                                           gamma=1.0, epsilon=1.0))
+
+
+@pytest.mark.parametrize("ops_name", ["langevin_ops", "rhmc_ops", "adl_ops",
+                                      "adl_ops_nq12"])
+def test_exact_resolvent_norm_default_matches_dense_on_generators(ops_name, request):
+    # every generator the pipeline builds must take the sparse LU path
+    L = request.getfixturevalue(ops_name).L
+    assert L.shape[0] >= DENSE_THRESHOLD
+    default = exact_resolvent_norm(L)
+    dense = exact_resolvent_norm(L, method="dense")
+    assert abs(default - dense) <= 1e-10 * dense
+
+
+def test_exact_resolvent_norm_default_is_bitwise_reproducible(adl_ops):
+    assert exact_resolvent_norm(adl_ops.L) == exact_resolvent_norm(adl_ops.L)
+
+
+@pytest.mark.parametrize("tiny", [1e-18, 1e-200, 0.0])
+def test_exact_resolvent_norm_default_rejects_singular(tiny):
+    # upper bidiagonal, so sigma_min is at most the tiny diagonal entry
+    n = 2 * DENSE_THRESHOLD
+    diag = np.full(n, -2.0)
+    diag[n // 2] = tiny
+    mat = sp.diags([diag, np.ones(n - 1)], [0, 1], format="csr")
+    with pytest.raises(NumericalFailure, match="exact_resolvent_norm.*singular"):
+        exact_resolvent_norm(mat)
+
+
+def test_exact_resolvent_norm_default_rejects_unconverged_ritz_pairs(monkeypatch):
+    n = 2000
+    off = 0.3 * np.ones(n - 1)
+    mat = sp.diags([np.linspace(-1.0, -2.0, n), off, off], [0, 1, -1], format="csr")
+    # a loose ARPACK tolerance leaves a Ritz residual above RITZ_RTOL
+    with pytest.raises(NumericalFailure, match="exact_resolvent_norm: Ritz residual"):
+        exact_resolvent_norm(mat, tol=1e-3)
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((n, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    with pytest.raises(NumericalFailure, match="exact_resolvent_norm: ARPACK .* not converged"):
+        exact_resolvent_norm(mat)
+
+
 def test_theorem_bound_frozen_values():
     assert theorem_bound(1.0, 1.0, 1.0, 1.0, 0.0) == 5.0
     assert theorem_bound(2.0, 1.0, 1.0, 1.0, 1.0) == 4.5
@@ -223,6 +288,14 @@ def test_intermediate_norms_langevin_values(langevin_dec, langevin_ops):
     assert abs(norms["norm_S11"] - gamma / mass) < 1e-10
     assert abs(norms["norm_R22"] - 1.0) < 1e-12
     assert norms["l11_symmetry_residual"] < 1e-10
+
+
+@pytest.mark.parametrize("dec_name", ["langevin_dec", "rhmc_dec", "adl_dec"])
+def test_norm_R22_eigvalsh_matches_svd(dec_name, request):
+    dec = request.getfixturevalue(dec_name)
+    assert np.array_equal(dec.R22, dec.R22.T)
+    norm = intermediate_norms(dec, check_t3=False)["norm_R22"]
+    assert abs(norm - float(sla.svdvals(dec.R22)[0])) <= 1e-12
 
 
 def test_margin_at_least_one_langevin(cos_potential):
