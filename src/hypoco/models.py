@@ -18,9 +18,9 @@ from .constants import case_constants, constants_summary, gauss_hermite_rule
 from .errors import ConfigError, InvariantViolation, NumericalFailure
 from .operators import ModelOperators, ModelSpec, assemble_model, verify_structural_assumptions
 from .schur import (CONVERGENCE_RTOL, BoundReport, Decomposition,
-                    build_decomposition, exact_resolvent_norm,
-                    intermediate_norms, macroscopic_coercivity, norm_X21,
-                    operator_norm, schur_complement, theorem_bound)
+                    build_decomposition, exact_resolvent_norm, gershgorin_max,
+                    intermediate_norms, operator_norm, schur_complement,
+                    theorem_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -100,31 +100,21 @@ def norm_X_hamiltonian_squared(dec_or_ops, check_case: PropositionCase | None = 
     return float(x2)
 
 
-def _lfd_matrix(ops: ModelOperators):
-    """Momentum Ornstein-Uhlenbeck part of the symmetric piece (S = gamma LFD)."""
-    if ops.model.model == "boltzmann_rhmc":
-        raise ConfigError(["collision model has no Ornstein-Uhlenbeck part"])
-    return ops.S.matrix / ops.model.gamma
-
-
 def _model_norms(dec: Decomposition) -> dict:
-    """Blocks entering the dynamics-specific bounds, in H1/H2 coordinates."""
-    ops = dec.ops
-    gamma = ops.model.gamma
-    out = {
-        "a": macroscopic_coercivity(dec),
-        "norm_S11": operator_norm(dec.S11),
-        "norm_S21": operator_norm(dec.Q2.T @ np.asarray(
-            ops.S.matrix[dec.idx_plus][:, dec.idx_plus] @ dec.Q1)),
-        "norm_L21A10inv": norm_X21(dec),
-        "X2": norm_X_hamiltonian_squared(dec),
-    }
+    """The theorem's norms plus the blocks of the dynamics-specific bounds.
+
+    H2 blocks are reached through P2.  For the friction models S = gamma L_FD,
+    so |Pi1 L_FD Pi1| = |S11| / gamma and norm_XS = |P2 L_FD Q1 A10 (A*A)^{-1}|
+    is |P2 S Q1 A10^{-T}| / gamma, with A10 (A*A)^{-1} = A10^{-T} as in norm_X21.
+    """
+    ops, gamma = dec.ops, dec.ops.model.gamma
+    out = intermediate_norms(dec, check_t3=False)
+    s21 = dec.p2(dec.plus_block(ops.S.matrix) @ dec.Q1)
+    out["norm_S21"] = operator_norm(s21)
+    out["X2"] = norm_X_hamiltonian_squared(dec)
     if ops.model.model != "boltzmann_rhmc":
-        lfd = _lfd_matrix(ops)[dec.idx_plus][:, dec.idx_plus]
-        out["norm_pi1_lfd_pi1"] = operator_norm(dec.Q1.T @ np.asarray(lfd @ dec.Q1))
-        x_s = dec.Q2.T @ np.asarray(lfd @ dec.Q1) @ dec.A10
-        gram = dec._apl0.T @ dec._apl0
-        out["norm_XS"] = operator_norm(np.linalg.solve(gram, x_s.T).T)
+        out["norm_pi1_lfd_pi1"] = out["norm_S11"] / gamma
+        out["norm_XS"] = operator_norm(np.linalg.solve(dec.A10, s21.T).T) / gamma
     out["gamma"] = gamma
     return out
 
@@ -353,7 +343,7 @@ def model_bound_report(model: ModelSpec, spec: BasisSpec,
         model=model.model, gamma=model.gamma,
         n_q=spec.n_q, n_p=spec.n_p, n_xi=spec.n_xi if spec.has_xi else 0,
         s=rep.s_numeric, a=details["a"],
-        norm_S11=details["norm_S11"], norm_R22=details.get("norm_R22", 1.0),
+        norm_S11=details["norm_S11"], norm_R22=details["norm_R22"],
         norm_L21A10inv=details["norm_L21A10inv"],
         bound=bound, exact=exact,
         converged=converged_q and converged_p,
@@ -371,21 +361,19 @@ def static_poincare_constants(dec: Decomposition) -> tuple[float, float]:
     """Constants (C1, C2) of the antisymmetric-part Poincare inequality.
 
     C1 = 1 + |(1-Pi0) A^2 Pi0 (A*A)^{-1}| and C2 = |(1-S_++)^{1/2} A_{+0}
-    (A*A)^{-1}|, the square root taken by symmetric eigendecomposition.
+    (A*A)^{-1}|, taken as |P^T (1-S_++) P|^{1/2} with P = A_{+0} (A*A)^{-1},
+    which needs 1 - S_++ >= 0; the Gershgorin bound of S_++ proves it.
     """
     ops = dec.ops
     c1 = 1.0 + np.sqrt(norm_X_hamiltonian_squared(ops))
-    spp = ops.S.matrix[dec.idx_plus][:, dec.idx_plus].toarray()
-    one_minus = np.eye(spp.shape[0]) - spp
-    vals, vecs = np.linalg.eigh(0.5 * (one_minus + one_minus.T))
-    if vals[0] <= 0:
+    spp = dec.plus_block(ops.S.matrix)
+    low = 1.0 - gershgorin_max(0.5 * (spp + spp.T))
+    if not low > 0:
         raise NumericalFailure(
-            f"1 - S is not positive definite on H+: min eigenvalue {vals[0]:.3e}"
+            f"1 - S is not positive definite on H+: Gershgorin lower bound {low:.3e}"
         )
-    sqrt_mat = (vecs * np.sqrt(vals)) @ vecs.T
-    gram = dec._apl0.T @ dec._apl0
-    pseudo = np.linalg.solve(gram, dec._apl0.T).T
-    c2 = operator_norm(sqrt_mat @ pseudo)
+    pseudo = np.linalg.solve(dec._apl0.T @ dec._apl0, dec._apl0.T).T
+    c2 = np.sqrt(operator_norm(pseudo.T @ pseudo - pseudo.T @ (spp @ pseudo)))
     return float(c1), float(c2)
 
 

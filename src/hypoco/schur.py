@@ -3,10 +3,13 @@
 The working space splits as H0 (ker S) plus its orthogonal complement H+,
 and H+ splits further into H1 = ran(A from H0) and H2.  In these coordinates
 the generator has a saddle-point block structure whose Schur complement on H0
-yields an explicit inverse; the module builds the decomposition, evaluates
-the closed-form resolvent bound, and provides the oracle for the exact
-resolvent norm: ARPACK Lanczos on (L^T L)^{-1} applied through one sparse LU
-of L, with a dense SVD kept for small matrices and as the cross-check.
+yields an explicit inverse.  Only dim0-wide blocks are formed: H2 is reached
+through the projector P2 = 1 - Q1 Q1^T, a sparse LU of L++ bordered by
+A_{+0} and a sign count of the reversal, never through a basis of its own.
+The module builds the decomposition, evaluates the closed-form resolvent
+bound, and provides the oracle for the exact resolvent norm: ARPACK Lanczos
+on (L^T L)^{-1} applied through one sparse LU of L, with a dense SVD kept
+for small matrices and as the cross-check.
 """
 
 from __future__ import annotations
@@ -49,25 +52,23 @@ def operator_norm(mat) -> float:
 
 @dataclass
 class Decomposition:
-    """Orthonormal H0/H1/H2 bases and the generator blocks in them.
+    """Orthonormal H0/H1 bases and the generator blocks the bound reads.
 
-    H0 is the coordinate block ``idx0``; Q1 and Q2 hold the H1/H2 bases in
-    H+ coordinates for block computations.  A10 is square (dim0 = dim1) and
-    invertible whenever the build succeeded.
+    H0 is the coordinate block ``idx0``; Q1 holds the H1 basis in H+
+    coordinates.  H2 is never formed: it is reached through the projector
+    P2 = 1 - Q1 Q1^T, as |Q2^T Y| = |P2 Y|, so ``P2LQ1`` = P2 L++ Q1 stands
+    in for L21.  A10 is square (dim0 = dim1) and invertible whenever the
+    build succeeded.
     """
 
     ops: ModelOperators
     idx0: np.ndarray
     idx_plus: np.ndarray
     Q1: np.ndarray
-    Q2: np.ndarray
     A10: np.ndarray
     L11: np.ndarray
-    L12: np.ndarray
-    L21: np.ndarray
-    L22: np.ndarray
     S11: np.ndarray
-    R22: np.ndarray
+    P2LQ1: np.ndarray
     pi1_idempotency_residual: float
     pi1_range_residual: float
     l11_symmetry_residual: float
@@ -89,14 +90,21 @@ class Decomposition:
 
     @property
     def dim2(self) -> int:
-        return self.Q2.shape[1]
+        return len(self.idx_plus) - self.dim1
+
+    def plus_block(self, mat) -> sp.csr_matrix:
+        """The H+ x H+ block of a sparse working-space operator."""
+        return mat[self.idx_plus][:, self.idx_plus]
+
+    def p2(self, y: np.ndarray) -> np.ndarray:
+        """P2 y = y - Q1 Q1^T y, the H2 component of H+ vectors."""
+        return y - self.Q1 @ (self.Q1.T @ y)
 
     def lu_pp(self):
         """Cached sparse LU factorization of the H+ block of the generator."""
         if self._lu_pp is None:
-            lpp = self.ops.L[self.idx_plus][:, self.idx_plus].tocsc()
             try:
-                self._lu_pp = spla.splu(lpp)
+                self._lu_pp = spla.splu(self.plus_block(self.ops.L).tocsc())
             except RuntimeError as exc:
                 raise NumericalFailure(f"H+ block is numerically singular: {exc}") from exc
         return self._lu_pp
@@ -105,65 +113,75 @@ class Decomposition:
 def build_decomposition(ops: ModelOperators,
                         rank_tol: float = 1e-12,
                         tol_identity: float = DEFAULT_TOL_IDENTITY) -> Decomposition:
-    """Split H+ into ran(A_{+0}) and its complement by pivoted QR.
+    """Split H+ into H1 = ran(A_{+0}) and H2 = ran(P2) by pivoted QR.
 
+    A maps Hermite degree 0 only into degree 1 (degree <= 2 with the
+    thermostat coupling), so the QR runs on the nonzero rows of A_{+0}.
     ``rank_tol`` multiplies the leading R diagonal of the pivoted QR; any
     trailing diagonal below that threshold means A_{+0} lost rank, i.e. the
     coarse-grained transport has a flat direction.
+
+    |R22| = 1 is proved, not computed: R on H+ must be a diagonal sign
+    matrix, and a sign occurring more than dim1 times has an eigenspace
+    that meets H2 (of codimension dim1 in H+), so |R22| >= 1 = |R|.
     """
     idx0, idx_plus = ops.idx0, ops.idx_plus
     apl0 = np.asarray(ops.A.matrix[idx_plus][:, idx0].todense())
     dim0 = len(idx0)
-    q_full, r, _piv = sla.qr(apl0, mode="full", pivoting=True)
-    diag = np.abs(np.diag(r[:dim0, :dim0]))
+    rows = np.flatnonzero(np.any(apl0 != 0.0, axis=1))
+    block = apl0[rows]
+    q_rows, r, _piv = sla.qr(block, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > rank_tol * diag[0])) if diag.size else 0
     if rank < dim0:
         raise InvariantViolation(
             f"macroscopic coercivity failure: rank(A10) = {rank} < dim H0 = {dim0}"
         )
-    q1, q2 = q_full[:, :dim0], q_full[:, dim0:]
-    del q_full
+    q_rows = q_rows[:, :dim0]
+    q1 = np.zeros((len(idx_plus), dim0))
+    q1[rows] = q_rows
 
-    pi1_apl0 = q1 @ (q1.T @ apl0)
     scale = max(operator_norm_upper(apl0), 1.0)
-    pi1_range = float(np.max(np.abs(pi1_apl0 - apl0))) / scale
-    pi1_idem = float(np.max(np.abs(q1.T @ q1 - np.eye(dim0))))
+    pi1_range = float(np.max(np.abs(q_rows @ (q_rows.T @ block) - block))) / scale
+    pi1_idem = float(np.max(np.abs(q_rows.T @ q_rows - np.eye(dim0))))
     if max(pi1_range, pi1_idem) > tol_identity:
         raise InvariantViolation(
             f"H1 projector residuals exceed tolerance: range {pi1_range:.3e}, "
             f"idempotency {pi1_idem:.3e}"
         )
 
-    lpp = ops.L[idx_plus][:, idx_plus]
-    spp = ops.S.matrix[idx_plus][:, idx_plus]
-    rpp = ops.reversal.matrix[idx_plus][:, idx_plus]
-    lq1 = np.asarray((lpp @ q1))
+    lq1 = ops.L[idx_plus][:, idx_plus] @ q1
     l11 = q1.T @ lq1
-    l21 = q2.T @ lq1
-    lq2 = np.asarray((lpp @ q2))
-    l12 = q1.T @ lq2
-    l22 = q2.T @ lq2
-    s11 = q1.T @ np.asarray(spp @ q1)
-    r22 = q2.T @ np.asarray(rpp @ q2)
-    a10 = q1.T @ apl0
-
-    l11_sym = float(np.max(np.abs(l11 - l11.T))) if l11.size else 0.0
+    s11 = q1.T @ (ops.S.matrix[idx_plus][:, idx_plus] @ q1)
+    l11_sym = float(np.max(np.abs(l11 - l11.T)))
     if ops.model.model != "adaptive_langevin" and l11_sym > tol_identity:
         raise InvariantViolation(
             f"L11 symmetry residual {l11_sym:.3e} exceeds tolerance {tol_identity:g}"
         )
-    # R is symmetric, so R22 = Q2^T R Q2 is too; intermediate_norms relies on it
-    r22_sym = float(np.max(np.abs(r22 - r22.T))) if r22.size else 0.0
-    if r22_sym > tol_identity:
-        raise InvariantViolation(
-            f"R22 symmetry residual {r22_sym:.3e} exceeds tolerance {tol_identity:g}"
-        )
+
+    rpp = ops.reversal.matrix[idx_plus][:, idx_plus]
+    signs = np.where(rpp.diagonal() > 0, 1.0, -1.0)
+    bad = (rpp - sp.diags(signs)).count_nonzero()
+    if bad:
+        raise InvariantViolation(f"build_decomposition: reversal on H+ is not a diagonal "
+                                 f"sign matrix ({bad} entries off)")
+    counts = (int(np.sum(signs > 0)), int(np.sum(signs < 0)))
+    if max(counts) <= dim0:
+        raise InvariantViolation(f"build_decomposition: |R22| = 1 not proved, sign counts "
+                                 f"(+1, -1) = {counts} of R on H+ not above dim H1 = {dim0}")
     return Decomposition(
-        ops=ops, idx0=idx0, idx_plus=idx_plus, Q1=q1, Q2=q2,
-        A10=a10, L11=l11, L12=l12, L21=l21, L22=l22, S11=s11, R22=r22,
+        ops=ops, idx0=idx0, idx_plus=idx_plus, Q1=q1, A10=q_rows.T @ block,
+        L11=l11, S11=s11, P2LQ1=lq1 - q1 @ l11,
         pi1_idempotency_residual=pi1_idem, pi1_range_residual=pi1_range,
         l11_symmetry_residual=l11_sym, _apl0=apl0,
     )
+
+
+def gershgorin_max(sym) -> float:
+    """Upper bound max_i (a_ii + sum_{j != i} |a_ij|) on the top eigenvalue
+    of a sparse symmetric matrix."""
+    diag = sym.diagonal()
+    return float(np.max(diag - np.abs(diag) + np.asarray(abs(sym).sum(axis=1)).ravel()))
 
 
 def operator_norm_upper(mat) -> float:
@@ -213,22 +231,10 @@ def schur_complement(dec: Decomposition,
     lu = dec.lu_pp()
     route1 = dec._apl0.T @ lu.solve(dec._apl0)
     if check:
-        sym_l22 = 0.5 * (dec.L22 + dec.L22.T)
-        if sym_l22.size:
-            top = float(np.linalg.eigvalsh(sym_l22)[-1])
-            if top >= 0.0:
-                raise NumericalFailure(
-                    f"dissipation failure on H2: symmetric part of L22 reaches {top:.3e}"
-                )
-        try:
-            s1 = dec.L11 - dec.L12 @ np.linalg.solve(dec.L22, dec.L21) \
-                if dec.dim2 else dec.L11
-            route2 = dec.A10.T @ np.linalg.solve(s1, dec.A10)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"dissipation failure on H2: {exc}") from exc
+        route2 = _schur_route2(dec)
         denom = max(float(np.linalg.norm(route1)), np.finfo(float).tiny)
         rel = float(np.linalg.norm(route1 - route2)) / denom
-        if rel > route_rtol:
+        if not rel <= route_rtol:
             raise NumericalFailure(
                 f"Schur complement routes disagree: relative gap {rel:.3e}"
             )
@@ -246,6 +252,38 @@ def schur_complement(dec: Decomposition,
                 )
     dec._schur = route1
     return route1
+
+
+def _schur_route2(dec: Decomposition) -> np.ndarray:
+    """A10^T s1^{-1} A10 with s1 = L11 - L12 L22^{-1} L21, H2 never formed.
+
+    By Cauchy interlacing, lambda_max(sym L22) <= lambda_max(sym L++), which
+    the Gershgorin row bound caps.  A negative cap proves dissipation on H2,
+    so the bordered matrix [[L++, A_{+0}], [A_{+0}^T, 0]] is nonsingular.
+    Its border spans H1 like Q1 but is sparse, and its solve against
+    [L++ Q1; 0] gives X = Q2 L22^{-1} L21, so L12 L22^{-1} L21 = Q1^T L++ X.
+    Its LU is independent of route one's ``lu_pp``.
+    """
+    lpp = dec.plus_block(dec.ops.L)
+    top = gershgorin_max(0.5 * (lpp + lpp.T))
+    if not top < 0.0:
+        raise NumericalFailure(
+            f"dissipation failure on H2: Gershgorin bound of sym L++ reaches {top:.3e}"
+        )
+    border = sp.csc_matrix(dec._apl0)
+    try:
+        kkt = spla.splu(sp.bmat([[lpp, border], [border.T, None]], format="csc"))
+    except RuntimeError as exc:
+        raise NumericalFailure(
+            f"dissipation failure on H2: bordered matrix [[L++, A+0], [A+0^T, 0]] "
+            f"is singular: {exc}"
+        ) from exc
+    x = kkt.solve(np.vstack([lpp @ dec.Q1, np.zeros((dec.dim0, dec.dim1))]))
+    s1 = dec.L11 - dec.Q1.T @ (lpp @ x[:len(dec.idx_plus)])
+    try:
+        return dec.A10.T @ np.linalg.solve(s1, dec.A10)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"dissipation failure on H2: {exc}") from exc
 
 
 def block_resolvent(dec: Decomposition, rhs) -> tuple[np.ndarray, np.ndarray]:
@@ -401,13 +439,11 @@ def theorem_bound(s: float, a: float, norm_S11: float,
 def norm_X21(dec: Decomposition) -> float:
     """Norm of the X21 block L21 A10 (A*A)^{-1}.
 
-    Evaluated as |L21 A10^{-T}|, using that A10 is square:
-    A10 (A10^T A10)^{-1} = A10^{-T}.  A10 is not symmetric in general, so
+    Evaluated as |P2 L++ Q1 A10^{-T}| = |L21 A10^{-T}|, using that A10 is
+    square: A10 (A10^T A10)^{-1} = A10^{-T}.  A10 is not symmetric in general, so
     this differs from |L21 A10^{-1}|.
     """
-    if not dec.dim2:
-        return 0.0
-    return operator_norm(np.linalg.solve(dec.A10, dec.L21.T).T)
+    return operator_norm(np.linalg.solve(dec.A10, dec.P2LQ1.T).T)
 
 
 def intermediate_norms(dec: Decomposition, check_t3: bool = True,
@@ -421,8 +457,7 @@ def intermediate_norms(dec: Decomposition, check_t3: bool = True,
     out = {
         "a": a,
         "norm_S11": operator_norm(dec.S11),
-        "norm_L11": operator_norm(dec.L11),
-        "norm_R22": float(np.max(np.abs(sla.eigvalsh(dec.R22)), initial=0.0)),
+        "norm_R22": 1.0,  # proved by build_decomposition
         "norm_L21A10inv": norm_X21(dec),
         "norm_A10inv": 1.0 / a,
         "l11_symmetry_residual": dec.l11_symmetry_residual,
@@ -430,8 +465,8 @@ def intermediate_norms(dec: Decomposition, check_t3: bool = True,
         "pi1_range_residual": dec.pi1_range_residual,
     }
     if check_t3:
-        lpp = dec.ops.L[dec.idx_plus][:, dec.idx_plus].toarray()
-        spp = dec.ops.S.matrix[dec.idx_plus][:, dec.idx_plus].toarray()
+        lpp = dec.plus_block(dec.ops.L).toarray()
+        spp = dec.plus_block(dec.ops.S.matrix).toarray()
         linv = np.linalg.inv(lpp)
         sym = -0.5 * (linv + linv.T)
         t3t3 = linv.T @ np.linalg.solve(sym, linv)

@@ -1,15 +1,17 @@
 """Tests for the dynamics-specific resolvent bounds and rate machinery."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypoco.basis import BasisSpec, Potential, build_basis
 from hypoco.constants import constants_summary, poincare_constant
-from hypoco.errors import ConfigError, InvariantViolation
+from hypoco.errors import ConfigError, InvariantViolation, NumericalFailure
 from hypoco.models import (
     PropositionCase,
     adl_AstarA_residual,
@@ -31,7 +33,7 @@ from hypoco.models import (
     static_poincare_constants,
     uij_moment,
 )
-from hypoco.operators import ModelSpec, assemble_model
+from hypoco.operators import ModelSpec, SparseOperator, assemble_model
 from hypoco.schur import build_decomposition, intermediate_norms
 
 from conftest import COS_Q
@@ -269,7 +271,21 @@ def test_static_poincare_constants_definition(langevin_ops):
     c1, c2 = static_poincare_constants(dec)
     x2 = norm_X_hamiltonian_squared(langevin_ops)
     assert abs(c1 - (1.0 + np.sqrt(x2))) < 1e-12
-    assert c2 > 0
+    # C2 = |(1 - S_++)^{1/2} A_{+0} (A*A)^{-1}| with the square root taken densely
+    vals, vecs = np.linalg.eigh(np.eye(len(dec.idx_plus))
+                                - dec.plus_block(langevin_ops.S.matrix).toarray())
+    pseudo = np.linalg.solve(dec._apl0.T @ dec._apl0, dec._apl0.T).T
+    assert c2 == pytest.approx(np.linalg.norm((vecs * np.sqrt(vals)) @ vecs.T @ pseudo, 2),
+                               rel=1e-12)
+
+
+def test_static_poincare_constants_reject_indefinite_one_minus_s(langevin_ops):
+    s = langevin_ops.S.matrix.tolil()
+    i = langevin_ops.idx_plus[-1]
+    s[i, i] = 2.0
+    fake = replace(langevin_ops, S=SparseOperator("broken", sp.csr_matrix(s), "symmetric"))
+    with pytest.raises(NumericalFailure, match="1 - S is not positive definite on H"):
+        static_poincare_constants(build_decomposition(fake))
 
 
 def test_static_inequality_holds_on_random_suite(langevin_ops):
@@ -363,6 +379,20 @@ def test_model_bound_report_x21_matches_intermediate_norms(which, langevin_ops,
                                 check_convergence=False)
     expected = intermediate_norms(dec, check_t3=False)["norm_L21A10inv"]
     assert report.norm_L21A10inv == pytest.approx(expected, rel=1e-12)
+
+
+def test_model_bound_report_d2_matches_d1_tensorization():
+    # the separable potential at d=2 (dim 8,280) gives the d=1 bound and exact
+    # norm: the Langevin generator is a Kronecker sum of two d=1 copies
+    reports = {}
+    for d, text in ((1, COS_Q), (2, "1 0:0.5,0;0 1:0.5,0")):
+        reports[d] = model_bound_report(
+            ModelSpec(model="langevin", gamma=1.0, d=d), BasisSpec(d=d, n_q=6, n_p=6),
+            Potential.from_string(text, d=d), check_convergence=False)
+    assert reports[2].assumptions.passed
+    assert reports[2].margin >= 1.0
+    assert reports[2].bound == pytest.approx(reports[1].bound, rel=1e-8)
+    assert reports[2].exact == pytest.approx(reports[1].exact, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -75,8 +75,8 @@ def test_fd_acts_as_minus_one_over_m_on_h1(langevin_ops, langevin_dec):
 
 def test_s21_vanishes_for_quadratic_kinetic_energy(langevin_dec, rhmc_dec):
     for dec in (langevin_dec, rhmc_dec):
-        s = dec.ops.S.matrix[dec.idx_plus][:, dec.idx_plus]
-        s21 = dec.Q2.T @ np.asarray(s @ dec.Q1)
+        # |Q2^T S Q1| = |P2 S Q1|: H2 is reached through its projector
+        s21 = dec.p2(dec.plus_block(dec.ops.S.matrix) @ dec.Q1)
         assert np.max(np.abs(s21)) < 1e-13
 
 
@@ -109,8 +109,34 @@ def test_rank_deficient_transfer_detected(langevin_ops):
         build_decomposition(fake)
 
 
+def test_non_orthonormal_h1_basis_detected(langevin_ops, monkeypatch):
+    qr = sla.qr
+
+    def stretched_qr(*args, **kwargs):
+        q, *rest = qr(*args, **kwargs)
+        return (1.1 * q, *rest)
+
+    monkeypatch.setattr(sla, "qr", stretched_qr)
+    with pytest.raises(InvariantViolation, match="H1 projector residuals exceed"):
+        build_decomposition(langevin_ops)
+
+
+def test_asymmetric_l11_detected(langevin_ops):
+    # S coupling two degree-1 states one way only makes L11 non-symmetric
+    s = langevin_ops.S.matrix.tolil()
+    i, j = np.flatnonzero(langevin_ops.basis.p_degree == 1)[:2]
+    s[i, j] += 0.5
+    fake = type(langevin_ops)(model=langevin_ops.model,
+                              basis=langevin_ops.basis, A=langevin_ops.A,
+                              S=SparseOperator("broken", sp.csr_matrix(s), "general"),
+                              pi0=langevin_ops.pi0, reversal=langevin_ops.reversal)
+    with pytest.raises(InvariantViolation, match="L11 symmetry residual"):
+        build_decomposition(fake)
+
+
 def test_asymmetric_reversal_detected(langevin_ops):
-    # |R22| is taken from a symmetric eigensolve, which needs R22 = R22^T
+    # |R22| = 1 is proved from the signs of R on H+, which needs R to be a
+    # diagonal sign matrix there
     r = langevin_ops.reversal.matrix.tolil()
     i, j = langevin_ops.idx_plus[-2:]
     r[i, j] += 1e-3
@@ -119,7 +145,7 @@ def test_asymmetric_reversal_detected(langevin_ops):
                               basis=langevin_ops.basis, A=langevin_ops.A,
                               S=langevin_ops.S, pi0=langevin_ops.pi0,
                               reversal=broken)
-    with pytest.raises(InvariantViolation, match="R22 symmetry residual"):
+    with pytest.raises(InvariantViolation, match="not a diagonal sign matrix"):
         build_decomposition(fake)
 
 
@@ -145,6 +171,67 @@ def test_schur_routes_agree_langevin(langevin_dec):
 def test_schur_routes_agree_adl(adl_dec):
     s0 = schur_complement(adl_dec)
     assert s0.shape == (adl_dec.dim0, adl_dec.dim0)
+
+
+def test_schur_route2_does_not_reuse_route1_lu(langevin_ops):
+    # route one through a perturbed LU of L++ must disagree with route two,
+    # which factors its own bordered matrix
+    dec = build_decomposition(langevin_ops)
+    lpp = dec.plus_block(langevin_ops.L).tocsc()
+    dec._lu_pp = spla.splu(lpp + 1e-3 * sp.identity(lpp.shape[0], format="csc"))
+    with pytest.raises(NumericalFailure, match="routes disagree"):
+        schur_complement(dec)
+
+
+def test_non_finite_route_one_is_a_disagreement(langevin_ops):
+    class NanLU:
+        def solve(self, rhs):
+            return np.full(np.shape(rhs), np.nan)
+
+    dec = build_decomposition(langevin_ops)
+    dec._lu_pp = NanLU()
+    with pytest.raises(NumericalFailure, match="routes disagree"):
+        schur_complement(dec)
+
+
+def test_failed_bordered_factorization_is_reported(langevin_ops, monkeypatch):
+    dec = build_decomposition(langevin_ops)
+    dec.lu_pp()
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    with pytest.raises(NumericalFailure, match="dissipation failure on H2: bordered"):
+        schur_complement(dec)
+
+
+def test_unproved_reversal_sign_count_detected(cos_potential):
+    # at n_q = 2, n_p = 1 H+ holds 5 states and dim H1 = 4: a sign pattern
+    # (+1, +1, +1, -1, -1) on H+ leaves |R22| = 1 unproved
+    ops = assemble_model(build_basis(BasisSpec(d=1, n_q=2, n_p=1), potential=cos_potential),
+                         ModelSpec(model="langevin", gamma=1.0))
+    r = ops.reversal.matrix.tolil()
+    for k, i in enumerate(ops.idx_plus):
+        r[i, i] = 1.0 if k < 3 else -1.0
+    fake = type(ops)(model=ops.model, basis=ops.basis, A=ops.A, S=ops.S, pi0=ops.pi0,
+                     reversal=SparseOperator("broken", sp.csr_matrix(r), "symmetric"))
+    with pytest.raises(InvariantViolation,
+                       match=r"build_decomposition: \|R22\| = 1 not proved.*\(3, 2\)"):
+        build_decomposition(fake)
+
+
+def test_positive_friction_entry_fails_h2_dissipation(langevin_ops):
+    s = langevin_ops.S.matrix.tolil()
+    i = langevin_ops.idx_plus[-1]
+    s[i, i] = 0.5
+    broken = SparseOperator("broken", sp.csr_matrix(s), "symmetric")
+    fake = type(langevin_ops)(model=langevin_ops.model,
+                              basis=langevin_ops.basis, A=langevin_ops.A,
+                              S=broken, pi0=langevin_ops.pi0,
+                              reversal=langevin_ops.reversal)
+    with pytest.raises(NumericalFailure, match="dissipation failure on H2"):
+        schur_complement(build_decomposition(fake))
 
 
 @pytest.mark.parametrize("which", ["langevin", "rhmc", "adl"])
@@ -292,10 +379,43 @@ def test_intermediate_norms_langevin_values(langevin_dec, langevin_ops):
 
 @pytest.mark.parametrize("dec_name", ["langevin_dec", "rhmc_dec", "adl_dec"])
 def test_norm_R22_eigvalsh_matches_svd(dec_name, request):
+    # the dimension count's |R22| = 1 against the dense compression Q2^T R Q2,
+    # with Q2 from a full QR of A_{+0}
     dec = request.getfixturevalue(dec_name)
-    assert np.array_equal(dec.R22, dec.R22.T)
+    q_full = sla.qr(dec._apl0, mode="full")[0]
+    q2 = q_full[:, dec.dim0:]
+    r22 = q2.T @ (dec.plus_block(dec.ops.reversal.matrix) @ q2)
     norm = intermediate_norms(dec, check_t3=False)["norm_R22"]
-    assert abs(norm - float(sla.svdvals(dec.R22)[0])) <= 1e-12
+    assert abs(norm - float(sla.svdvals(r22)[0])) <= 1e-12
+
+
+_SIGN_COUNT_CASES = ([(model, n_p, 0) for model in ("langevin", "boltzmann_rhmc")
+                      for n_p in (1, 2)]
+                     + [("adaptive_langevin", n_p, n_xi)
+                        for n_p in (1, 2) for n_xi in (1, 2, 4)])
+
+
+@pytest.mark.parametrize("model,n_p,n_xi", _SIGN_COUNT_CASES)
+def test_rank_check_implies_reversal_sign_count(model, n_p, n_xi, cos_potential):
+    # Hermite degree 1 alone holds at least n_pos odd states > dim H1 = n_pos - 1;
+    # with the thermostat, degrees 1 and 2 hold at least n_pos (n_xi + 1) states
+    # of each sign > dim H1 = n_pos (n_xi + 1) - 1, and at n_p = 1 the rank
+    # check fails
+    for d, n_q in ((1, 1), (1, 2), (1, 4), (2, 1), (2, 2)):
+        pot = cos_potential if d == 1 else Potential.from_string("1 0:0.5,0;0 1:0.5,0", d=2)
+        spec = BasisSpec(d=d, n_q=n_q, n_p=n_p, has_xi=n_xi > 0, n_xi=n_xi)
+        ops = assemble_model(build_basis(spec, potential=pot), ModelSpec(
+            model=model, gamma=1.0, d=d, epsilon=1.0 if n_xi else None))
+        dim0 = len(ops.idx0)
+        apl0 = ops.A.matrix[ops.idx_plus][:, ops.idx0].toarray()
+        if np.linalg.matrix_rank(apl0) < dim0:
+            assert model == "adaptive_langevin" and n_p == 1
+            with pytest.raises(InvariantViolation, match="macroscopic coercivity failure"):
+                build_decomposition(ops)
+            continue
+        signs = ops.reversal.matrix[ops.idx_plus][:, ops.idx_plus].diagonal()
+        assert max(np.sum(signs > 0), np.sum(signs < 0)) > dim0
+        assert intermediate_norms(build_decomposition(ops), check_t3=False)["norm_R22"] == 1.0
 
 
 def test_margin_at_least_one_langevin(cos_potential):
