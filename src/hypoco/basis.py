@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,9 @@ DEFAULT_MAX_DIM = 50_000
 
 #: default absolute tolerance on max-entry residuals of exact identities.
 DEFAULT_TOL_IDENTITY = 1e-10
+
+#: bases kept per process by :func:`build_basis`, least recently used dropped first
+BASIS_CACHE_SIZE = 32
 
 
 def max_dim_default() -> int:
@@ -236,6 +240,18 @@ class Potential:
 
     def __repr__(self):
         return f"Potential(d={self.d}, coeffs={self.coeffs!r})"
+
+    # Equal potentials hold the same coefficients in the same order: the order
+    # fixes the summation order of every assembled entry, so equal potentials
+    # build bitwise-equal bases.
+    def _key(self):
+        return self.d, self.torus_length, tuple(self.coeffs.items())
+
+    def __eq__(self, other):
+        return isinstance(other, Potential) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +543,7 @@ class BasisSet:
         self.spec = spec
         self.potential = potential
         self.tol_identity = tol_identity
+        self._derived: dict = {}
 
         d, n_q = spec.d, spec.n_q
         self.n_grid = position_grid_size(n_q, potential)
@@ -629,6 +646,12 @@ class BasisSet:
         self.parity = np.where((p_degree + xi_degree) % 2 == 0, 1, -1)
 
     # -- assembly helpers ----------------------------------------------------
+
+    def derived(self, name, build):
+        """``build(self)``, computed once per basis and handed out read-only."""
+        if name not in self._derived:
+            self._derived[name] = _read_only(build(self))
+        return self._derived[name]
 
     def witten_deriv(self, i) -> sp.csr_matrix:
         """d/dq_i + (beta/2) dV/dq_i, the flat image of the nu-derivative."""
@@ -754,8 +777,48 @@ class BasisSet:
         return float(u @ v)
 
 
+def _read_only(value):
+    """Clear the writeable flag of every array reachable from ``value``."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif sp.issparse(value):
+        for part in (value.data, value.indices, value.indptr):
+            part.flags.writeable = False
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _read_only(item)
+    elif isinstance(value, HermiteOps):
+        _read_only(list(vars(value).values()))
+    return value
+
+
+_BASES: OrderedDict = OrderedDict()
+
+
 def build_basis(spec: BasisSpec, potential: Potential | None = None,
                 tol_identity: float = DEFAULT_TOL_IDENTITY,
                 max_dim: int | None = None) -> BasisSet:
-    """Validate, build quadratures and index maps, and check orthonormality."""
-    return BasisSet(spec, potential, tol_identity=tol_identity, max_dim=max_dim)
+    """Validate, build quadratures and index maps, and check orthonormality.
+
+    The basis is shared per process: one read-only :class:`BasisSet` per
+    (spec, potential, tol_identity), at most BASIS_CACHE_SIZE of them.  The
+    dimension guard runs on every call, and a basis failing its Gram check
+    is never kept.
+    """
+    potential = validated_potential(spec, potential, max_dim)
+    key = (spec, potential, tol_identity)
+    basis = _BASES.get(key)
+    if basis is None:
+        basis = BasisSet(spec, potential, tol_identity=tol_identity, max_dim=max_dim)
+        _read_only(list(vars(basis).values()))
+        _BASES[key] = basis
+        if len(_BASES) > BASIS_CACHE_SIZE:
+            _BASES.popitem(last=False)
+    else:
+        _BASES.move_to_end(key)
+    return basis
+
+
+def clear_basis_cache() -> None:
+    """Drop every basis :func:`build_basis` keeps."""
+    _BASES.clear()

@@ -330,17 +330,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "bounds, and their verification suite.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, jobs=False, csv=False, suite=False):
+    def common(p, *, out=False, json_out=False, jobs=False, csv=False, suite=False):
         p.add_argument("--config", required=False, help="key=value config file")
         p.add_argument("--model", help="override the configured model")
         p.add_argument("--gamma", help="value or range start:stop:logN|linN")
         p.add_argument("--epsilon-range", dest="epsilon_range",
                        help="value or range for the thermostat parameter")
         p.add_argument("--seed", type=int, help="override the configured seed")
-        p.add_argument("--out", help="output path (container or report)")
-        p.add_argument("--json", help="write JSON output to this path")
         p.add_argument("--max-dim", dest="max_dim", type=int,
                        help="override the basis dimension guard")
+        if out:
+            p.add_argument("--out", help="write the assembled operators to this container")
+        if json_out:
+            p.add_argument("--json", help="write JSON output to this path")
         if jobs:
             p.add_argument("--jobs", type=int, default=1,
                            help="parallel workers for sweep points")
@@ -351,13 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
                            help="number of random functions per lemma")
 
     for name, func, extra in (
-            ("assemble", cmd_assemble, {}),
-            ("verify", cmd_verify, {}),
-            ("bound", cmd_bound, {}),
-            ("constants", cmd_constants, {}),
-            ("lemmas", cmd_lemmas, {"suite": True}),
+            ("assemble", cmd_assemble, {"out": True}),
+            ("verify", cmd_verify, {"json_out": True}),
+            ("bound", cmd_bound, {"json_out": True}),
+            ("constants", cmd_constants, {"json_out": True}),
+            ("lemmas", cmd_lemmas, {"json_out": True, "suite": True}),
             ("sweep", cmd_sweep, {"jobs": True, "csv": True}),
-            ("report", cmd_report, {"csv": True})):
+            ("report", cmd_report, {"json_out": True, "csv": True})):
         p = sub.add_parser(name)
         common(p, **extra)
         p.set_defaults(func=func)

@@ -163,31 +163,36 @@ def _nosehoover_span(basis: BasisSet) -> sp.csr_matrix:
     return out
 
 
+def _on_h(basis: BasisSet, span) -> sp.csr_matrix:
+    """``basis.to_h(span(basis))``: friction-free, so built once per basis."""
+    return basis.derived(span.__name__, lambda b: b.to_h(span(b)))
+
+
 def assemble_hamiltonian(basis: BasisSet) -> SparseOperator:
-    return SparseOperator("hamiltonian", basis.to_h(_hamiltonian_span(basis)), "antisymmetric")
+    return SparseOperator("hamiltonian", _on_h(basis, _hamiltonian_span), "antisymmetric")
 
 
 def assemble_fd(basis: BasisSet) -> SparseOperator:
-    return SparseOperator("fluctuation_dissipation", basis.to_h(_fd_span(basis)), "symmetric")
+    return SparseOperator("fluctuation_dissipation", _on_h(basis, _fd_span), "symmetric")
 
 
 def assemble_pi0(basis: BasisSet) -> SparseOperator:
-    return SparseOperator("pi0", basis.to_h(_pi0_span(basis)), "symmetric")
+    return SparseOperator("pi0", _on_h(basis, _pi0_span), "symmetric")
 
 
 def assemble_reversal(basis: BasisSet) -> SparseOperator:
-    return SparseOperator("momentum_reversal", basis.to_h(_reversal_span(basis)), "symmetric")
+    return SparseOperator("momentum_reversal", _on_h(basis, _reversal_span), "symmetric")
 
 
 def assemble_boltzmann_collision(basis: BasisSet, gamma: float) -> SparseOperator:
     """Projection collision operator gamma (Pi0 - 1)."""
-    pi0 = basis.to_h(_pi0_span(basis))
+    pi0 = _on_h(basis, _pi0_span)
     eye = sp.identity(pi0.shape[0], format="csr")
     return SparseOperator("boltzmann_collision", gamma * (pi0 - eye), "symmetric")
 
 
 def assemble_nosehoover(basis: BasisSet) -> SparseOperator:
-    return SparseOperator("nosehoover", basis.to_h(_nosehoover_span(basis)), "antisymmetric")
+    return SparseOperator("nosehoover", _on_h(basis, _nosehoover_span), "antisymmetric")
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +248,12 @@ def _check_model_basis(basis: BasisSet, model: ModelSpec):
 
 
 def assemble_model(basis: BasisSet, model: ModelSpec) -> ModelOperators:
-    """Assemble A (antisymmetric part), S (symmetric part) and companions."""
+    """Assemble A (antisymmetric part), S (symmetric part) and companions.
+
+    Pi0, R, the transport and L_FD do not depend on gamma or epsilon and are
+    shared read-only through the basis; each call forms S, the thermostat A
+    for its epsilon, and L.
+    """
     _check_model_basis(basis, model)
     pi0 = assemble_pi0(basis)
     rev = assemble_reversal(basis)
@@ -255,8 +265,9 @@ def assemble_model(basis: BasisSet, model: ModelSpec) -> ModelOperators:
         a_op = assemble_hamiltonian(basis)
         s_op = assemble_boltzmann_collision(basis, model.gamma)
     else:
-        ham = _hamiltonian_span(basis)
-        nh = _nosehoover_span(basis)
+        # share the spans, not their to_h, so A is the same expression as unshared
+        ham, nh = basis.derived("adl_spans", lambda b: (_hamiltonian_span(b),
+                                                        _nosehoover_span(b)))
         a_op = SparseOperator(
             "hamiltonian+thermostat",
             basis.to_h(ham + nh / model.epsilon),

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
-from hypoco.basis import BasisSpec, Potential, build_basis
+from hypoco.basis import BasisSpec, Potential, build_basis, clear_basis_cache
 from hypoco.operators import ModelSpec, assemble_model
 
 COS_Q = "1:0.5,0"
 COS_COS2 = "1:0.5,0;2:0.25,0"
+
+
+@pytest.fixture(autouse=True)
+def fresh_basis_cache():
+    """Start every test without shared bases, so a test that patches basis
+    internals builds its own."""
+    clear_basis_cache()
 
 
 @pytest.fixture(scope="session")

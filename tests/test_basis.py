@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypoco.basis import (TWO_PI, BasisSpec, Potential, build_basis,
+from hypoco.basis import (BASIS_CACHE_SIZE, TWO_PI, BasisSet, BasisSpec, Potential, build_basis,
                           fourier_deriv_1d, fourier_mult, fourier_value_table,
                           gauss_hermite_rule, hermite_value_table)
 from hypoco.errors import ConfigError, NumericalFailure
@@ -85,6 +85,71 @@ def test_max_dim_guard():
     with pytest.raises(NumericalFailure) as err:
         build_basis(BasisSpec(d=1, n_q=4, n_p=4), max_dim=10)
     assert "problem too large" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the per-process basis cache
+# ---------------------------------------------------------------------------
+
+
+def test_equal_potentials_share_one_basis():
+    spec = BasisSpec(d=1, n_q=4, n_p=4)
+    first = Potential.from_string(COS_Q, d=1)
+    second = Potential.from_string(COS_Q, d=1)
+    assert first == second and hash(first) == hash(second)
+    assert build_basis(spec, first) is build_basis(spec, second)
+    assert build_basis(spec, first) is not build_basis(spec, Potential.from_string("1:0.4,0", d=1))
+    assert build_basis(spec) is not build_basis(BasisSpec(d=1, n_q=4, n_p=5))
+
+
+def test_cached_basis_is_read_only():
+    basis = build_basis(BasisSpec(d=1, n_q=4, n_p=4, has_xi=True, n_xi=2),
+                        Potential.from_string(COS_Q, d=1))
+    for array in (basis.phi, basis.p_degree, basis.U.data, basis.herm.mult,
+                  basis.xi.anti, basis.gh_p[1]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+def test_max_dim_guard_holds_on_a_cache_hit(monkeypatch):
+    spec = BasisSpec(d=1, n_q=4, n_p=4)
+    build_basis(spec)
+    with pytest.raises(NumericalFailure, match="problem too large"):
+        build_basis(spec, max_dim=10)
+    monkeypatch.setenv("HYPOCO_MAX_DIM", "10")
+    with pytest.raises(NumericalFailure, match="problem too large"):
+        build_basis(spec)
+
+
+def test_loose_tolerance_basis_is_not_served_to_a_stricter_request(cos_potential,
+                                                                   monkeypatch):
+    spec = BasisSpec(d=1, n_q=4, n_p=4)
+    loose = build_basis(spec, cos_potential, tol_identity=1e-10)
+    assert loose.gram_residual > 0
+    built = []
+    init = BasisSet.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BasisSet, "__init__", counting)
+    for _ in range(2):  # a failed Gram check is not kept either
+        with pytest.raises(NumericalFailure, match="Gram residual"):
+            build_basis(spec, cos_potential, tol_identity=0.5 * loose.gram_residual)
+    assert len(built) == 2
+    assert build_basis(spec, cos_potential, tol_identity=1e-10) is loose
+
+
+def test_basis_cache_drops_the_least_recently_used_basis():
+    def build(n_p):
+        return build_basis(BasisSpec(d=1, n_q=0, n_p=n_p))
+
+    bases = {n_p: build(n_p) for n_p in range(1, BASIS_CACHE_SIZE + 1)}
+    assert build(1) is bases[1]  # now the most recently used
+    build(BASIS_CACHE_SIZE + 1)
+    assert build(1) is bases[1]
+    assert build(2) is not bases[2]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hypoco.basis
+from hypoco.basis import BasisSet, clear_basis_cache
 from hypoco.cli import CSV_COLUMNS, main
 from hypoco.config import RunConfig, parse_config, parse_config_text, parse_range
 from hypoco.container import load_container
@@ -27,6 +28,23 @@ n_q = 8
 n_p = 8
 seed = 0
 """
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+@pytest.fixture()
+def constructed(monkeypatch):
+    """The spec of every BasisSet constructed while the fixture is active."""
+    built = []
+    init = BasisSet.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BasisSet, "__init__", counting)
+    return built
 
 
 @pytest.fixture()
@@ -150,6 +168,23 @@ def test_cli_max_dim_guard(cfg_path, capsys):
         assert "problem too large" in capsys.readouterr().err
     finally:
         os.environ.pop("HYPOCO_MAX_DIM", None)
+
+
+def test_cli_max_dim_guard_holds_on_a_warm_cache(cfg_path, capsys):
+    assert main(["report", "--config", cfg_path]) == 0
+    assert main(["report", "--config", cfg_path, "--max-dim", "100"]) == 3
+    assert "problem too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((command, "--out") for command in
+      ("verify", "bound", "constants", "lemmas", "sweep", "report")),
+    ("assemble", "--json"), ("sweep", "--json")])
+def test_cli_rejects_flags_a_subcommand_does_not_read(cfg_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--config", cfg_path, flag, "x"])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
 
 
 def test_cli_max_dim_leaves_environment_unchanged(cfg_path):
@@ -280,11 +315,38 @@ def test_cli_report_builds_each_basis_once(tmp_path, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("hypoco") and getattr(module, "build_basis", None) is original:
             monkeypatch.setattr(module, "build_basis", counting)
-    cfg = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "langevin_1d.cfg")
+    cfg = os.path.join(CONFIGS, "langevin_1d.cfg")
     out = tmp_path / "report.json"
     assert main(["report", "--config", cfg, "--json", str(out)]) == 0
     assert [(spec.n_q, spec.n_p) for spec in built] == [(8, 8), (16, 8), (8, 16)]
     assert json.loads(out.read_text())["assumptions"]["passed"] is True
+
+
+def test_cli_sweep_builds_each_distinct_basis_once(constructed, tmp_path):
+    # three friction points share the base basis and its two doublings
+    cfg = os.path.join(CONFIGS, "langevin_1d.cfg")
+    main(["sweep", "--config", cfg, "--gamma", "0.5:2:log3",
+          "--csv", str(tmp_path / "sweep.csv")])
+    assert sorted((spec.n_q, spec.n_p) for spec in constructed) == [(8, 8), (8, 16), (16, 8)]
+
+
+@pytest.mark.parametrize("name", ["langevin_1d", "adl_1d"])
+def test_cli_outputs_identical_with_cold_and_warm_basis_cache(name, constructed, tmp_path):
+    cfg = os.path.join(CONFIGS, f"{name}.cfg")
+
+    def run(tag):
+        paths = [tmp_path / f"{tag}.{ext}" for ext in ("json", "csv", "sweep.csv")]
+        codes = (main(["report", "--config", cfg, "--json", str(paths[0]),
+                       "--csv", str(paths[1])]),
+                 main(["sweep", "--config", cfg, "--csv", str(paths[2])]))
+        return codes, [path.read_bytes() for path in paths]
+
+    cold = run("cold")
+    n_cold = len(constructed)
+    warm = run("warm")
+    assert n_cold == 3 and len(constructed) == n_cold  # the warm run built nothing
+    clear_basis_cache()
+    assert run("cleared") == cold == warm
 
 
 def test_cli_adaptive_model_epsilon_column(tmp_path):

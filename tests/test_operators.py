@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypoco.basis import BasisSpec, Potential, build_basis
+from hypoco.basis import BasisSet, BasisSpec, Potential, build_basis
 from hypoco.errors import ConfigError
 from hypoco.operators import (MODELS, ModelSpec, assemble_boltzmann_collision,
                               assemble_fd, assemble_hamiltonian, assemble_model,
@@ -185,6 +186,26 @@ def test_structural_assumptions_adl(adl_ops):
     # the xi-parity flip survives, with residual exactly 2
     assert report.residuals["R_pi0_commutator"] < 1e-12
     assert abs(report.residuals["R_pi0_identity"] - 2.0) < 1e-12
+
+
+def test_friction_free_operators_are_shared_per_basis(cos_basis):
+    one, two = (assemble_model(cos_basis, ModelSpec(model="langevin", gamma=g))
+                for g in (1.0, 2.0))
+    for name in ("A", "pi0", "reversal"):
+        shared = getattr(one, name).matrix.data
+        assert np.shares_memory(getattr(two, name).matrix.data, shared)
+        assert not shared.flags.writeable
+    assert (two.S.matrix != 2.0 * one.S.matrix).nnz == 0
+
+
+@pytest.mark.parametrize("model", [
+    ModelSpec(model="adaptive_langevin", gamma=1.0, epsilon=eps) for eps in (0.5, 2.0)]
+    + [ModelSpec(model="boltzmann_rhmc", gamma=3.0)])
+def test_shared_operators_give_the_fresh_generator_bitwise(model, cos_basis, adl_basis):
+    basis = adl_basis if model.model == "adaptive_langevin" else cos_basis
+    assemble_model(basis, replace(model, gamma=0.5))  # warm the basis's operators
+    fresh = BasisSet(basis.spec, basis.potential)
+    assert (assemble_model(basis, model).L != assemble_model(fresh, model).L).nnz == 0
 
 
 def test_generator_is_sum(langevin_ops):
