@@ -99,8 +99,9 @@ class Potential:
             problems.append("constant potential coefficient must be real")
         if problems:
             raise ConfigError(problems)
-        closed = {k: v for k, v in closed.items() if abs(v) > 0.0}
-        self.coeffs = closed
+        # sorted modes fix the summation order of every assembled entry, so
+        # one function, however its modes were listed, builds one basis
+        self.coeffs = {k: v for k, v in sorted(closed.items()) if abs(v) > 0.0}
 
     # -- constructors ------------------------------------------------------
 
@@ -241,9 +242,6 @@ class Potential:
     def __repr__(self):
         return f"Potential(d={self.d}, coeffs={self.coeffs!r})"
 
-    # Equal potentials hold the same coefficients in the same order: the order
-    # fixes the summation order of every assembled entry, so equal potentials
-    # build bitwise-equal bases.
     def _key(self):
         return self.d, self.torus_length, tuple(self.coeffs.items())
 

@@ -42,6 +42,13 @@ def _emit(text: str, path: str | None) -> None:
             handle.write(text)
 
 
+def _emit_json(text: str, path: str | None) -> None:
+    """JSON goes to stdout, and with ``--json PATH`` to that file as well."""
+    if path is not None:
+        _emit(text, path)
+    sys.stdout.write(text)
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -185,10 +192,7 @@ def cmd_bound(args) -> int:
     gamma, epsilon = _first_point(config)
     report = _bound_report(config, gamma, epsilon,
                            constants=_config_constants(config))
-    payload = report.to_json() + "\n"
-    _emit(payload, args.json)
-    if args.json:
-        sys.stdout.write(payload)
+    _emit_json(report.to_json() + "\n", args.json)
     if not report.converged:
         sys.stderr.write("bound report is not converged under cutoff doubling\n")
         return 3
@@ -200,10 +204,7 @@ def cmd_bound(args) -> int:
 
 def cmd_constants(args) -> int:
     config = _load_config(args)
-    summary = _config_constants(config)
-    _emit(_json_dumps(summary), args.json)
-    if args.json:
-        sys.stdout.write(_json_dumps(summary))
+    _emit_json(_json_dumps(_config_constants(config)), args.json)
     return 0
 
 
@@ -238,9 +239,7 @@ def cmd_lemmas(args) -> int:
     out = {"suite": suite, "seed": config.seed, "case": case,
            "villani_max_ratio": villani, "controlH2_max_ratio": controlh2,
            "bochner_max_residual": bochner, "c1": growth.c1}
-    _emit(_json_dumps(out), args.json)
-    if args.json:
-        sys.stdout.write(_json_dumps(out))
+    _emit_json(_json_dumps(out), args.json)
     return 0
 
 
@@ -252,11 +251,14 @@ def _csv_row(config: RunConfig, gamma: float, epsilon: float | None, report) -> 
             "converged": report.converged}
 
 
-def _sweep_worker(payload: dict) -> dict:
+def _sweep_worker(payload: dict) -> tuple[dict, str]:
+    """One sweep point: its CSV row and its ``--json`` line."""
     config = RunConfig(**payload["config"])
-    report = _bound_report(config, payload["gamma"], payload["epsilon"],
-                           constants=payload["constants"])
-    return _csv_row(config, payload["gamma"], payload["epsilon"], report)
+    gamma, epsilon = payload["gamma"], payload["epsilon"]
+    report = _bound_report(config, gamma, epsilon, constants=payload["constants"])
+    document = {"gamma": gamma, "epsilon": epsilon,
+                "bound": report.to_json_dict(), "details": report.details}
+    return _csv_row(config, gamma, epsilon, report), _json_dumps(document)
 
 
 def _config_payload(config: RunConfig) -> dict:
@@ -277,13 +279,15 @@ def cmd_sweep(args) -> int:
                 for g in config.gammas for e in epsilons]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_worker, payloads))
+            points = list(pool.map(_sweep_worker, payloads))
     else:
-        rows = [_sweep_worker(p) for p in payloads]
-    text = _csv_text(rows)
-    _emit(text, args.csv)
+        points = [_sweep_worker(p) for p in payloads]
+    rows = [row for row, _ in points]
+    _emit(_csv_text(rows), args.csv)
     if args.csv:
         sys.stdout.write(f"wrote {args.csv} ({len(rows)} rows)\n")
+    if args.json:
+        _emit("".join(line for _, line in points), args.json)
     if not all(r["converged"] for r in rows):
         sys.stderr.write("sweep contains unconverged points\n")
         return 3
@@ -311,9 +315,7 @@ def cmd_report(args) -> int:
         "bound": bound.to_json_dict(),
         "seed": config.seed,
     }
-    _emit(_json_dumps(document), args.json)
-    if args.json:
-        sys.stdout.write(_json_dumps(document))
+    _emit_json(_json_dumps(document), args.json)
     if args.csv:
         _emit(_csv_text([_csv_row(config, gamma, epsilon, bound)]), args.csv)
     if not bound.converged:
@@ -323,45 +325,45 @@ def cmd_report(args) -> int:
     return 0
 
 
+#: every option of the CLI; ``_COMMANDS`` registers each only where it is read
+_FLAGS = {
+    "--config": {"help": "key=value config file"},
+    "--model": {"help": "override the configured model"},
+    "--gamma": {"help": "value or range start:stop:logN|linN"},
+    "--epsilon-range": {"help": "value or range for the thermostat parameter"},
+    "--seed": {"type": int, "help": "override the configured seed"},
+    "--max-dim": {"type": int, "help": "override the basis dimension guard"},
+    "--out": {"help": "write the assembled operators to this container"},
+    "--json": {"help": "write JSON output to this path (sweep: one line per point)"},
+    "--jobs": {"type": int, "default": 1, "help": "parallel workers for sweep points"},
+    "--csv": {"help": "write CSV output to this path"},
+    "--suite": {"type": int, "default": 100,
+                "help": "number of random functions per lemma"},
+}
+
+_POINT = ("--model", "--gamma", "--epsilon-range", "--max-dim")
+
+_COMMANDS = (
+    ("assemble", cmd_assemble, (*_POINT, "--out")),
+    ("verify", cmd_verify, (*_POINT, "--json")),
+    ("bound", cmd_bound, (*_POINT, "--json")),
+    ("constants", cmd_constants, ("--max-dim", "--json")),
+    ("lemmas", cmd_lemmas, ("--seed", "--suite", "--json")),
+    ("sweep", cmd_sweep, (*_POINT, "--jobs", "--csv", "--json")),
+    ("report", cmd_report, (*_POINT, "--seed", "--json", "--csv")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypoco",
         description="Kinetic-generator assembly, Schur-complement resolvent "
                     "bounds, and their verification suite.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, out=False, json_out=False, jobs=False, csv=False, suite=False):
-        p.add_argument("--config", required=False, help="key=value config file")
-        p.add_argument("--model", help="override the configured model")
-        p.add_argument("--gamma", help="value or range start:stop:logN|linN")
-        p.add_argument("--epsilon-range", dest="epsilon_range",
-                       help="value or range for the thermostat parameter")
-        p.add_argument("--seed", type=int, help="override the configured seed")
-        p.add_argument("--max-dim", dest="max_dim", type=int,
-                       help="override the basis dimension guard")
-        if out:
-            p.add_argument("--out", help="write the assembled operators to this container")
-        if json_out:
-            p.add_argument("--json", help="write JSON output to this path")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1,
-                           help="parallel workers for sweep points")
-        if csv:
-            p.add_argument("--csv", help="write CSV output to this path")
-        if suite:
-            p.add_argument("--suite", type=int, default=100,
-                           help="number of random functions per lemma")
-
-    for name, func, extra in (
-            ("assemble", cmd_assemble, {"out": True}),
-            ("verify", cmd_verify, {"json_out": True}),
-            ("bound", cmd_bound, {"json_out": True}),
-            ("constants", cmd_constants, {"json_out": True}),
-            ("lemmas", cmd_lemmas, {"json_out": True, "suite": True}),
-            ("sweep", cmd_sweep, {"jobs": True, "csv": True}),
-            ("report", cmd_report, {"json_out": True, "csv": True})):
+    for name, func, flags in _COMMANDS:
         p = sub.add_parser(name)
-        common(p, **extra)
+        for flag in ("--config", *flags):
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=func)
     return parser
 

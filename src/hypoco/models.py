@@ -108,7 +108,7 @@ def _model_norms(dec: Decomposition) -> dict:
     is |P2 S Q1 A10^{-T}| / gamma, with A10 (A*A)^{-1} = A10^{-T} as in norm_X21.
     """
     ops, gamma = dec.ops, dec.ops.model.gamma
-    out = intermediate_norms(dec, check_t3=False)
+    out = intermediate_norms(dec)
     s21 = dec.p2(dec.plus_block(ops.S.matrix) @ dec.Q1)
     out["norm_S21"] = operator_norm(s21)
     out["X2"] = norm_X_hamiltonian_squared(dec)
@@ -265,7 +265,7 @@ def adl_bound(dec: Decomposition, constants: dict,
     if epsilon is not None and abs(epsilon - ops.model.epsilon) > 1e-12:
         raise ConfigError(["epsilon disagrees with the assembled model"])
     residual = adl_AstarA_residual(ops)
-    norms = intermediate_norms(dec, check_t3=False)
+    norms = intermediate_norms(dec)
     a2 = adl_a_squared(ops.model.beta, ops.basis.spec.d, ops.model.epsilon,
                        constants["K_nu2"], ops.model.mass)
     if norms["a"] ** 2 < a2 - 1e-8:
@@ -300,7 +300,7 @@ def _evaluate(model: ModelSpec, spec: BasisSpec, potential: Potential | None,
     if model.model == "langevin":
         bound, details = langevin_bound_general(dec, constants)
     elif model.model == "boltzmann_rhmc":
-        bound, details = rhmc_bound(dec, constants)
+        bound, details = rhmc_bound(dec, constants, tol_identity=tol_identity)
     else:
         bound, details = adl_bound(dec, constants)
     exact = exact_resolvent_norm(ops.L)

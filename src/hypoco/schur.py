@@ -446,15 +446,10 @@ def norm_X21(dec: Decomposition) -> float:
     return operator_norm(np.linalg.solve(dec.A10, dec.P2LQ1.T).T)
 
 
-def intermediate_norms(dec: Decomposition, check_t3: bool = True,
-                       t3_rtol: float = 1e-8) -> dict:
-    """Operator norms entering the resolvent bound, plus proof diagnostics.
-
-    When ``check_t3`` is on, the factorization identity T3* T3 = -(S on H+)^{-1}
-    behind the 3/s term is verified against a dense inverse.
-    """
+def intermediate_norms(dec: Decomposition) -> dict:
+    """Operator norms entering the resolvent bound, plus proof diagnostics."""
     a = macroscopic_coercivity(dec)
-    out = {
+    return {
         "a": a,
         "norm_S11": operator_norm(dec.S11),
         "norm_R22": 1.0,  # proved by build_decomposition
@@ -464,20 +459,6 @@ def intermediate_norms(dec: Decomposition, check_t3: bool = True,
         "pi1_idempotency_residual": dec.pi1_idempotency_residual,
         "pi1_range_residual": dec.pi1_range_residual,
     }
-    if check_t3:
-        lpp = dec.plus_block(dec.ops.L).toarray()
-        spp = dec.plus_block(dec.ops.S.matrix).toarray()
-        linv = np.linalg.inv(lpp)
-        sym = -0.5 * (linv + linv.T)
-        t3t3 = linv.T @ np.linalg.solve(sym, linv)
-        target = np.linalg.inv(-spp)
-        rel = float(np.linalg.norm(t3t3 - target) / np.linalg.norm(target))
-        out["t3_identity_rel_residual"] = rel
-        if rel > t3_rtol:
-            raise NumericalFailure(
-                f"factorization identity for the 3/s term fails: {rel:.3e}"
-            )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,14 @@ def test_equal_potentials_share_one_basis():
     assert build_basis(spec) is not build_basis(BasisSpec(d=1, n_q=4, n_p=5))
 
 
+def test_mode_order_does_not_change_a_potential():
+    spec = BasisSpec(d=1, n_q=4, n_p=4)
+    first = Potential({(1,): .5, (3,): .2, (2,): .1j}, 1)
+    second = Potential({(3,): .2, (2,): .1j, (1,): .5}, 1)
+    assert first == second and hash(first) == hash(second)
+    assert build_basis(spec, first) is build_basis(spec, second)
+
+
 def test_cached_basis_is_read_only():
     basis = build_basis(BasisSpec(d=1, n_q=4, n_p=4, has_xi=True, n_xi=2),
                         Potential.from_string(COS_Q, d=1))

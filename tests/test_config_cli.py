@@ -1,5 +1,7 @@
 """Tests for config parsing and the command-line interface."""
 
+import argparse
+import csv
 import json
 import os
 import sys
@@ -9,10 +11,12 @@ import pytest
 
 import hypoco.basis
 from hypoco.basis import BasisSet, clear_basis_cache
-from hypoco.cli import CSV_COLUMNS, main
+from hypoco.cli import CSV_COLUMNS, build_parser, main
 from hypoco.config import RunConfig, parse_config, parse_config_text, parse_range
 from hypoco.container import load_container
 from hypoco.errors import ConfigError
+from hypoco.models import adl_envelope_fit
+from hypoco.operators import assemble_model
 
 from conftest import COS_Q
 
@@ -29,6 +33,14 @@ n_p = 8
 seed = 0
 """
 
+# n = 4 keeps a full report, ladder included, well under a second
+SMALL_CFGS = {
+    "langevin": BASE_CFG.replace("n_q = 8\nn_p = 8", "n_q = 4\nn_p = 4"),
+    "adaptive_langevin": (
+        "model = adaptive_langevin\nd = 1\nbeta = 1.0\nmass = 1.0\n"
+        f"gamma = 1.0\nepsilon = 1.0\npotential = {COS_Q}\n"
+        "n_q = 4\nn_p = 4\nn_xi = 4\nconv_tol = 0.5\n"),
+}
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -45,6 +57,15 @@ def constructed(monkeypatch):
 
     monkeypatch.setattr(BasisSet, "__init__", counting)
     return built
+
+
+@pytest.fixture()
+def small_cfgs(tmp_path):
+    paths = {}
+    for model, text in SMALL_CFGS.items():
+        paths[model] = tmp_path / f"{model}.cfg"
+        paths[model].write_text(text)
+    return {model: str(path) for model, path in paths.items()}
 
 
 @pytest.fixture()
@@ -179,12 +200,105 @@ def test_cli_max_dim_guard_holds_on_a_warm_cache(cfg_path, capsys):
 @pytest.mark.parametrize("command, flag", [
     *((command, "--out") for command in
       ("verify", "bound", "constants", "lemmas", "sweep", "report")),
-    ("assemble", "--json"), ("sweep", "--json")])
+    ("assemble", "--json"),
+    *((command, "--seed") for command in
+      ("assemble", "verify", "bound", "constants", "sweep")),
+    *((command, flag) for command in ("constants", "lemmas")
+      for flag in ("--model", "--gamma", "--epsilon-range")),
+    ("lemmas", "--max-dim")])
 def test_cli_rejects_flags_a_subcommand_does_not_read(cfg_path, capsys, command, flag):
     with pytest.raises(SystemExit) as exit_:
         main([command, "--config", cfg_path, flag, "x"])
     assert exit_.value.code == 2
     assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
+
+
+def _effect(added, model="langevin", base=("--config", "{cfg}")):
+    return model, list(base), list(added)
+
+
+_POINT_COMMANDS = ("assemble", "verify", "bound", "sweep", "report")
+
+#: every (subcommand, option) the parser registers -> (config, argv of a base
+#: run, argv the option adds to it); the two runs must differ in exit code,
+#: stdout, stderr, the files written, the worker pools started or the models
+#: assembled (verify's output does not depend on epsilon)
+FLAG_EFFECTS = {
+    **{(command, "--config"): _effect(["--config", "{cfg}"], base=())
+       for command in ("assemble", "verify", "bound", "constants", "lemmas",
+                       "sweep", "report")},
+    **{(command, "--model"): _effect(["--model", "boltzmann_rhmc"])
+       for command in _POINT_COMMANDS},
+    **{(command, "--gamma"): _effect(["--gamma", "2"])
+       for command in _POINT_COMMANDS},
+    **{(command, "--epsilon-range"): _effect(["--epsilon-range", "2"], "adaptive_langevin")
+       for command in _POINT_COMMANDS},
+    **{(command, "--max-dim"): _effect(["--max-dim", "10"])
+       for command in (*_POINT_COMMANDS, "constants")},
+    ("assemble", "--out"): _effect(["--out", "{dir}/ops.hypo"]),
+    **{(command, "--json"): _effect(["--json", "{dir}/out.json"])
+       for command in ("verify", "bound", "constants", "lemmas", "sweep", "report")},
+    **{(command, "--csv"): _effect(["--csv", "{dir}/out.csv"])
+       for command in ("sweep", "report")},
+    **{(command, "--seed"): _effect(["--seed", "9"]) for command in ("lemmas", "report")},
+    ("lemmas", "--suite"): _effect(["--suite", "3"]),
+    ("sweep", "--jobs"): _effect(["--jobs", "2"]),
+}
+
+
+def test_every_registered_flag_has_an_effect_test():
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    registered = {(command, option)
+                  for command, parser in subparsers.choices.items()
+                  for action in parser._actions
+                  if not isinstance(action, argparse._HelpAction)
+                  for option in action.option_strings}
+    assert registered == set(FLAG_EFFECTS)
+
+
+@pytest.mark.parametrize("command, flag", sorted(FLAG_EFFECTS))
+def test_cli_flag_has_an_effect(small_cfgs, tmp_path, capsys, monkeypatch, command, flag):
+    pools, assembled = [], []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return map(func, items)
+
+    def recording(basis, model):
+        assembled.append(model)
+        return assemble_model(basis, model)
+
+    monkeypatch.setattr("hypoco.cli.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("hypoco.cli.assemble_model", recording)
+    monkeypatch.setattr("hypoco.models.assemble_model", recording)
+    model, base, added = FLAG_EFFECTS[command, flag]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+
+    def observe(argv):
+        argv = [arg.format(cfg=small_cfgs[model], dir=out_dir) for arg in argv]
+        code = main([command, *argv])
+        captured = capsys.readouterr()
+        files = {}
+        for path in sorted(out_dir.iterdir()):
+            files[path.name] = path.read_bytes()
+            path.unlink()
+        observed = code, captured.out, captured.err, files, list(pools), list(assembled)
+        pools.clear()
+        assembled.clear()
+        return observed
+
+    assert observe(base) != observe(base + added)
 
 
 def test_cli_max_dim_leaves_environment_unchanged(cfg_path):
@@ -276,13 +390,38 @@ def test_cli_sweep_csv_shape_and_exit(cfg_path, tmp_path):
 
 
 def test_cli_sweep_parallel_is_byte_identical(cfg_path, tmp_path):
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    assert main(["sweep", "--config", cfg_path, "--gamma", "0.5:2:log3",
-                 "--csv", str(serial), "--jobs", "1"]) == 0
-    assert main(["sweep", "--config", cfg_path, "--gamma", "0.5:2:log3",
-                 "--csv", str(parallel), "--jobs", "3"]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+    def run(jobs):
+        paths = [tmp_path / f"jobs{jobs}.{ext}" for ext in ("csv", "jsonl")]
+        assert main(["sweep", "--config", cfg_path, "--gamma", "0.5:2:log3",
+                     "--csv", str(paths[0]), "--json", str(paths[1]),
+                     "--jobs", str(jobs)]) == 0
+        return [path.read_bytes() for path in paths]
+
+    assert run(1) == run(3)
+
+
+@pytest.mark.parametrize("model, argv, key", [
+    ("langevin", ["--gamma", "0.5:2:log2"], "bound_corollary"),
+    ("adaptive_langevin", ["--epsilon-range", "0.5:2:log2"], "envelope"),
+], ids=["langevin", "adaptive_langevin"])
+def test_cli_sweep_json_documents_feed_the_plots(small_cfgs, tmp_path, model, argv, key):
+    # one document per point, in sweep order, from the same reports as the CSV
+    csv_path, json_path = tmp_path / "sweep.csv", tmp_path / "sweep.jsonl"
+    code = main(["sweep", "--config", small_cfgs[model], *argv,
+                 "--csv", str(csv_path), "--json", str(json_path)])
+    assert code in (0, 3)
+    documents = [json.loads(line) for line in json_path.read_text().splitlines()]
+    rows = list(csv.DictReader(csv_path.read_text().splitlines()))
+    assert len(documents) == len(rows) == 2
+    for document, row in zip(documents, rows):
+        assert document["gamma"] == float(row["gamma"])
+        assert document["bound"]["bound"] == float(row["bound"])
+        assert document["bound"]["exact"] == float(row["exact"])
+        assert np.isfinite(document["details"][key])
+    if key == "envelope":
+        c_fit, factor = adl_envelope_fit([(d["gamma"], d["epsilon"], d["bound"]["exact"])
+                                          for d in documents])
+        assert np.isfinite(c_fit) and c_fit > 0 and factor >= 1.0
 
 
 def test_cli_report_reruns_byte_identical(cfg_path, tmp_path):
@@ -349,14 +488,10 @@ def test_cli_outputs_identical_with_cold_and_warm_basis_cache(name, constructed,
     assert run("cleared") == cold == warm
 
 
-def test_cli_adaptive_model_epsilon_column(tmp_path):
-    cfg = tmp_path / "adl.cfg"
-    cfg.write_text(
-        "model = adaptive_langevin\nd = 1\nbeta = 1.0\nmass = 1.0\n"
-        f"gamma = 1.0\nepsilon = 1.0\npotential = {COS_Q}\n"
-        "n_q = 4\nn_p = 4\nn_xi = 4\nconv_tol = 0.5\n")
+def test_cli_adaptive_model_epsilon_column(small_cfgs, tmp_path):
     csv_path = tmp_path / "adl.csv"
-    code = main(["sweep", "--config", str(cfg), "--csv", str(csv_path)])
+    code = main(["sweep", "--config", small_cfgs["adaptive_langevin"],
+                 "--csv", str(csv_path)])
     assert code in (0, 3)  # margin rule does not apply to this model
     lines = csv_path.read_text().splitlines()
     row = lines[1].split(",")

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypoco.models
 from hypoco.basis import BasisSpec, Potential, build_basis
 from hypoco.constants import constants_summary, poincare_constant
 from hypoco.errors import ConfigError, InvariantViolation, NumericalFailure
@@ -191,6 +192,20 @@ def test_rhmc_bound_rejects_other_models(langevin_ops):
     dec = build_decomposition(langevin_ops)
     with pytest.raises(ConfigError, match="boltzmann_rhmc"):
         rhmc_bound(dec, {})
+
+
+def test_model_bound_report_passes_tol_identity_to_rhmc_bound(monkeypatch, cos_potential):
+    received = []
+
+    def recording(*args, **kwargs):
+        received.append(kwargs.get("tol_identity"))
+        return rhmc_bound(*args, **kwargs)
+
+    monkeypatch.setattr(hypoco.models, "rhmc_bound", recording)
+    model_bound_report(ModelSpec(model="boltzmann_rhmc", gamma=1.0),
+                       BasisSpec(d=1, n_q=4, n_p=4), potential=cos_potential,
+                       check_convergence=False, tol_identity=1e-9)
+    assert received == [1e-9]
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +392,7 @@ def test_model_bound_report_x21_matches_intermediate_norms(which, langevin_ops,
     assert np.max(np.abs(dec.A10 - dec.A10.T)) > 1.0
     report = model_bound_report(ops.model, ops.basis.spec, ops.basis.potential,
                                 check_convergence=False)
-    expected = intermediate_norms(dec, check_t3=False)["norm_L21A10inv"]
+    expected = intermediate_norms(dec)["norm_L21A10inv"]
     assert report.norm_L21A10inv == pytest.approx(expected, rel=1e-12)
 
 
