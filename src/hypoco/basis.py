@@ -223,10 +223,6 @@ class Potential:
         return np.array([[self._grid(self.deriv_coeffs(i, j), axes) for j in range(self.d)]
                          for i in range(self.d)])
 
-    def laplacian_grid(self, axes):
-        hess = self.hessian_grid(axes)
-        return np.einsum("ii...->...", hess)
-
     def to_string(self):
         parts = []
         zero = (0,) * self.d
@@ -553,7 +549,6 @@ class BasisSet:
         self.z_nu = float(boltz.mean())
         self.rho_grid = (boltz / self.z_nu).reshape(-1)
         self.sqrt_rho = np.sqrt(self.rho_grid)
-        self.v_grid = vgrid.reshape(-1)
 
         # position basis values on the tensor grid
         table1d = fourier_value_table(self.pos_axis, n_q, spec.torus_length)

@@ -70,18 +70,18 @@ def _load_config(args) -> RunConfig:
     if args.config is None:
         raise ConfigError(["--config is required for this subcommand"])
     config = parse_config(args.config)
-    if getattr(args, "model", None):
+    if getattr(args, "model", None) is not None:
         if args.model not in ("langevin", "boltzmann_rhmc", "adaptive_langevin"):
             raise ConfigError([f"unknown model {args.model!r}"])
         config.model = args.model
-    if getattr(args, "gamma", None):
+    if getattr(args, "gamma", None) is not None:
         try:
             config.gammas = parse_range(args.gamma)
         except ValueError as exc:
             raise ConfigError([str(exc)]) from exc
         if not np.all(config.gammas > 0):
             raise ConfigError(["gamma values must be positive"])
-    if getattr(args, "epsilon_range", None):
+    if getattr(args, "epsilon_range", None) is not None:
         try:
             config.epsilons = parse_range(args.epsilon_range)
         except ValueError as exc:
@@ -92,7 +92,9 @@ def _load_config(args) -> RunConfig:
         config.seed = args.seed
     if getattr(args, "out", None):
         config.out = args.out
-    if getattr(args, "max_dim", None):
+    if getattr(args, "max_dim", None) is not None:
+        if args.max_dim < 1:
+            raise ConfigError([f"--max-dim must be >= 1, got {args.max_dim}"])
         os.environ["HYPOCO_MAX_DIM"] = str(args.max_dim)
     if config.model == "adaptive_langevin" and config.epsilons is None:
         raise ConfigError(["epsilon is required for the adaptive_langevin model"])
@@ -133,7 +135,7 @@ def cmd_assemble(args) -> int:
     summary = {
         "model": ops.model.model, "dim": ops.dim,
         "dim0": int(len(ops.idx0)), "dim_plus": int(len(ops.idx_plus)),
-        "nnz": {"A": int(ops.A.matrix.nnz), "S": int(ops.S.matrix.nnz),
+        "nnz": {"A": int(ops.A.nnz), "S": int(ops.S.nnz),
                 "L": int(ops.L.nnz)},
         "s_analytic": ops.model.s_analytic,
     }
@@ -146,8 +148,8 @@ def cmd_assemble(args) -> int:
                 "n_xi": config.n_xi if basis.spec.has_xi else 0,
                 "potential": config.potential_text, "dim": ops.dim}
         save_container(config.out, {
-            "A": ops.A.matrix, "S": ops.S.matrix, "L": ops.L,
-            "pi0": ops.pi0.matrix, "reversal": ops.reversal.matrix,
+            "A": ops.A, "S": ops.S, "L": ops.L,
+            "pi0": ops.pi0, "reversal": ops.reversal,
         }, meta=meta)
         sys.stdout.write(f"wrote {config.out}\n")
     return 0

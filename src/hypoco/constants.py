@@ -42,8 +42,7 @@ def _default_n_grid(potential: Potential | None, extra_degree: int = 0) -> int:
     return max(128, 8 * (deg + extra_degree))
 
 
-def _axes(potential: Potential | None, d: int, n_grid: int,
-          torus_length: float) -> list[np.ndarray]:
+def _axes(d: int, n_grid: int, torus_length: float) -> list[np.ndarray]:
     ax = np.arange(n_grid) * (torus_length / n_grid)
     return [ax] * d
 
@@ -71,7 +70,7 @@ class PositionGrid:
         if n_grid is None:
             n_grid = _default_n_grid(potential, extra_degree=2 * n_q + 2)
         self.n_grid = n_grid
-        self.axes = _axes(potential, d, n_grid, torus_length)
+        self.axes = _axes(d, n_grid, torus_length)
         self.table = fourier_value_table(self.axes[0], n_q, torus_length)
         self.deriv = fourier_deriv_1d(n_q, torus_length)
         v = potential.value_grid(self.axes)
@@ -224,10 +223,10 @@ def estimate_growth_constants(potential: Potential | None, beta: float, d: int,
         potential = Potential.zero(d)
     if n_grid is None:
         n_grid = _default_n_grid(potential)
-    axes = _axes(potential, d, n_grid, torus_length)
-    lap = potential.laplacian_grid(axes)
+    axes = _axes(d, n_grid, torus_length)
     grad = potential.grad_grid(axes)
     hess = potential.hessian_grid(axes)
+    lap = np.einsum("ii...->...", hess)
     grad_sq = np.sum(grad**2, axis=0)
     hess_frob = np.sqrt(np.sum(hess**2, axis=(0, 1)))
     c3_field = hess_frob / np.sqrt(d + grad_sq)
@@ -261,7 +260,7 @@ def estimate_hessian_K(potential: Potential | None, d: int,
         return 0.0
     if n_grid is None:
         n_grid = _default_n_grid(potential)
-    axes = _axes(potential, d, n_grid, torus_length)
+    axes = _axes(d, n_grid, torus_length)
     hess = potential.hessian_grid(axes)
     stacked = np.moveaxis(hess.reshape(d, d, -1), 2, 0)
     lam_min = np.linalg.eigvalsh(stacked)[:, 0]
@@ -276,7 +275,7 @@ def estimate_lsi_c3(potential: Potential | None, d: int,
         return GROWTH_FLOOR
     if n_grid is None:
         n_grid = _default_n_grid(potential)
-    axes = _axes(potential, d, n_grid, torus_length)
+    axes = _axes(d, n_grid, torus_length)
     hess = potential.hessian_grid(axes)
     grad = potential.grad_grid(axes)
     stacked = np.moveaxis(hess.reshape(d, d, -1), 2, 0)

@@ -77,13 +77,9 @@ def norm_X_hamiltonian_squared(dec_or_ops, check_case: PropositionCase | None = 
     asserted.
     """
     ops = _ops_of(dec_or_ops)
-    a = ops.A.matrix
-    idx0, idx_plus = ops.idx0, ops.idx_plus
-    a2 = np.asarray((a @ a[:, idx0].tocsc())[idx_plus].todense())
-    apl0 = np.asarray(a[idx_plus][:, idx0].todense())
-    gram = apl0.T @ apl0
+    a2 = np.asarray((ops.A @ ops.A[:, ops.idx0].tocsc())[ops.idx_plus].todense())
     try:
-        x_mat = np.linalg.solve(gram, a2.T).T
+        x_mat = np.linalg.solve(ops.apl0_gram, a2.T).T
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"macroscopic coercivity failure: {exc}") from exc
     x2 = operator_norm(x_mat) ** 2
@@ -109,7 +105,7 @@ def _model_norms(dec: Decomposition) -> dict:
     """
     ops, gamma = dec.ops, dec.ops.model.gamma
     out = intermediate_norms(dec)
-    s21 = dec.p2(dec.plus_block(ops.S.matrix) @ dec.Q1)
+    s21 = dec.p2(ops.Spp @ dec.Q1)
     out["norm_S21"] = operator_norm(s21)
     out["X2"] = norm_X_hamiltonian_squared(dec)
     if ops.model.model != "boltzmann_rhmc":
@@ -199,10 +195,6 @@ def adl_AstarA_residual(ops: ModelOperators, tol: float = 1e-10) -> float:
     basis = ops.basis
     spec = basis.spec
     m, beta, eps, d = spec.mass, spec.beta, ops.model.epsilon, spec.d
-    a = ops.A.matrix
-    apl0 = np.asarray(a[ops.idx_plus][:, ops.idx0].todense())
-    gram = apl0.T @ apl0
-
     xi_number = beta * np.diag(np.arange(spec.n_xi + 1, dtype=float))
     span = (2.0 * d / (m**2 * beta**2 * eps**2)) * basis.span_kron(xi_mat=xi_number)
     witten = None
@@ -213,7 +205,7 @@ def adl_AstarA_residual(ops: ModelOperators, tol: float = 1e-10) -> float:
     span = span + basis.span_kron(pos_mat=witten) / (m * beta)
     analytic = np.asarray(basis.to_h(span)[ops.idx0][:, ops.idx0].todense())
     scale = max(float(np.max(np.abs(analytic))), 1.0)
-    residual = float(np.max(np.abs(gram - analytic))) / scale
+    residual = float(np.max(np.abs(ops.apl0_gram - analytic))) / scale
     if residual > tol:
         raise InvariantViolation(f"NH assembly error: A*A residual {residual:.3e}")
     return residual
@@ -366,13 +358,13 @@ def static_poincare_constants(dec: Decomposition) -> tuple[float, float]:
     """
     ops = dec.ops
     c1 = 1.0 + np.sqrt(norm_X_hamiltonian_squared(ops))
-    spp = dec.plus_block(ops.S.matrix)
+    spp = ops.Spp
     low = 1.0 - gershgorin_max(0.5 * (spp + spp.T))
     if not low > 0:
         raise NumericalFailure(
             f"1 - S is not positive definite on H+: Gershgorin lower bound {low:.3e}"
         )
-    pseudo = np.linalg.solve(dec._apl0.T @ dec._apl0, dec._apl0.T).T
+    pseudo = np.linalg.solve(ops.apl0_gram, ops.apl0.T).T
     c2 = np.sqrt(operator_norm(pseudo.T @ pseudo - pseudo.T @ (spp @ pseudo)))
     return float(c1), float(c2)
 
@@ -380,18 +372,16 @@ def static_poincare_constants(dec: Decomposition) -> tuple[float, float]:
 def check_static_inequality(ops: ModelOperators, c1: float, c2: float,
                             n_samples: int = 100, seed: int = 0) -> float:
     """Worst ratio |f| / (C1 |(1-Pi0)f| + C2 |(1-S)^{-1/2} A f|) over random f."""
-    s = ops.S.matrix.toarray()
+    s = ops.S.toarray()
     one_minus = np.eye(s.shape[0]) - s
     vals, vecs = np.linalg.eigh(0.5 * (one_minus + one_minus.T))
     inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
-    a = ops.A.matrix
-    plus_mask = ops.basis.p_degree > 0
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_samples):
         f = rng.standard_normal(s.shape[0])
-        rhs = (c1 * np.linalg.norm(f[plus_mask])
-               + c2 * np.linalg.norm(inv_sqrt @ (a @ f)))
+        rhs = (c1 * np.linalg.norm(f[ops.idx_plus])
+               + c2 * np.linalg.norm(inv_sqrt @ (ops.A @ f)))
         worst = max(worst, float(np.linalg.norm(f) / rhs))
     if worst > 1.0 + 1e-10:
         raise InvariantViolation(

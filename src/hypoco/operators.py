@@ -11,6 +11,7 @@ error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,37 +20,6 @@ from .basis import DEFAULT_TOL_IDENTITY, BasisSet, Potential, fourier_mult, posi
 from .errors import ConfigError
 
 MODELS = ("langevin", "boltzmann_rhmc", "adaptive_langevin")
-
-SYMMETRY_TAGS = ("symmetric", "antisymmetric", "general")
-
-
-@dataclass
-class SparseOperator:
-    """A matrix on the working space together with its declared symmetry."""
-
-    name: str
-    matrix: sp.csr_matrix
-    symmetry: str = "general"
-
-    def __post_init__(self):
-        if self.symmetry not in SYMMETRY_TAGS:
-            raise ConfigError([f"unknown symmetry tag {self.symmetry!r}"])
-        self.matrix = sp.csr_matrix(self.matrix)
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def symmetry_residual(self) -> float:
-        """Max-entry violation of the declared symmetry."""
-        if self.symmetry == "general":
-            return 0.0
-        sign = 1.0 if self.symmetry == "symmetric" else -1.0
-        diff = self.matrix - sign * self.matrix.T
-        return 0.0 if diff.nnz == 0 else float(np.max(np.abs(diff.data)))
-
-    def toarray(self):
-        return self.matrix.toarray()
 
 
 @dataclass(frozen=True)
@@ -168,31 +138,30 @@ def _on_h(basis: BasisSet, span) -> sp.csr_matrix:
     return basis.derived(span.__name__, lambda b: b.to_h(span(b)))
 
 
-def assemble_hamiltonian(basis: BasisSet) -> SparseOperator:
-    return SparseOperator("hamiltonian", _on_h(basis, _hamiltonian_span), "antisymmetric")
+def assemble_hamiltonian(basis: BasisSet) -> sp.csr_matrix:
+    return _on_h(basis, _hamiltonian_span)
 
 
-def assemble_fd(basis: BasisSet) -> SparseOperator:
-    return SparseOperator("fluctuation_dissipation", _on_h(basis, _fd_span), "symmetric")
+def assemble_fd(basis: BasisSet) -> sp.csr_matrix:
+    return _on_h(basis, _fd_span)
 
 
-def assemble_pi0(basis: BasisSet) -> SparseOperator:
-    return SparseOperator("pi0", _on_h(basis, _pi0_span), "symmetric")
+def assemble_pi0(basis: BasisSet) -> sp.csr_matrix:
+    return _on_h(basis, _pi0_span)
 
 
-def assemble_reversal(basis: BasisSet) -> SparseOperator:
-    return SparseOperator("momentum_reversal", _on_h(basis, _reversal_span), "symmetric")
+def assemble_reversal(basis: BasisSet) -> sp.csr_matrix:
+    return _on_h(basis, _reversal_span)
 
 
-def assemble_boltzmann_collision(basis: BasisSet, gamma: float) -> SparseOperator:
+def assemble_boltzmann_collision(basis: BasisSet, gamma: float) -> sp.csr_matrix:
     """Projection collision operator gamma (Pi0 - 1)."""
     pi0 = _on_h(basis, _pi0_span)
-    eye = sp.identity(pi0.shape[0], format="csr")
-    return SparseOperator("boltzmann_collision", gamma * (pi0 - eye), "symmetric")
+    return gamma * (pi0 - sp.identity(pi0.shape[0], format="csr"))
 
 
-def assemble_nosehoover(basis: BasisSet) -> SparseOperator:
-    return SparseOperator("nosehoover", _on_h(basis, _nosehoover_span), "antisymmetric")
+def assemble_nosehoover(basis: BasisSet) -> sp.csr_matrix:
+    return _on_h(basis, _nosehoover_span)
 
 
 # ---------------------------------------------------------------------------
@@ -202,31 +171,59 @@ def assemble_nosehoover(basis: BasisSet) -> SparseOperator:
 
 @dataclass
 class ModelOperators:
-    """Bundle of the assembled generator and its structural companions."""
+    """The assembled generator L = A + S, its companions, and its H0/H+ blocks.
+
+    A is antisymmetric and S symmetric; H0 = ker S is the Hermite momentum
+    degree-0 block ``idx0`` and H+ its complement ``idx_plus``.  Each block
+    is sliced once, when first read, and kept while the bundle lives; one
+    bundle serves one evaluation.
+    """
 
     model: ModelSpec
     basis: BasisSet
-    A: SparseOperator
-    S: SparseOperator
-    pi0: SparseOperator
-    reversal: SparseOperator
+    A: sp.csr_matrix
+    S: sp.csr_matrix
+    pi0: sp.csr_matrix
+    reversal: sp.csr_matrix
     L: sp.csr_matrix = field(init=False)
 
     def __post_init__(self):
-        self.L = sp.csr_matrix(self.A.matrix + self.S.matrix)
+        self.L = sp.csr_matrix(self.A + self.S)
 
     @property
     def dim(self) -> int:
         return self.L.shape[0]
 
-    @property
+    @cached_property
     def idx0(self) -> np.ndarray:
         """Working-space columns spanning ker S (Hermite momentum degree 0)."""
         return np.where(self.basis.p_degree == 0)[0]
 
-    @property
+    @cached_property
     def idx_plus(self) -> np.ndarray:
         return np.where(self.basis.p_degree > 0)[0]
+
+    def plus_block(self, mat) -> sp.csr_matrix:
+        """The H+ x H+ block of a sparse working-space operator."""
+        return mat[self.idx_plus][:, self.idx_plus]
+
+    @cached_property
+    def Lpp(self) -> sp.csr_matrix:
+        return self.plus_block(self.L)
+
+    @cached_property
+    def Spp(self) -> sp.csr_matrix:
+        return self.plus_block(self.S)
+
+    @cached_property
+    def apl0(self) -> np.ndarray:
+        """A_{+0}, the transport from H0 into H+, as a dense array."""
+        return np.asarray(self.A[self.idx_plus][:, self.idx0].todense())
+
+    @cached_property
+    def apl0_gram(self) -> np.ndarray:
+        """A_{+0}^T A_{+0} = A_{+0}* A_{+0}, the coarse transport's Gram matrix."""
+        return self.apl0.T @ self.apl0
 
 
 def _check_model_basis(basis: BasisSet, model: ModelSpec):
@@ -258,24 +255,18 @@ def assemble_model(basis: BasisSet, model: ModelSpec) -> ModelOperators:
     pi0 = assemble_pi0(basis)
     rev = assemble_reversal(basis)
     if model.model == "langevin":
-        a_op = assemble_hamiltonian(basis)
-        s_op = assemble_fd(basis)
-        s_op = SparseOperator("friction", model.gamma * s_op.matrix, "symmetric")
+        a = assemble_hamiltonian(basis)
+        s = model.gamma * assemble_fd(basis)
     elif model.model == "boltzmann_rhmc":
-        a_op = assemble_hamiltonian(basis)
-        s_op = assemble_boltzmann_collision(basis, model.gamma)
+        a = assemble_hamiltonian(basis)
+        s = assemble_boltzmann_collision(basis, model.gamma)
     else:
         # share the spans, not their to_h, so A is the same expression as unshared
         ham, nh = basis.derived("adl_spans", lambda b: (_hamiltonian_span(b),
                                                         _nosehoover_span(b)))
-        a_op = SparseOperator(
-            "hamiltonian+thermostat",
-            basis.to_h(ham + nh / model.epsilon),
-            "antisymmetric",
-        )
-        s_op = assemble_fd(basis)
-        s_op = SparseOperator("friction", model.gamma * s_op.matrix, "symmetric")
-    return ModelOperators(model=model, basis=basis, A=a_op, S=s_op, pi0=pi0, reversal=rev)
+        a = basis.to_h(ham + nh / model.epsilon)
+        s = model.gamma * assemble_fd(basis)
+    return ModelOperators(model=model, basis=basis, A=a, S=s, pi0=pi0, reversal=rev)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +313,7 @@ def verify_structural_assumptions(ops: ModelOperators,
     xi-odd part of ker S changes sign), so that residual is reported
     separately and does not gate `passed` for the thermostated model.
     """
-    A, S, P, R = ops.A.matrix, ops.S.matrix, ops.pi0.matrix, ops.reversal.matrix
+    A, S, P, R = ops.A, ops.S, ops.pi0, ops.reversal
     eye = sp.identity(A.shape[0], format="csr")
     res = {
         "pi0_A_pi0": _max_abs(P @ A @ P),
@@ -331,14 +322,13 @@ def verify_structural_assumptions(ops: ModelOperators,
         "R_squared": _max_abs(R @ R - eye),
         "R_S_R_minus_S": _max_abs(R @ S @ R - S),
         "R_A_R_plus_A": _max_abs(R @ A @ R + A),
-        "A_antisymmetry": ops.A.symmetry_residual(),
-        "S_symmetry": ops.S.symmetry_residual(),
+        "A_antisymmetry": _max_abs(A + A.T),
+        "S_symmetry": _max_abs(S - S.T),
         "pi0_projector": _max_abs(P @ P - P),
         "R_pi0_commutator": _max_abs(R @ P - P @ R),
         "R_pi0_identity": _max_abs(R @ P - P),
     }
-    idx_plus = ops.idx_plus
-    s_sub = S[idx_plus][:, idx_plus]
+    s_sub = ops.Spp
     offdiag = s_sub - sp.diags(s_sub.diagonal())
     if _max_abs(offdiag) < 1e-14:
         s_numeric = float(np.min(-s_sub.diagonal()))

@@ -54,7 +54,7 @@ def operator_norm(mat) -> float:
 class Decomposition:
     """Orthonormal H0/H1 bases and the generator blocks the bound reads.
 
-    H0 is the coordinate block ``idx0``; Q1 holds the H1 basis in H+
+    H0 is the coordinate block ``ops.idx0``; Q1 holds the H1 basis in H+
     coordinates.  H2 is never formed: it is reached through the projector
     P2 = 1 - Q1 Q1^T, as |Q2^T Y| = |P2 Y|, so ``P2LQ1`` = P2 L++ Q1 stands
     in for L21.  A10 is square (dim0 = dim1) and invertible whenever the
@@ -62,8 +62,6 @@ class Decomposition:
     """
 
     ops: ModelOperators
-    idx0: np.ndarray
-    idx_plus: np.ndarray
     Q1: np.ndarray
     A10: np.ndarray
     L11: np.ndarray
@@ -72,7 +70,6 @@ class Decomposition:
     pi1_idempotency_residual: float
     pi1_range_residual: float
     l11_symmetry_residual: float
-    _apl0: np.ndarray
     _lu_pp: object = field(default=None, repr=False)
     _schur: np.ndarray | None = field(default=None, repr=False)
 
@@ -82,7 +79,7 @@ class Decomposition:
 
     @property
     def dim0(self) -> int:
-        return len(self.idx0)
+        return len(self.ops.idx0)
 
     @property
     def dim1(self) -> int:
@@ -90,11 +87,7 @@ class Decomposition:
 
     @property
     def dim2(self) -> int:
-        return len(self.idx_plus) - self.dim1
-
-    def plus_block(self, mat) -> sp.csr_matrix:
-        """The H+ x H+ block of a sparse working-space operator."""
-        return mat[self.idx_plus][:, self.idx_plus]
+        return len(self.ops.idx_plus) - self.dim1
 
     def p2(self, y: np.ndarray) -> np.ndarray:
         """P2 y = y - Q1 Q1^T y, the H2 component of H+ vectors."""
@@ -104,7 +97,7 @@ class Decomposition:
         """Cached sparse LU factorization of the H+ block of the generator."""
         if self._lu_pp is None:
             try:
-                self._lu_pp = spla.splu(self.plus_block(self.ops.L).tocsc())
+                self._lu_pp = spla.splu(self.ops.Lpp.tocsc())
             except RuntimeError as exc:
                 raise NumericalFailure(f"H+ block is numerically singular: {exc}") from exc
         return self._lu_pp
@@ -125,9 +118,8 @@ def build_decomposition(ops: ModelOperators,
     matrix, and a sign occurring more than dim1 times has an eigenspace
     that meets H2 (of codimension dim1 in H+), so |R22| >= 1 = |R|.
     """
-    idx0, idx_plus = ops.idx0, ops.idx_plus
-    apl0 = np.asarray(ops.A.matrix[idx_plus][:, idx0].todense())
-    dim0 = len(idx0)
+    apl0 = ops.apl0
+    dim0 = len(ops.idx0)
     rows = np.flatnonzero(np.any(apl0 != 0.0, axis=1))
     block = apl0[rows]
     q_rows, r, _piv = sla.qr(block, mode="economic", pivoting=True)
@@ -138,7 +130,7 @@ def build_decomposition(ops: ModelOperators,
             f"macroscopic coercivity failure: rank(A10) = {rank} < dim H0 = {dim0}"
         )
     q_rows = q_rows[:, :dim0]
-    q1 = np.zeros((len(idx_plus), dim0))
+    q1 = np.zeros((len(ops.idx_plus), dim0))
     q1[rows] = q_rows
 
     scale = max(operator_norm_upper(apl0), 1.0)
@@ -150,16 +142,16 @@ def build_decomposition(ops: ModelOperators,
             f"idempotency {pi1_idem:.3e}"
         )
 
-    lq1 = ops.L[idx_plus][:, idx_plus] @ q1
+    lq1 = ops.Lpp @ q1
     l11 = q1.T @ lq1
-    s11 = q1.T @ (ops.S.matrix[idx_plus][:, idx_plus] @ q1)
+    s11 = q1.T @ (ops.Spp @ q1)
     l11_sym = float(np.max(np.abs(l11 - l11.T)))
     if ops.model.model != "adaptive_langevin" and l11_sym > tol_identity:
         raise InvariantViolation(
             f"L11 symmetry residual {l11_sym:.3e} exceeds tolerance {tol_identity:g}"
         )
 
-    rpp = ops.reversal.matrix[idx_plus][:, idx_plus]
+    rpp = ops.plus_block(ops.reversal)
     signs = np.where(rpp.diagonal() > 0, 1.0, -1.0)
     bad = (rpp - sp.diags(signs)).count_nonzero()
     if bad:
@@ -170,10 +162,10 @@ def build_decomposition(ops: ModelOperators,
         raise InvariantViolation(f"build_decomposition: |R22| = 1 not proved, sign counts "
                                  f"(+1, -1) = {counts} of R on H+ not above dim H1 = {dim0}")
     return Decomposition(
-        ops=ops, idx0=idx0, idx_plus=idx_plus, Q1=q1, A10=q_rows.T @ block,
+        ops=ops, Q1=q1, A10=q_rows.T @ block,
         L11=l11, S11=s11, P2LQ1=lq1 - q1 @ l11,
         pi1_idempotency_residual=pi1_idem, pi1_range_residual=pi1_range,
-        l11_symmetry_residual=l11_sym, _apl0=apl0,
+        l11_symmetry_residual=l11_sym,
     )
 
 
@@ -229,7 +221,8 @@ def schur_complement(dec: Decomposition,
     if dec._schur is not None and not check:
         return dec._schur
     lu = dec.lu_pp()
-    route1 = dec._apl0.T @ lu.solve(dec._apl0)
+    apl0 = dec.ops.apl0
+    route1 = apl0.T @ lu.solve(apl0)
     if check:
         route2 = _schur_route2(dec)
         denom = max(float(np.linalg.norm(route1)), np.finfo(float).tiny)
@@ -264,13 +257,13 @@ def _schur_route2(dec: Decomposition) -> np.ndarray:
     [L++ Q1; 0] gives X = Q2 L22^{-1} L21, so L12 L22^{-1} L21 = Q1^T L++ X.
     Its LU is independent of route one's ``lu_pp``.
     """
-    lpp = dec.plus_block(dec.ops.L)
+    lpp = dec.ops.Lpp
     top = gershgorin_max(0.5 * (lpp + lpp.T))
     if not top < 0.0:
         raise NumericalFailure(
             f"dissipation failure on H2: Gershgorin bound of sym L++ reaches {top:.3e}"
         )
-    border = sp.csc_matrix(dec._apl0)
+    border = sp.csc_matrix(dec.ops.apl0)
     try:
         kkt = spla.splu(sp.bmat([[lpp, border], [border.T, None]], format="csc"))
     except RuntimeError as exc:
@@ -279,7 +272,7 @@ def _schur_route2(dec: Decomposition) -> np.ndarray:
             f"is singular: {exc}"
         ) from exc
     x = kkt.solve(np.vstack([lpp @ dec.Q1, np.zeros((dec.dim0, dec.dim1))]))
-    s1 = dec.L11 - dec.Q1.T @ (lpp @ x[:len(dec.idx_plus)])
+    s1 = dec.L11 - dec.Q1.T @ (lpp @ x[:len(dec.ops.idx_plus)])
     try:
         return dec.A10.T @ np.linalg.solve(s1, dec.A10)
     except np.linalg.LinAlgError as exc:
@@ -293,24 +286,25 @@ def block_resolvent(dec: Decomposition, rhs) -> tuple[np.ndarray, np.ndarray]:
     in H0 / H+ coordinates.  Returns (u0, u_plus); the assembled solution is
     validated against the original system to 1e-8 relative.
     """
+    ops = dec.ops
     if isinstance(rhs, tuple):
         phi0, phip = np.asarray(rhs[0], float), np.asarray(rhs[1], float)
     else:
         rhs = np.asarray(rhs, float)
-        phi0, phip = rhs[dec.idx0], rhs[dec.idx_plus]
-    if phi0.shape != (dec.dim0,) or phip.shape != (len(dec.idx_plus),):
+        phi0, phip = rhs[ops.idx0], rhs[ops.idx_plus]
+    if phi0.shape != (dec.dim0,) or phip.shape != (len(ops.idx_plus),):
         raise ConfigError(["right-hand side has wrong block dimensions"])
     lu = dec.lu_pp()
     s0 = schur_complement(dec, check=False)
     # u0 = S0^{-1} (phi0 - A_{0+} Lpp^{-1} phi+)   with A_{0+} = -A_{+0}^T
-    rhs0 = phi0 + dec._apl0.T @ lu.solve(phip)
+    rhs0 = phi0 + ops.apl0.T @ lu.solve(phip)
     try:
         u0 = np.linalg.solve(s0, rhs0)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"Schur singular: {exc}") from exc
-    uplus = lu.solve(phip - dec._apl0 @ u0)
+    uplus = lu.solve(phip - ops.apl0 @ u0)
     full_phi = scatter_blocks(dec, phi0, phip)
-    res = np.linalg.norm(dec.ops.L @ scatter_blocks(dec, u0, uplus) - full_phi)
+    res = np.linalg.norm(ops.L @ scatter_blocks(dec, u0, uplus) - full_phi)
     if res > 1e-8 * max(np.linalg.norm(full_phi), np.finfo(float).tiny):
         raise NumericalFailure(f"block resolvent residual too large: {res:.3e}")
     return u0, uplus
@@ -319,8 +313,8 @@ def block_resolvent(dec: Decomposition, rhs) -> tuple[np.ndarray, np.ndarray]:
 def scatter_blocks(dec: Decomposition, u0: np.ndarray, uplus: np.ndarray) -> np.ndarray:
     """Reassemble a full working-space vector from (H0, H+) parts."""
     out = np.zeros(dec.dim)
-    out[dec.idx0] = u0
-    out[dec.idx_plus] = uplus
+    out[dec.ops.idx0] = u0
+    out[dec.ops.idx_plus] = uplus
     return out
 
 

@@ -183,6 +183,21 @@ def test_cli_unknown_model_override(cfg_path, capsys):
     assert "unknown model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("assemble", "--model", "", "unknown model ''"),
+    ("assemble", "--gamma", "", "ConfigError"),
+    ("assemble", "--epsilon-range", "", "ConfigError"),
+    ("assemble", "--max-dim", "0", "--max-dim must be >= 1, got 0"),
+    ("constants", "--max-dim", "0", "--max-dim must be >= 1, got 0"),
+    ("constants", "--max-dim", "-5", "--max-dim must be >= 1, got -5")])
+def test_cli_empty_or_nonpositive_override_is_a_config_error(cfg_path, capsys, command,
+                                                             flag, value, message):
+    # an empty or nonpositive value is rejected, never dropped in favour of the config
+    assert main([command, "--config", cfg_path, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: ") and message in err
+
+
 def test_cli_max_dim_guard(cfg_path, capsys):
     try:
         assert main(["assemble", "--config", cfg_path, "--max-dim", "10"]) == 3

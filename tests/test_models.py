@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ from hypoco.models import (
     static_poincare_constants,
     uij_moment,
 )
-from hypoco.operators import ModelSpec, SparseOperator, assemble_model
+from hypoco.operators import (ModelOperators, ModelSpec, assemble_model,
+                              verify_structural_assumptions)
 from hypoco.schur import build_decomposition, intermediate_norms
 
 from conftest import COS_Q
@@ -287,18 +289,19 @@ def test_static_poincare_constants_definition(langevin_ops):
     x2 = norm_X_hamiltonian_squared(langevin_ops)
     assert abs(c1 - (1.0 + np.sqrt(x2))) < 1e-12
     # C2 = |(1 - S_++)^{1/2} A_{+0} (A*A)^{-1}| with the square root taken densely
-    vals, vecs = np.linalg.eigh(np.eye(len(dec.idx_plus))
-                                - dec.plus_block(langevin_ops.S.matrix).toarray())
-    pseudo = np.linalg.solve(dec._apl0.T @ dec._apl0, dec._apl0.T).T
+    vals, vecs = np.linalg.eigh(np.eye(len(langevin_ops.idx_plus))
+                                - langevin_ops.Spp.toarray())
+    apl0 = langevin_ops.apl0
+    pseudo = np.linalg.solve(apl0.T @ apl0, apl0.T).T
     assert c2 == pytest.approx(np.linalg.norm((vecs * np.sqrt(vals)) @ vecs.T @ pseudo, 2),
                                rel=1e-12)
 
 
 def test_static_poincare_constants_reject_indefinite_one_minus_s(langevin_ops):
-    s = langevin_ops.S.matrix.tolil()
+    s = langevin_ops.S.tolil()
     i = langevin_ops.idx_plus[-1]
     s[i, i] = 2.0
-    fake = replace(langevin_ops, S=SparseOperator("broken", sp.csr_matrix(s), "symmetric"))
+    fake = replace(langevin_ops, S=sp.csr_matrix(s))
     with pytest.raises(NumericalFailure, match="1 - S is not positive definite on H"):
         static_poincare_constants(build_decomposition(fake))
 
@@ -408,6 +411,62 @@ def test_model_bound_report_d2_matches_d1_tensorization():
     assert reports[2].margin >= 1.0
     assert reports[2].bound == pytest.approx(reports[1].bound, rel=1e-8)
     assert reports[2].exact == pytest.approx(reports[1].exact, rel=1e-8)
+
+
+_MODEL_SPECS = {
+    "langevin": (ModelSpec(model="langevin", gamma=1.0), BasisSpec(d=1, n_q=4, n_p=4)),
+    "boltzmann_rhmc": (ModelSpec(model="boltzmann_rhmc", gamma=1.0),
+                       BasisSpec(d=1, n_q=4, n_p=4)),
+    "adaptive_langevin": (ModelSpec(model="adaptive_langevin", gamma=1.0, epsilon=1.0),
+                          BasisSpec(d=1, n_q=4, n_p=4, has_xi=True, n_xi=4)),
+}
+
+
+@pytest.mark.parametrize("which", sorted(_MODEL_SPECS))
+@pytest.mark.parametrize("part, key, sign", [("A", "A_antisymmetry", 1.0),
+                                             ("S", "S_symmetry", -1.0)])
+def test_broken_symmetry_fails_the_run(which, part, key, sign, cos_potential, monkeypatch):
+    # a symmetric bump in A or an antisymmetric one in S must fail verify,
+    # and a report must refuse to build a bound on top of it
+    model, spec = _MODEL_SPECS[which]
+
+    def broken(basis, model_spec):
+        ops = assemble_model(basis, model_spec)
+        i, j = ops.idx_plus[:2]
+        bump = sp.csr_matrix(([1e-6, sign * 1e-6], ([i, j], [j, i])), shape=ops.L.shape)
+        return replace(ops, **{part: getattr(ops, part) + bump})
+
+    report = verify_structural_assumptions(broken(build_basis(spec, cos_potential), model))
+    assert report.residuals[key] == pytest.approx(2e-6)
+    assert report.residuals[key] > report.tol
+    assert report.passed is False
+    monkeypatch.setattr(hypoco.models, "assemble_model", broken)
+    with pytest.raises(InvariantViolation, match="structural assumptions failed"):
+        model_bound_report(model, spec, cos_potential, constants={},
+                           check_convergence=False)
+
+
+@pytest.mark.parametrize("which", sorted(_MODEL_SPECS))
+def test_each_block_is_sliced_once_per_evaluation(which, cos_potential, monkeypatch):
+    # L++, S++ and R++ are the only H+ x H+ slices, and A_{+0} is densified once
+    calls = {"plus_block": 0, "apl0": 0}
+    plus_block, apl0 = ModelOperators.plus_block, ModelOperators.apl0.func
+
+    def counting_plus_block(self, mat):
+        calls["plus_block"] += 1
+        return plus_block(self, mat)
+
+    def counting_apl0(self):
+        calls["apl0"] += 1
+        return apl0(self)
+
+    counted = cached_property(counting_apl0)
+    counted.__set_name__(ModelOperators, "apl0")
+    monkeypatch.setattr(ModelOperators, "plus_block", counting_plus_block)
+    monkeypatch.setattr(ModelOperators, "apl0", counted)
+    model, spec = _MODEL_SPECS[which]
+    model_bound_report(model, spec, cos_potential, check_convergence=False)
+    assert calls == {"plus_block": 3, "apl0": 1}
 
 
 # ---------------------------------------------------------------------------

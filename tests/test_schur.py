@@ -10,8 +10,7 @@ from hypoco.basis import BasisSpec, Potential, build_basis
 from hypoco.constants import poincare_constant
 from hypoco.errors import ConfigError, InvariantViolation, NumericalFailure
 from hypoco.models import model_bound_report
-from hypoco.operators import (ModelSpec, SparseOperator, assemble_model,
-                              verify_structural_assumptions)
+from hypoco.operators import ModelSpec, assemble_model, verify_structural_assumptions
 from hypoco.schur import (DENSE_THRESHOLD, Decomposition, block_resolvent,
                           build_decomposition, exact_resolvent_norm,
                           intermediate_norms, macroscopic_coercivity,
@@ -57,7 +56,7 @@ def test_h0_h1_dimensions(langevin_dec):
 
 def test_pi1_matches_normal_equation_projector(langevin_dec):
     # Q1 Q1^T must equal A_{+0} (A*A)^{-1} A_{+0}^T
-    apl0 = langevin_dec._apl0
+    apl0 = langevin_dec.ops.apl0
     gram = apl0.T @ apl0
     projector = apl0 @ np.linalg.solve(gram, apl0.T)
     qr_projector = langevin_dec.Q1 @ langevin_dec.Q1.T
@@ -66,8 +65,7 @@ def test_pi1_matches_normal_equation_projector(langevin_dec):
 
 def test_fd_acts_as_minus_one_over_m_on_h1(langevin_ops, langevin_dec):
     # columns of A_{+0} are pure Hermite-degree-1, so L_FD Pi1 = -Pi1/m
-    lfd = (langevin_ops.S.matrix / langevin_ops.model.gamma)
-    lfd_pp = lfd[langevin_dec.idx_plus][:, langevin_dec.idx_plus]
+    lfd_pp = langevin_ops.Spp / langevin_ops.model.gamma
     gap = np.max(np.abs(lfd_pp @ langevin_dec.Q1 + langevin_dec.Q1
                         / langevin_ops.model.mass))
     assert gap < 1e-13
@@ -76,7 +74,7 @@ def test_fd_acts_as_minus_one_over_m_on_h1(langevin_ops, langevin_dec):
 def test_s21_vanishes_for_quadratic_kinetic_energy(langevin_dec, rhmc_dec):
     for dec in (langevin_dec, rhmc_dec):
         # |Q2^T S Q1| = |P2 S Q1|: H2 is reached through its projector
-        s21 = dec.p2(dec.plus_block(dec.ops.S.matrix) @ dec.Q1)
+        s21 = dec.p2(dec.ops.plus_block(dec.ops.S) @ dec.Q1)
         assert np.max(np.abs(s21)) < 1e-13
 
 
@@ -98,9 +96,9 @@ def test_macroscopic_coercivity_analytic_floor(langevin_dec):
 
 def test_rank_deficient_transfer_detected(langevin_ops):
     # zeroing the H0 columns of A must trip the rank check
-    a = langevin_ops.A.matrix.tolil()
+    a = langevin_ops.A.tolil()
     a[:, langevin_ops.idx0] = 0.0
-    broken = SparseOperator("broken", sp.csr_matrix(a), "general")
+    broken = sp.csr_matrix(a)
     fake = type(langevin_ops)(model=langevin_ops.model,
                               basis=langevin_ops.basis, A=broken,
                               S=langevin_ops.S, pi0=langevin_ops.pi0,
@@ -123,12 +121,12 @@ def test_non_orthonormal_h1_basis_detected(langevin_ops, monkeypatch):
 
 def test_asymmetric_l11_detected(langevin_ops):
     # S coupling two degree-1 states one way only makes L11 non-symmetric
-    s = langevin_ops.S.matrix.tolil()
+    s = langevin_ops.S.tolil()
     i, j = np.flatnonzero(langevin_ops.basis.p_degree == 1)[:2]
     s[i, j] += 0.5
     fake = type(langevin_ops)(model=langevin_ops.model,
                               basis=langevin_ops.basis, A=langevin_ops.A,
-                              S=SparseOperator("broken", sp.csr_matrix(s), "general"),
+                              S=sp.csr_matrix(s),
                               pi0=langevin_ops.pi0, reversal=langevin_ops.reversal)
     with pytest.raises(InvariantViolation, match="L11 symmetry residual"):
         build_decomposition(fake)
@@ -137,10 +135,10 @@ def test_asymmetric_l11_detected(langevin_ops):
 def test_asymmetric_reversal_detected(langevin_ops):
     # |R22| = 1 is proved from the signs of R on H+, which needs R to be a
     # diagonal sign matrix there
-    r = langevin_ops.reversal.matrix.tolil()
+    r = langevin_ops.reversal.tolil()
     i, j = langevin_ops.idx_plus[-2:]
     r[i, j] += 1e-3
-    broken = SparseOperator("broken", sp.csr_matrix(r), "general")
+    broken = sp.csr_matrix(r)
     fake = type(langevin_ops)(model=langevin_ops.model,
                               basis=langevin_ops.basis, A=langevin_ops.A,
                               S=langevin_ops.S, pi0=langevin_ops.pi0,
@@ -177,7 +175,7 @@ def test_schur_route2_does_not_reuse_route1_lu(langevin_ops):
     # route one through a perturbed LU of L++ must disagree with route two,
     # which factors its own bordered matrix
     dec = build_decomposition(langevin_ops)
-    lpp = dec.plus_block(langevin_ops.L).tocsc()
+    lpp = dec.ops.plus_block(langevin_ops.L).tocsc()
     dec._lu_pp = spla.splu(lpp + 1e-3 * sp.identity(lpp.shape[0], format="csc"))
     with pytest.raises(NumericalFailure, match="routes disagree"):
         schur_complement(dec)
@@ -211,21 +209,21 @@ def test_unproved_reversal_sign_count_detected(cos_potential):
     # (+1, +1, +1, -1, -1) on H+ leaves |R22| = 1 unproved
     ops = assemble_model(build_basis(BasisSpec(d=1, n_q=2, n_p=1), potential=cos_potential),
                          ModelSpec(model="langevin", gamma=1.0))
-    r = ops.reversal.matrix.tolil()
+    r = ops.reversal.tolil()
     for k, i in enumerate(ops.idx_plus):
         r[i, i] = 1.0 if k < 3 else -1.0
     fake = type(ops)(model=ops.model, basis=ops.basis, A=ops.A, S=ops.S, pi0=ops.pi0,
-                     reversal=SparseOperator("broken", sp.csr_matrix(r), "symmetric"))
+                     reversal=sp.csr_matrix(r))
     with pytest.raises(InvariantViolation,
                        match=r"build_decomposition: \|R22\| = 1 not proved.*\(3, 2\)"):
         build_decomposition(fake)
 
 
 def test_positive_friction_entry_fails_h2_dissipation(langevin_ops):
-    s = langevin_ops.S.matrix.tolil()
+    s = langevin_ops.S.tolil()
     i = langevin_ops.idx_plus[-1]
     s[i, i] = 0.5
-    broken = SparseOperator("broken", sp.csr_matrix(s), "symmetric")
+    broken = sp.csr_matrix(s)
     fake = type(langevin_ops)(model=langevin_ops.model,
                               basis=langevin_ops.basis, A=langevin_ops.A,
                               S=broken, pi0=langevin_ops.pi0,
@@ -253,8 +251,8 @@ def test_block_resolvent_accepts_blocks(langevin_dec):
     phip = rng.standard_normal(langevin_dec.dim - langevin_dec.dim0)
     u0, uplus = block_resolvent(langevin_dec, (phi0, phip))
     full = np.zeros(langevin_dec.dim)
-    full[langevin_dec.idx0] = phi0
-    full[langevin_dec.idx_plus] = phip
+    full[langevin_dec.ops.idx0] = phi0
+    full[langevin_dec.ops.idx_plus] = phip
     v0, vplus = block_resolvent(langevin_dec, full)
     assert np.allclose(u0, v0, atol=1e-12)
     assert np.allclose(uplus, vplus, atol=1e-12)
@@ -365,8 +363,8 @@ def test_theorem_bound_rejects_bad_inputs():
 def _t3_identity_residual(dec):
     """Relative residual of T3* T3 = -(S on H+)^{-1}, behind the bound's 3/s term,
     against dense inverses of L++ and S++."""
-    lpp = dec.plus_block(dec.ops.L).toarray()
-    spp = dec.plus_block(dec.ops.S.matrix).toarray()
+    lpp = dec.ops.plus_block(dec.ops.L).toarray()
+    spp = dec.ops.plus_block(dec.ops.S).toarray()
     linv = np.linalg.inv(lpp)
     sym = -0.5 * (linv + linv.T)
     t3t3 = linv.T @ np.linalg.solve(sym, linv)
@@ -393,9 +391,9 @@ def test_norm_R22_eigvalsh_matches_svd(dec_name, request):
     # the dimension count's |R22| = 1 against the dense compression Q2^T R Q2,
     # with Q2 from a full QR of A_{+0}
     dec = request.getfixturevalue(dec_name)
-    q_full = sla.qr(dec._apl0, mode="full")[0]
+    q_full = sla.qr(dec.ops.apl0, mode="full")[0]
     q2 = q_full[:, dec.dim0:]
-    r22 = q2.T @ (dec.plus_block(dec.ops.reversal.matrix) @ q2)
+    r22 = q2.T @ (dec.ops.plus_block(dec.ops.reversal) @ q2)
     norm = intermediate_norms(dec)["norm_R22"]
     assert abs(norm - float(sla.svdvals(r22)[0])) <= 1e-12
 
@@ -418,13 +416,13 @@ def test_rank_check_implies_reversal_sign_count(model, n_p, n_xi, cos_potential)
         ops = assemble_model(build_basis(spec, potential=pot), ModelSpec(
             model=model, gamma=1.0, d=d, epsilon=1.0 if n_xi else None))
         dim0 = len(ops.idx0)
-        apl0 = ops.A.matrix[ops.idx_plus][:, ops.idx0].toarray()
+        apl0 = ops.A[ops.idx_plus][:, ops.idx0].toarray()
         if np.linalg.matrix_rank(apl0) < dim0:
             assert model == "adaptive_langevin" and n_p == 1
             with pytest.raises(InvariantViolation, match="macroscopic coercivity failure"):
                 build_decomposition(ops)
             continue
-        signs = ops.reversal.matrix[ops.idx_plus][:, ops.idx_plus].diagonal()
+        signs = ops.reversal[ops.idx_plus][:, ops.idx_plus].diagonal()
         assert max(np.sum(signs > 0), np.sum(signs < 0)) > dim0
         assert intermediate_norms(build_decomposition(ops))["norm_R22"] == 1.0
 
