@@ -90,6 +90,9 @@ def _load_config(args) -> RunConfig:
             raise ConfigError(["epsilon values must be positive"])
     if getattr(args, "seed", None) is not None:
         config.seed = args.seed
+    for flag in ("out", "json", "csv"):
+        if getattr(args, flag, None) == "":
+            raise ConfigError([f"--{flag} needs a path, got ''"])
     if getattr(args, "out", None):
         config.out = args.out
     if getattr(args, "max_dim", None) is not None:

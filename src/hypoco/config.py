@@ -93,7 +93,7 @@ _SCHEMA = {
     "rank_tol": ("rank_tol", float, "positive", lambda v: v > 0),
     "seed": ("seed", _parse_int, "a nonnegative integer", lambda v: v >= 0),
     "c2": ("c2", float, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-    "out": ("out", str.strip, "a path", None),
+    "out": ("out", str.strip, "a path", bool),
 }
 
 

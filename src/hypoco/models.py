@@ -184,26 +184,28 @@ def rhmc_bound(dec: Decomposition, constants: dict,
 # ---------------------------------------------------------------------------
 
 
+def _adl_AstarA_blocks(basis) -> tuple[np.ndarray, np.ndarray]:
+    """H0 blocks of the xi number operator and of the position Witten Laplacian."""
+    spec, idx0 = basis.spec, np.flatnonzero(basis.p_degree == 0)
+    xi_number = spec.beta * np.diag(np.arange(spec.n_xi + 1, dtype=float))
+    witten = sum(di.T @ di for di in map(basis.witten_deriv, range(spec.d)))
+    return tuple(np.asarray(basis.to_h(span)[idx0][:, idx0].todense())
+                 for span in (basis.span_kron(xi_mat=xi_number), basis.span_kron(pos_mat=witten)))
+
+
 def adl_AstarA_residual(ops: ModelOperators, tol: float = 1e-10) -> float:
     """Dual-assembly check of A_{+0}* A_{+0} for the thermostated model.
 
     The assembled Gram matrix must match the analytic expression combining
-    the xi number operator with the position Witten Laplacian.
+    the xi number operator with the position Witten Laplacian, whose H0
+    blocks are built once per basis and never from A.
     """
     if ops.model.model != "adaptive_langevin":
         raise ConfigError(["A*A identity check applies to adaptive_langevin only"])
-    basis = ops.basis
-    spec = basis.spec
+    spec = ops.basis.spec
     m, beta, eps, d = spec.mass, spec.beta, ops.model.epsilon, spec.d
-    xi_number = beta * np.diag(np.arange(spec.n_xi + 1, dtype=float))
-    span = (2.0 * d / (m**2 * beta**2 * eps**2)) * basis.span_kron(xi_mat=xi_number)
-    witten = None
-    for i in range(d):
-        di = basis.witten_deriv(i)
-        term = di.T @ di
-        witten = term if witten is None else witten + term
-    span = span + basis.span_kron(pos_mat=witten) / (m * beta)
-    analytic = np.asarray(basis.to_h(span)[ops.idx0][:, ops.idx0].todense())
+    xi_number, witten = ops.basis.derived("adl_AstarA_blocks", _adl_AstarA_blocks)
+    analytic = (2.0 * d / (m**2 * beta**2 * eps**2)) * xi_number + witten / (m * beta)
     scale = max(float(np.max(np.abs(analytic))), 1.0)
     residual = float(np.max(np.abs(ops.apl0_gram - analytic))) / scale
     if residual > tol:
@@ -288,14 +290,14 @@ def _evaluate(model: ModelSpec, spec: BasisSpec, potential: Potential | None,
             "structural assumptions failed before decomposition:\n" + rep.table()
         )
     dec = build_decomposition(ops, rank_tol=rank_tol, tol_identity=tol_identity)
-    schur_complement(dec, check=True, tol_identity=tol_identity)
+    schur_complement(dec, tol_identity=tol_identity)
     if model.model == "langevin":
         bound, details = langevin_bound_general(dec, constants)
     elif model.model == "boltzmann_rhmc":
         bound, details = rhmc_bound(dec, constants, tol_identity=tol_identity)
     else:
         bound, details = adl_bound(dec, constants)
-    exact = exact_resolvent_norm(ops.L)
+    exact = exact_resolvent_norm(ops.L, factor=dec.factor)
     return rep, bound, details, exact
 
 

@@ -33,6 +33,9 @@ DENSE_THRESHOLD = 150
 #: largest relative Ritz residual |(L^T L)^{-1} x - lam x| / lam accepted
 RITZ_RTOL = 1e-8
 
+#: largest backward error |L y - b| / (sqrt(|L|_1 |L|_inf) |y|) of the oracle's LU solves
+BACKWARD_RTOL = 1e-10
+
 #: relative change under cutoff doubling below which a value counts as converged
 CONVERGENCE_RTOL = 0.01
 
@@ -70,7 +73,8 @@ class Decomposition:
     pi1_idempotency_residual: float
     pi1_range_residual: float
     l11_symmetry_residual: float
-    _lu_pp: object = field(default=None, repr=False)
+    #: (SuperLU of L[order][:, order], order), set by :func:`schur_complement`
+    factor: tuple | None = field(default=None, repr=False)
     _schur: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -92,15 +96,6 @@ class Decomposition:
     def p2(self, y: np.ndarray) -> np.ndarray:
         """P2 y = y - Q1 Q1^T y, the H2 component of H+ vectors."""
         return y - self.Q1 @ (self.Q1.T @ y)
-
-    def lu_pp(self):
-        """Cached sparse LU factorization of the H+ block of the generator."""
-        if self._lu_pp is None:
-            try:
-                self._lu_pp = spla.splu(self.ops.Lpp.tocsc())
-            except RuntimeError as exc:
-                raise NumericalFailure(f"H+ block is numerically singular: {exc}") from exc
-        return self._lu_pp
 
 
 def build_decomposition(ops: ModelOperators,
@@ -207,62 +202,77 @@ def macroscopic_coercivity(dec: Decomposition,
 
 
 def schur_complement(dec: Decomposition,
-                     check: bool = True,
                      route_rtol: float = 1e-8,
                      tol_identity: float = DEFAULT_TOL_IDENTITY) -> np.ndarray:
-    """The Schur complement on H0, computed through two routes.
+    """The Schur complement on H0, computed once, through two routes.
 
-    Route one factors the full H+ block; route two eliminates H2 first and
-    passes through the square invertible A10.  Both are algebraically equal,
-    so disagreement flags a conditioning problem rather than a modelling one.
-    Symmetry and negative definiteness are asserted except for the
-    thermostated model, whose extended reversal fixes ker S only up to a sign.
+    Route one is the trailing block of an LU of L with H+ first and H0 last,
+    kept as ``dec.factor``; route two eliminates H2 first and passes through
+    the square invertible A10.  Both are algebraically equal, so disagreement
+    flags a conditioning problem rather than a modelling one.  Symmetry and
+    negative definiteness are asserted except for the thermostated model,
+    whose extended reversal fixes ker S only up to a sign.
     """
-    if dec._schur is not None and not check:
+    if dec._schur is not None:
         return dec._schur
-    lu = dec.lu_pp()
-    apl0 = dec.ops.apl0
-    route1 = apl0.T @ lu.solve(apl0)
-    if check:
-        route2 = _schur_route2(dec)
-        denom = max(float(np.linalg.norm(route1)), np.finfo(float).tiny)
-        rel = float(np.linalg.norm(route1 - route2)) / denom
-        if not rel <= route_rtol:
-            raise NumericalFailure(
-                f"Schur complement routes disagree: relative gap {rel:.3e}"
-            )
-        if dec.ops.model.model != "adaptive_langevin":
-            sym_res = float(np.max(np.abs(route1 - route1.T)))
-            scale = max(float(np.max(np.abs(route1))), 1.0)
-            if sym_res / scale > tol_identity:
-                raise InvariantViolation(
-                    f"Schur complement symmetry residual {sym_res:.3e}"
-                )
-            top = float(np.linalg.eigvalsh(0.5 * (route1 + route1.T))[-1])
-            if top >= 0.0:
-                raise InvariantViolation(
-                    f"Schur complement not negative definite: max eigenvalue {top:.3e}"
-                )
-    dec._schur = route1
-    return route1
-
-
-def _schur_route2(dec: Decomposition) -> np.ndarray:
-    """A10^T s1^{-1} A10 with s1 = L11 - L12 L22^{-1} L21, H2 never formed.
-
-    By Cauchy interlacing, lambda_max(sym L22) <= lambda_max(sym L++), which
-    the Gershgorin row bound caps.  A negative cap proves dissipation on H2,
-    so the bordered matrix [[L++, A_{+0}], [A_{+0}^T, 0]] is nonsingular.
-    Its border spans H1 like Q1 but is sparse, and its solve against
-    [L++ Q1; 0] gives X = Q2 L22^{-1} L21, so L12 L22^{-1} L21 = Q1^T L++ X.
-    Its LU is independent of route one's ``lu_pp``.
-    """
-    lpp = dec.ops.Lpp
+    ops = dec.ops
+    lpp = ops.Lpp
     top = gershgorin_max(0.5 * (lpp + lpp.T))
     if not top < 0.0:
         raise NumericalFailure(
             f"dissipation failure on H2: Gershgorin bound of sym L++ reaches {top:.3e}"
         )
+    route2, perm_c = _schur_route2(dec)
+    n = len(ops.idx_plus)
+    cols = np.argsort(perm_c)
+    order = np.concatenate([ops.idx_plus[cols[cols < n]], ops.idx0])
+    lu = _h0_last_lu(ops.L, order)
+    route1 = (lu.L[n:, n:] @ lu.U[n:, n:]).toarray()
+    denom = max(float(np.linalg.norm(route1)), np.finfo(float).tiny)
+    rel = float(np.linalg.norm(route1 - route2)) / denom
+    if not rel <= route_rtol:
+        raise NumericalFailure(f"Schur complement routes disagree: relative gap {rel:.3e}")
+    if ops.model.model != "adaptive_langevin":
+        sym_res = float(np.max(np.abs(route1 - route1.T)))
+        scale = max(float(np.max(np.abs(route1))), 1.0)
+        if sym_res / scale > tol_identity:
+            raise InvariantViolation(f"Schur complement symmetry residual {sym_res:.3e}")
+        top = float(np.linalg.eigvalsh(0.5 * (route1 + route1.T))[-1])
+        if top >= 0.0:
+            raise InvariantViolation(
+                f"Schur complement not negative definite: max eigenvalue {top:.3e}"
+            )
+    dec.factor = (lu, order)
+    dec._schur = route1
+    return route1
+
+
+def _h0_last_lu(L, order: np.ndarray):
+    """SuperLU of L[order][:, order] without pivoting: with sym L++ negative
+    definite and A+0 of full column rank, every leading block has a definite
+    symmetric part, so elimination in order is stable.  A pivoted LU is refused."""
+    try:
+        lu = spla.splu(sp.csc_matrix(L[order][:, order]), permc_spec="NATURAL",
+                       diag_pivot_thresh=0.0)
+    except RuntimeError as exc:
+        raise NumericalFailure(f"H0-last LU of L failed, numerically singular: {exc}") from exc
+    if np.any(lu.perm_r != np.arange(len(order))) or np.any(lu.perm_c != lu.perm_r):
+        raise NumericalFailure("H0-last LU of L pivoted: its trailing block need not be "
+                               "the Schur complement")
+    return lu
+
+
+def _schur_route2(dec: Decomposition) -> tuple[np.ndarray, np.ndarray]:
+    """A10^T s1^{-1} A10 with s1 = L11 - L12 L22^{-1} L21, H2 never formed,
+    and the column order of its LU.
+
+    By Cauchy interlacing, lambda_max(sym L22) <= lambda_max(sym L++) < 0, so
+    the bordered matrix [[L++, A_{+0}], [A_{+0}^T, 0]] is nonsingular.
+    Its border spans H1 like Q1 but is sparse, and its solve against
+    [L++ Q1; 0] gives X = Q2 L22^{-1} L21, so L12 L22^{-1} L21 = Q1^T L++ X.
+    Its LU is independent of route one's.
+    """
+    lpp = dec.ops.Lpp
     border = sp.csc_matrix(dec.ops.apl0)
     try:
         kkt = spla.splu(sp.bmat([[lpp, border], [border.T, None]], format="csc"))
@@ -274,7 +284,7 @@ def _schur_route2(dec: Decomposition) -> np.ndarray:
     x = kkt.solve(np.vstack([lpp @ dec.Q1, np.zeros((dec.dim0, dec.dim1))]))
     s1 = dec.L11 - dec.Q1.T @ (lpp @ x[:len(dec.ops.idx_plus)])
     try:
-        return dec.A10.T @ np.linalg.solve(s1, dec.A10)
+        return dec.A10.T @ np.linalg.solve(s1, dec.A10), kkt.perm_c
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"dissipation failure on H2: {exc}") from exc
 
@@ -294,8 +304,8 @@ def block_resolvent(dec: Decomposition, rhs) -> tuple[np.ndarray, np.ndarray]:
         phi0, phip = rhs[ops.idx0], rhs[ops.idx_plus]
     if phi0.shape != (dec.dim0,) or phip.shape != (len(ops.idx_plus),):
         raise ConfigError(["right-hand side has wrong block dimensions"])
-    lu = dec.lu_pp()
-    s0 = schur_complement(dec, check=False)
+    s0 = schur_complement(dec)  # proves sym L++ definite, so L++ is nonsingular
+    lu = spla.splu(ops.Lpp.tocsc())
     # u0 = S0^{-1} (phi0 - A_{0+} Lpp^{-1} phi+)   with A_{0+} = -A_{+0}^T
     rhs0 = phi0 + ops.apl0.T @ lu.solve(phip)
     try:
@@ -326,16 +336,18 @@ def scatter_blocks(dec: Decomposition, u0: np.ndarray, uplus: np.ndarray) -> np.
 def exact_resolvent_norm(L, method: str = "auto",
                          dense_threshold: int = DENSE_THRESHOLD,
                          tol: float = 1e-12, max_iter: int = 20000,
-                         seed: int = 0) -> float:
+                         seed: int = 0, factor: tuple | None = None) -> float:
     """Operator norm of L^{-1}, i.e. 1/sigma_min(L).
 
     ``method`` is "dense" (full SVD, the cross-check), "iterative" (ARPACK
     Lanczos on (L^T L)^{-1} = L^{-1} L^{-T} through one sparse LU of L, from
     a ``default_rng(seed)`` start vector, so reruns agree bitwise), or "auto"
-    to pick by dimension.  ``tol`` is ARPACK's relative accuracy and
-    ``max_iter`` the number of applications of (L^T L)^{-1} allowed.
+    to pick by dimension.  ``factor`` = (SuperLU of L[order][:, order], order),
+    e.g. ``Decomposition.factor``, replaces that LU.  ``tol`` is ARPACK's
+    relative accuracy and ``max_iter`` the number of applications allowed.
     NumericalFailure is raised when that budget runs out, ARPACK does not
-    converge, the Ritz residual exceeds RITZ_RTOL, or sigma_min <= 64 n eps
+    converge, the Ritz residual or the backward error of the final solves
+    exceeds RITZ_RTOL or BACKWARD_RTOL, or sigma_min <= 64 n eps
     sigma_max (on the LU path the upper bound sqrt(|L|_1 |L|_inf) >= sigma_max
     takes its place).
     """
@@ -349,7 +361,8 @@ def exact_resolvent_norm(L, method: str = "auto",
         sv = sla.svdvals(mat.toarray())
         smin, smax = float(sv[-1]), float(sv[0])
     else:
-        smin, smax = _lanczos_sigma_min(mat, tol, max_iter, seed), operator_norm_upper(mat)
+        smax = operator_norm_upper(mat)
+        smin = _lanczos_sigma_min(mat, factor, smax, tol, max_iter, seed)
     if not smin > 64 * n * np.finfo(float).eps * smax:
         ratio = smin / smax if smax > 0 else 0.0
         raise NumericalFailure(
@@ -358,15 +371,20 @@ def exact_resolvent_norm(L, method: str = "auto",
     return 1.0 / smin
 
 
-def _lanczos_sigma_min(mat: sp.csc_matrix, tol: float, max_iter: int,
-                       seed: int) -> float:
+def _lanczos_sigma_min(mat: sp.csc_matrix, factor: tuple | None, smax: float,
+                       tol: float, max_iter: int, seed: int) -> float:
     """sigma_min of a sparse square matrix from ARPACK on (L^T L)^{-1}."""
     try:
-        lu = spla.splu(mat)
+        lu, order = factor or (spla.splu(mat), np.arange(mat.shape[0]))
     except RuntimeError as exc:
         raise NumericalFailure(
             f"exact_resolvent_norm: sparse LU of L failed, numerically singular: {exc}"
         ) from exc
+    inverse = np.argsort(order)
+
+    def solve(x, trans="N"):
+        return lu.solve(x[order], trans=trans)[inverse]
+
     # the largest Rayleigh quotient seen bounds the eigenvalue from below; its
     # last relative change shows how far a run cut by the budget got
     apps, best, change = 0, 0.0, np.inf
@@ -380,7 +398,7 @@ def _lanczos_sigma_min(mat: sp.csc_matrix, tol: float, max_iter: int,
                 f"largest Rayleigh quotient {change:.3e} (tol {tol:.1e})"
             )
         x = np.ravel(x)
-        z = lu.solve(lu.solve(x, trans="T"))
+        z = solve(solve(x, trans="T"))
         if not np.all(np.isfinite(z)):
             raise NumericalFailure(
                 "exact_resolvent_norm: (L^T L)^-1 x is not finite, L numerically singular"
@@ -400,11 +418,19 @@ def _lanczos_sigma_min(mat: sp.csc_matrix, tol: float, max_iter: int,
             f"to tol {tol:.1e} after {apps} applications"
         ) from exc
     lam, x = float(lam[0]), vec[:, 0]
-    ritz = float(np.linalg.norm(op @ x - lam * x)) / abs(lam)
+    u = solve(x, trans="T")
+    z = solve(u)
+    ritz = float(np.linalg.norm(z - lam * x)) / abs(lam)
     if not ritz <= RITZ_RTOL:
         raise NumericalFailure(
             f"exact_resolvent_norm: Ritz residual {ritz:.3e} of (L^T L)^-1 exceeds {RITZ_RTOL:.0e}"
         )
+    # the LU must solve L itself, not only agree with its own iterates
+    backward = max(float(np.linalg.norm(mat.T @ u - x)) / (smax * float(np.linalg.norm(u))),
+                   float(np.linalg.norm(mat @ z - u)) / (smax * float(np.linalg.norm(z))))
+    if not backward <= BACKWARD_RTOL:
+        raise NumericalFailure(f"exact_resolvent_norm: backward error {backward:.3e} of the "
+                               f"LU solves against L exceeds {BACKWARD_RTOL:.0e}")
     return float(1.0 / np.sqrt(lam))
 
 

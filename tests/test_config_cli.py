@@ -145,6 +145,11 @@ def test_parse_config_collects_potential_problems():
     assert any("potential" in p or "mode" in p for p in err.value.problems)
 
 
+def test_parse_config_rejects_an_empty_out_path():
+    with pytest.raises(ConfigError, match="out must be a path, got ''"):
+        parse_config_text("out =\n")
+
+
 def test_parse_config_strict_integers():
     with pytest.raises(ConfigError, match="malformed"):
         parse_config_text("n_q = 6.0\n")
@@ -196,6 +201,21 @@ def test_cli_empty_or_nonpositive_override_is_a_config_error(cfg_path, capsys, c
     assert main([command, "--config", cfg_path, flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ConfigError: ") and message in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("assemble", "--out"), ("verify", "--json"), ("report", "--json"),
+    ("report", "--csv"), ("sweep", "--json"), ("sweep", "--csv")])
+def test_cli_empty_output_path_is_a_config_error(cfg_path, tmp_path, monkeypatch,
+                                                 capsys, command, flag):
+    # an empty path is rejected before any work, never dropped or left to open()
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main([command, "--config", cfg_path, flag, ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"ConfigError: {flag} needs a path, got ''\n"
+    assert captured.out == "" and not list(work.iterdir())
 
 
 def test_cli_max_dim_guard(cfg_path, capsys):

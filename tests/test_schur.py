@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -6,16 +8,17 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypoco.basis import BasisSpec, Potential, build_basis
-from hypoco.constants import poincare_constant
+from hypoco import schur
+from hypoco.basis import DEFAULT_TOL_IDENTITY, BasisSpec, Potential, build_basis
+from hypoco.constants import constants_summary, poincare_constant
 from hypoco.errors import ConfigError, InvariantViolation, NumericalFailure
-from hypoco.models import model_bound_report
+from hypoco.models import _evaluate, model_bound_report
 from hypoco.operators import ModelSpec, assemble_model, verify_structural_assumptions
 from hypoco.schur import (DENSE_THRESHOLD, Decomposition, block_resolvent,
                           build_decomposition, exact_resolvent_norm,
                           intermediate_norms, macroscopic_coercivity,
-                          operator_norm, scatter_blocks, schur_complement,
-                          theorem_bound)
+                          operator_norm, operator_norm_upper, scatter_blocks,
+                          schur_complement, theorem_bound)
 
 from conftest import COS_Q
 
@@ -171,30 +174,30 @@ def test_schur_routes_agree_adl(adl_dec):
     assert s0.shape == (adl_dec.dim0, adl_dec.dim0)
 
 
-def test_schur_route2_does_not_reuse_route1_lu(langevin_ops):
-    # route one through a perturbed LU of L++ must disagree with route two,
-    # which factors its own bordered matrix
-    dec = build_decomposition(langevin_ops)
-    lpp = dec.ops.plus_block(langevin_ops.L).tocsc()
-    dec._lu_pp = spla.splu(lpp + 1e-3 * sp.identity(lpp.shape[0], format="csc"))
+def test_schur_route2_does_not_reuse_route1_lu(langevin_ops, monkeypatch):
+    # route one through the H0-last LU of a perturbed L++ must disagree with
+    # route two, which factors its own bordered matrix
+    real = schur._h0_last_lu
+    shift = sp.diags(1e-3 * (langevin_ops.basis.p_degree > 0))
+    monkeypatch.setattr(schur, "_h0_last_lu", lambda L, order: real(L + shift, order))
     with pytest.raises(NumericalFailure, match="routes disagree"):
-        schur_complement(dec)
+        schur_complement(build_decomposition(langevin_ops))
 
 
-def test_non_finite_route_one_is_a_disagreement(langevin_ops):
-    class NanLU:
-        def solve(self, rhs):
-            return np.full(np.shape(rhs), np.nan)
+def test_non_finite_route_one_is_a_disagreement(langevin_ops, monkeypatch):
+    real = schur._h0_last_lu
 
-    dec = build_decomposition(langevin_ops)
-    dec._lu_pp = NanLU()
+    def nan_factor(L, order):
+        lu = real(L, order)
+        return SimpleNamespace(L=lu.L, U=lu.U * np.nan)
+
+    monkeypatch.setattr(schur, "_h0_last_lu", nan_factor)
     with pytest.raises(NumericalFailure, match="routes disagree"):
-        schur_complement(dec)
+        schur_complement(build_decomposition(langevin_ops))
 
 
 def test_failed_bordered_factorization_is_reported(langevin_ops, monkeypatch):
     dec = build_decomposition(langevin_ops)
-    dec.lu_pp()
 
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
@@ -202,6 +205,35 @@ def test_failed_bordered_factorization_is_reported(langevin_ops, monkeypatch):
     monkeypatch.setattr(spla, "splu", singular)
     with pytest.raises(NumericalFailure, match="dissipation failure on H2: bordered"):
         schur_complement(dec)
+
+
+def test_pivoted_h0_last_lu_is_refused(langevin_ops, monkeypatch):
+    # partial pivoting swaps rows of the H0-last matrix; the trailing block
+    # of a pivoted factor need not be the Schur complement, so it is refused
+    real = spla.splu
+
+    def pivoting(mat, **kwargs):
+        if kwargs.get("permc_spec") == "NATURAL":
+            kwargs["diag_pivot_thresh"] = 1.0
+        return real(mat, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", pivoting)
+    with pytest.raises(NumericalFailure, match="H0-last LU of L pivoted"):
+        schur_complement(build_decomposition(langevin_ops))
+
+
+@pytest.mark.parametrize("which", ["langevin", "rhmc", "adl"])
+def test_trailing_block_of_h0_last_lu_is_the_schur_complement(which, langevin_dec,
+                                                               rhmc_dec, adl_dec):
+    dec = {"langevin": langevin_dec, "rhmc": rhmc_dec, "adl": adl_dec}[which]
+    ops = dec.ops
+    lu, order = dec.factor
+    n = len(ops.idx_plus)
+    assert np.array_equal(np.sort(order[:n]), ops.idx_plus)
+    assert np.array_equal(order[n:], ops.idx0)
+    dense = ops.apl0.T @ np.linalg.solve(ops.Lpp.toarray(), ops.apl0)
+    trailing = (lu.L[n:, n:] @ lu.U[n:, n:]).toarray()
+    assert np.linalg.norm(trailing - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
 def test_unproved_reversal_sign_count_detected(cos_potential):
@@ -315,6 +347,45 @@ def test_exact_resolvent_norm_default_matches_dense_on_generators(ops_name, requ
     default = exact_resolvent_norm(L)
     dense = exact_resolvent_norm(L, method="dense")
     assert abs(default - dense) <= 1e-10 * dense
+
+
+@pytest.mark.parametrize("which", ["langevin", "rhmc", "adl"])
+def test_exact_resolvent_norm_through_the_decomposition_factor(which, langevin_dec,
+                                                               rhmc_dec, adl_dec):
+    dec = {"langevin": langevin_dec, "rhmc": rhmc_dec, "adl": adl_dec}[which]
+    shared = exact_resolvent_norm(dec.ops.L, factor=dec.factor)
+    assert abs(shared - exact_resolvent_norm(dec.ops.L)) <= 1e-12 * shared
+
+
+def test_corrupted_factor_fails_the_backward_error_check(langevin_dec):
+    # a factor of a nearby matrix is self-consistent, so it passes the Ritz
+    # check, but its solves miss L itself
+    L = langevin_dec.ops.L
+    _, order = langevin_dec.factor
+    near = L + 1e-6 * operator_norm_upper(L) * sp.identity(L.shape[0])
+    lu = spla.splu(sp.csc_matrix(near[order][:, order]))
+    with pytest.raises(NumericalFailure, match="exact_resolvent_norm: backward error"):
+        exact_resolvent_norm(L, factor=(lu, order))
+
+
+@pytest.mark.parametrize("model", ["langevin", "boltzmann_rhmc", "adaptive_langevin"])
+def test_one_evaluation_makes_two_sparse_lus(model, cos_potential, monkeypatch):
+    # the bordered LU of route two and the H0-last LU of L, which serves
+    # route one and the exact-norm oracle (dim >= DENSE_THRESHOLD, so the
+    # oracle takes its LU path)
+    xi = model == "adaptive_langevin"
+    spec = BasisSpec(d=1, n_q=8, n_p=8, has_xi=xi, n_xi=6 if xi else 0)
+    model_spec = ModelSpec(model=model, gamma=1.0, epsilon=1.0 if xi else None)
+    constants = constants_summary(cos_potential, 1.0, 1.0, 1, n_q=32)
+    real, calls = spla.splu, []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("permc_spec"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    _evaluate(model_spec, spec, cos_potential, constants, DEFAULT_TOL_IDENTITY, 1e-12)
+    assert calls == [None, "NATURAL"]
 
 
 def test_exact_resolvent_norm_default_is_bitwise_reproducible(adl_ops):
