@@ -22,6 +22,9 @@ sqrt(rho) in the trigonometric family is computed once and the basis is
 rotated (one Householder reflection) so that its orthogonal complement spans
 the working space.  Every represented function therefore has exactly zero
 mean against mu, which keeps the generators invertible on the working space.
+Coefficients at the FFT's rounding level (modes that vanish by symmetry) are
+exact zeros, and the reflection is stored sparse: it is the identity wherever
+sqrt(rho) has no component, so those modes couple to nothing else.
 """
 
 from __future__ import annotations
@@ -472,7 +475,9 @@ def position_grid_size(n_q, potential: Potential) -> int:
 def sqrt_rho_coeffs(potential: Potential, beta, n_q) -> np.ndarray:
     """Unit coefficients of sqrt(rho) in the tensor trigonometric family.
 
-    The grid quadrature phi.T @ sqrt(rho) / N^d, taken from one FFT.
+    The grid quadrature phi.T @ sqrt(rho) / N^d, taken from one FFT.  A
+    coefficient at most eps times the largest is the transform's own rounding
+    (a mode that vanishes by symmetry comes out near 1e-17) and is set to 0.
     """
     n_grid, d = position_grid_size(n_q, potential), potential.d
     axes = [np.arange(n_grid) * (potential.torus_length / n_grid)] * d
@@ -484,14 +489,24 @@ def sqrt_rho_coeffs(potential: Potential, beta, n_q) -> np.ndarray:
     for axis in range(d):
         c = np.moveaxis(np.tensordot(s[:, None] * E, c, axes=(1, axis)), 0, axis)
     c = c.real.reshape(-1)
+    c[np.abs(c) <= np.finfo(float).eps * np.max(np.abs(c))] = 0.0
     return c / np.linalg.norm(c)
 
 
-def householder_vector(c) -> np.ndarray | None:
-    """v with (1 - 2 v v^T / v.v) e_0 = c for a unit c; None when c is e_0."""
-    v = c.copy()
+def mean_zero_map(c) -> sp.csr_matrix:
+    """Columns 1.. of the reflection H = 1 - 2 v v^T / v.v, v = c - e_0, which
+    maps e_0 to the unit c: an orthonormal basis of the complement of c.
+
+    H is the identity off the support of v, so only the support block of
+    v v^T is formed, and each stored entry is the one a dense H would hold.
+    When c is e_0 (to 1e-13) the map is the identity's columns 1..
+    """
+    n, v = c.size, c.copy()
     v[0] -= 1.0
-    return None if np.linalg.norm(v) < 1e-13 else v
+    s = np.flatnonzero(v) if np.linalg.norm(v) >= 1e-13 else np.zeros(0, dtype=int)
+    vvt = sp.csr_matrix(((2.0 * np.outer(v[s], v[s]) / (v @ v)).ravel(),
+                         (np.repeat(s, s.size), np.tile(s, s.size))), shape=(n, n))
+    return (sp.identity(n, format="csr") - vvt)[:, 1:]
 
 
 def validated_potential(spec: BasisSpec, potential: Potential | None = None,
@@ -583,34 +598,15 @@ class BasisSet:
         spec = self.spec
         n_pos = spec.n_pos
         self.c_pos = sqrt_rho_coeffs(self.potential, spec.beta, spec.n_q)
-        v = householder_vector(self.c_pos)
-        if v is None:
-            T = np.eye(n_pos)[:, 1:]
-        else:
-            H = np.eye(n_pos) - 2.0 * np.outer(v, v) / float(v @ v)
-            T = H[:, 1:]
-        self.T = T
+        self.T = mean_zero_map(self.c_pos)
 
         inner = spec.n_herm * spec.n_xi_tot
         self.inner = inner
         dim_span = spec.dim_span
         block_rows = np.arange(n_pos) * inner  # span rows of (pos, 0, 0)
-
-        cols = []
-        rows = []
-        vals = []
-        for j in range(n_pos - 1):
-            rows.append(block_rows)
-            cols.append(np.full(n_pos, j))
-            vals.append(T[:, j])
-        keep = np.setdiff1d(np.arange(dim_span), block_rows, assume_unique=False)
-        rows.append(keep)
-        cols.append(np.arange(keep.size) + (n_pos - 1))
-        vals.append(np.ones(keep.size))
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        self.U = sp.csr_matrix((vals, (rows, cols)), shape=(dim_span, dim_span - 1))
+        keep = np.setdiff1d(np.arange(dim_span), block_rows)
+        eye = sp.identity(dim_span, format="csr")
+        self.U = sp.hstack([eye[:, block_rows] @ self.T, eye[:, keep]], format="csr")
         self._keep_span = keep
 
     def _build_index_arrays(self):

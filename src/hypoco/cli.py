@@ -24,7 +24,7 @@ from .basis import BasisSpec, build_basis
 from .config import RunConfig, parse_config, parse_range
 from .container import save_container
 from .errors import ConfigError, HypocoError, NumericalFailure
-from .operators import ModelSpec, assemble_model, verify_structural_assumptions
+from .operators import MODELS, ModelSpec, assemble_model, verify_structural_assumptions
 
 CSV_COLUMNS = ("model", "gamma", "epsilon", "d", "n_q", "n_p",
                "s", "a", "bound", "exact", "margin", "converged")
@@ -71,7 +71,7 @@ def _load_config(args) -> RunConfig:
         raise ConfigError(["--config is required for this subcommand"])
     config = parse_config(args.config)
     if getattr(args, "model", None) is not None:
-        if args.model not in ("langevin", "boltzmann_rhmc", "adaptive_langevin"):
+        if args.model not in MODELS:
             raise ConfigError([f"unknown model {args.model!r}"])
         config.model = args.model
     if getattr(args, "gamma", None) is not None:
@@ -95,9 +95,11 @@ def _load_config(args) -> RunConfig:
             raise ConfigError([f"--{flag} needs a path, got ''"])
     if getattr(args, "out", None):
         config.out = args.out
+    for flag in ("max_dim", "suite", "jobs"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise ConfigError([f"--{flag.replace('_', '-')} must be >= 1, got {value}"])
     if getattr(args, "max_dim", None) is not None:
-        if args.max_dim < 1:
-            raise ConfigError([f"--max-dim must be >= 1, got {args.max_dim}"])
         os.environ["HYPOCO_MAX_DIM"] = str(args.max_dim)
     if config.model == "adaptive_langevin" and config.epsilons is None:
         raise ConfigError(["epsilon is required for the adaptive_langevin model"])

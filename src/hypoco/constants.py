@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .basis import (TWO_PI, BasisSpec, Potential, fourier_deriv_1d,
-                    fourier_value_table, gauss_hermite_rule, householder_vector,
+                    fourier_value_table, gauss_hermite_rule, mean_zero_map,
                     sqrt_rho_coeffs, validated_potential, witten_deriv)
 from .errors import ConfigError, InvariantViolation, NumericalFailure
 
@@ -174,11 +174,8 @@ def poincare_constant(measure: str, *, potential: Potential | None = None,
     residual = float(np.linalg.norm(wx - c * (c @ wx) - k2 * x))
     if residual > 1e-8 * max(abs(k2), 1.0):
         raise NumericalFailure(f"solver failure: eigenresidual {residual:.3e}")
-    v = householder_vector(c)
-    if v is not None:
-        x = x - 2.0 * v * (v @ x) / (v @ v)
-    return PoincareResult(constant=k2, eigenvector=x[1:], residual=residual,
-                          measure="position", n_q=n_q)
+    return PoincareResult(constant=k2, eigenvector=mean_zero_map(c).T @ x,
+                          residual=residual, measure="position", n_q=n_q)
 
 
 # ---------------------------------------------------------------------------

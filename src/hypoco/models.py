@@ -366,7 +366,7 @@ def static_poincare_constants(dec: Decomposition) -> tuple[float, float]:
         raise NumericalFailure(
             f"1 - S is not positive definite on H+: Gershgorin lower bound {low:.3e}"
         )
-    pseudo = np.linalg.solve(ops.apl0_gram, ops.apl0.T).T
+    pseudo = np.linalg.solve(ops.apl0_gram, ops.apl0.T.toarray()).T
     c2 = np.sqrt(operator_norm(pseudo.T @ pseudo - pseudo.T @ (spp @ pseudo)))
     return float(c1), float(c2)
 

@@ -216,14 +216,14 @@ class ModelOperators:
         return self.plus_block(self.S)
 
     @cached_property
-    def apl0(self) -> np.ndarray:
-        """A_{+0}, the transport from H0 into H+, as a dense array."""
-        return np.asarray(self.A[self.idx_plus][:, self.idx0].todense())
+    def apl0(self) -> sp.csr_matrix:
+        """A_{+0}, the transport from H0 into H+."""
+        return self.A[self.idx_plus][:, self.idx0]
 
     @cached_property
     def apl0_gram(self) -> np.ndarray:
-        """A_{+0}^T A_{+0} = A_{+0}* A_{+0}, the coarse transport's Gram matrix."""
-        return self.apl0.T @ self.apl0
+        """A_{+0}^T A_{+0} = A_{+0}* A_{+0}, the coarse transport's dense Gram matrix."""
+        return (self.apl0.T @ self.apl0).toarray()
 
 
 def _check_model_basis(basis: BasisSet, model: ModelSpec):

@@ -113,10 +113,9 @@ def build_decomposition(ops: ModelOperators,
     matrix, and a sign occurring more than dim1 times has an eigenspace
     that meets H2 (of codimension dim1 in H+), so |R22| >= 1 = |R|.
     """
-    apl0 = ops.apl0
     dim0 = len(ops.idx0)
-    rows = np.flatnonzero(np.any(apl0 != 0.0, axis=1))
-    block = apl0[rows]
+    rows = np.flatnonzero(ops.apl0.getnnz(axis=1))
+    block = ops.apl0[rows].toarray()
     q_rows, r, _piv = sla.qr(block, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > rank_tol * diag[0])) if diag.size else 0
@@ -128,7 +127,7 @@ def build_decomposition(ops: ModelOperators,
     q1 = np.zeros((len(ops.idx_plus), dim0))
     q1[rows] = q_rows
 
-    scale = max(operator_norm_upper(apl0), 1.0)
+    scale = max(operator_norm_upper(block), 1.0)
     pi1_range = float(np.max(np.abs(q_rows @ (q_rows.T @ block) - block))) / scale
     pi1_idem = float(np.max(np.abs(q_rows.T @ q_rows - np.eye(dim0))))
     if max(pi1_range, pi1_idem) > tol_identity:
@@ -272,8 +271,7 @@ def _schur_route2(dec: Decomposition) -> tuple[np.ndarray, np.ndarray]:
     [L++ Q1; 0] gives X = Q2 L22^{-1} L21, so L12 L22^{-1} L21 = Q1^T L++ X.
     Its LU is independent of route one's.
     """
-    lpp = dec.ops.Lpp
-    border = sp.csc_matrix(dec.ops.apl0)
+    lpp, border = dec.ops.Lpp, dec.ops.apl0
     try:
         kkt = spla.splu(sp.bmat([[lpp, border], [border.T, None]], format="csc"))
     except RuntimeError as exc:

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypoco.basis import (BASIS_CACHE_SIZE, TWO_PI, BasisSet, BasisSpec, Potential, build_basis,
                           fourier_deriv_1d, fourier_mult, fourier_value_table,
-                          gauss_hermite_rule, hermite_value_table)
+                          gauss_hermite_rule, hermite_value_table, mean_zero_map,
+                          sqrt_rho_coeffs)
 from hypoco.errors import ConfigError, NumericalFailure
 
 from conftest import COS_Q
@@ -210,7 +212,7 @@ def test_mean_zero_columns(cos_basis):
 
 
 def test_householder_map_is_isometry(cos_basis):
-    t = cos_basis.T
+    t = cos_basis.T.toarray()
     assert t.shape[0] == t.shape[1] + 1
     assert np.max(np.abs(t.T @ t - np.eye(t.shape[1]))) < 1e-13
 
@@ -319,6 +321,43 @@ def test_sqrt_rho_coefficients_match_quadrature():
     basis = build_basis(BasisSpec(d=2, n_q=5, n_p=0), potential=pot)
     quad = basis.phi.T @ basis.sqrt_rho / basis.n_grid**2
     assert np.max(np.abs(basis.c_pos - quad / np.linalg.norm(quad))) < 1e-14
+
+
+def test_even_potential_sine_coefficients_are_exact_zeros(cos_potential):
+    # sqrt(rho) of an even potential has no sine modes: the FFT's rounding
+    # there is set to exact zeros, and every cosine mode is kept
+    c = sqrt_rho_coeffs(cos_potential, 1.0, 8)
+    assert np.all(c[2::2] == 0.0)
+    assert np.all(c[1::2] != 0.0)
+
+
+def test_sqrt_rho_cutoff_drops_only_rounding():
+    # only sin(k q1) x 1 vanishes for this potential (its q2-average is even
+    # in q1); every coefficient above the rounding is kept
+    pot = Potential.from_string("1 1:0.2,0.1;1 0:0.5,0", d=2)
+    basis = build_basis(BasisSpec(d=2, n_q=4, n_p=0), potential=pot)
+    quad = basis.phi.T @ basis.sqrt_rho / basis.n_grid**2
+    quad /= np.linalg.norm(quad)
+    zero = basis.c_pos == 0.0
+    assert np.count_nonzero(zero) == 4
+    assert np.max(np.abs(quad[zero])) < 1e-15
+    assert np.min(np.abs(quad[~zero])) > np.finfo(float).eps
+
+
+def test_mean_zero_map_is_sparse_householder_columns():
+    # separable cos at d = 2, n_q = 6: the reflection is the identity off the
+    # K-entry support of sqrt(rho), so T keeps (n_pos - K) + K(K - 1) entries
+    pot = Potential.from_string("1 0:0.5,0;0 1:0.5,0", d=2)
+    basis = build_basis(BasisSpec(d=2, n_q=6, n_p=0), potential=pot)
+    c, t = basis.c_pos, basis.T
+    n_pos, k = c.size, np.count_nonzero(c)
+    assert sp.issparse(t) and t.nnz == (n_pos - k) + k * (k - 1) == 2472
+    v = c.copy()
+    v[0] -= 1.0
+    dense = np.eye(n_pos) - 2.0 * np.outer(v, v) / float(v @ v)
+    assert np.array_equal(t.toarray(), dense[:, 1:])
+    assert np.linalg.norm(t.T @ c) <= 1e-15
+    assert np.array_equal(mean_zero_map(np.eye(5)[0]).toarray(), np.eye(5)[:, 1:])
 
 
 @settings(max_examples=20, deadline=None)

@@ -194,7 +194,11 @@ def test_cli_unknown_model_override(cfg_path, capsys):
     ("assemble", "--epsilon-range", "", "ConfigError"),
     ("assemble", "--max-dim", "0", "--max-dim must be >= 1, got 0"),
     ("constants", "--max-dim", "0", "--max-dim must be >= 1, got 0"),
-    ("constants", "--max-dim", "-5", "--max-dim must be >= 1, got -5")])
+    ("constants", "--max-dim", "-5", "--max-dim must be >= 1, got -5"),
+    ("lemmas", "--suite", "0", "--suite must be >= 1, got 0"),
+    ("lemmas", "--suite", "-4", "--suite must be >= 1, got -4"),
+    ("sweep", "--jobs", "0", "--jobs must be >= 1, got 0"),
+    ("sweep", "--jobs", "-2", "--jobs must be >= 1, got -2")])
 def test_cli_empty_or_nonpositive_override_is_a_config_error(cfg_path, capsys, command,
                                                              flag, value, message):
     # an empty or nonpositive value is rejected, never dropped in favour of the config

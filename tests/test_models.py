@@ -291,7 +291,7 @@ def test_static_poincare_constants_definition(langevin_ops):
     # C2 = |(1 - S_++)^{1/2} A_{+0} (A*A)^{-1}| with the square root taken densely
     vals, vecs = np.linalg.eigh(np.eye(len(langevin_ops.idx_plus))
                                 - langevin_ops.Spp.toarray())
-    apl0 = langevin_ops.apl0
+    apl0 = langevin_ops.apl0.toarray()
     pseudo = np.linalg.solve(apl0.T @ apl0, apl0.T).T
     assert c2 == pytest.approx(np.linalg.norm((vecs * np.sqrt(vals)) @ vecs.T @ pseudo, 2),
                                rel=1e-12)

@@ -214,6 +214,19 @@ def test_generator_is_sum(langevin_ops):
     assert gap == 0.0
 
 
+def test_apl0_stays_sparse_at_d2():
+    # separable cos at d = 2, n = 6: A_{+0} is the sparse slice of A, and
+    # the sparse mean-zero map keeps L itself sparse
+    pot = Potential.from_string("1 0:0.5,0;0 1:0.5,0", d=2)
+    basis = build_basis(BasisSpec(d=2, n_q=6, n_p=6), potential=pot)
+    ops = assemble_model(basis, ModelSpec(model="langevin", gamma=1.0, d=2))
+    apl0 = ops.apl0
+    assert sp.issparse(apl0)
+    assert np.array_equal(apl0.toarray(), ops.A[:, ops.idx0].toarray()[ops.idx_plus])
+    assert apl0.nnz <= 0.05 * len(ops.idx_plus) * len(ops.idx0)
+    assert ops.L.nnz <= 100_000
+
+
 def test_kernel_indices(langevin_ops):
     assert len(langevin_ops.idx0) + len(langevin_ops.idx_plus) == langevin_ops.dim
     assert np.all(langevin_ops.basis.p_degree[langevin_ops.idx0] == 0)

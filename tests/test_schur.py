@@ -59,7 +59,7 @@ def test_h0_h1_dimensions(langevin_dec):
 
 def test_pi1_matches_normal_equation_projector(langevin_dec):
     # Q1 Q1^T must equal A_{+0} (A*A)^{-1} A_{+0}^T
-    apl0 = langevin_dec.ops.apl0
+    apl0 = langevin_dec.ops.apl0.toarray()
     gram = apl0.T @ apl0
     projector = apl0 @ np.linalg.solve(gram, apl0.T)
     qr_projector = langevin_dec.Q1 @ langevin_dec.Q1.T
@@ -231,7 +231,8 @@ def test_trailing_block_of_h0_last_lu_is_the_schur_complement(which, langevin_de
     n = len(ops.idx_plus)
     assert np.array_equal(np.sort(order[:n]), ops.idx_plus)
     assert np.array_equal(order[n:], ops.idx0)
-    dense = ops.apl0.T @ np.linalg.solve(ops.Lpp.toarray(), ops.apl0)
+    apl0 = ops.apl0.toarray()
+    dense = apl0.T @ np.linalg.solve(ops.Lpp.toarray(), apl0)
     trailing = (lu.L[n:, n:] @ lu.U[n:, n:]).toarray()
     assert np.linalg.norm(trailing - dense) <= 1e-12 * np.linalg.norm(dense)
 
@@ -462,7 +463,7 @@ def test_norm_R22_eigvalsh_matches_svd(dec_name, request):
     # the dimension count's |R22| = 1 against the dense compression Q2^T R Q2,
     # with Q2 from a full QR of A_{+0}
     dec = request.getfixturevalue(dec_name)
-    q_full = sla.qr(dec.ops.apl0, mode="full")[0]
+    q_full = sla.qr(dec.ops.apl0.toarray(), mode="full")[0]
     q2 = q_full[:, dec.dim0:]
     r22 = q2.T @ (dec.ops.plus_block(dec.ops.reversal) @ q2)
     norm = intermediate_norms(dec)["norm_R22"]
