@@ -541,9 +541,8 @@ class BasisSet:
         sparse (dim_span x dimension) isometry whose columns are the working
         basis expressed in span coordinates; restricting an operator to the
         working space is ``U.T @ M @ U``.
-    ``p_degree, xi_degree, parity``
-        integer arrays over working-space columns; parity is the sign picked
-        up under momentum (and xi) reversal.
+    ``p_degree, xi_degree``
+        integer arrays over working-space columns.
     """
 
     def __init__(self, spec: BasisSpec, potential: Potential | None = None,
@@ -632,7 +631,6 @@ class BasisSet:
         xi_degree[n_t:] = xi_part
         self.p_degree = p_degree
         self.xi_degree = xi_degree
-        self.parity = np.where((p_degree + xi_degree) % 2 == 0, 1, -1)
 
     # -- assembly helpers ----------------------------------------------------
 

@@ -21,10 +21,10 @@ import numpy as np
 from . import constants as con
 from . import models as mod
 from .basis import BasisSpec, build_basis
-from .config import RunConfig, parse_config, parse_range
+from .config import RunConfig, parse_config
 from .container import save_container
-from .errors import ConfigError, HypocoError, NumericalFailure
-from .operators import MODELS, ModelSpec, assemble_model, verify_structural_assumptions
+from .errors import ConfigError, HypocoError
+from .operators import ModelSpec, assemble_model, verify_structural_assumptions
 
 CSV_COLUMNS = ("model", "gamma", "epsilon", "d", "n_q", "n_p",
                "s", "a", "bound", "exact", "margin", "converged")
@@ -66,43 +66,27 @@ def _csv_text(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: argparse dest of each flag that overrides a config key -> that key
+_OVERRIDES = {"model": "model", "gamma": "gamma", "epsilon_range": "epsilon",
+              "seed": "seed", "out": "out"}
+
+
 def _load_config(args) -> RunConfig:
+    """The config file with the command line's overrides, validated as one."""
     if args.config is None:
         raise ConfigError(["--config is required for this subcommand"])
-    config = parse_config(args.config)
-    if getattr(args, "model", None) is not None:
-        if args.model not in MODELS:
-            raise ConfigError([f"unknown model {args.model!r}"])
-        config.model = args.model
-    if getattr(args, "gamma", None) is not None:
-        try:
-            config.gammas = parse_range(args.gamma)
-        except ValueError as exc:
-            raise ConfigError([str(exc)]) from exc
-        if not np.all(config.gammas > 0):
-            raise ConfigError(["gamma values must be positive"])
-    if getattr(args, "epsilon_range", None) is not None:
-        try:
-            config.epsilons = parse_range(args.epsilon_range)
-        except ValueError as exc:
-            raise ConfigError([str(exc)]) from exc
-        if not np.all(config.epsilons > 0):
-            raise ConfigError(["epsilon values must be positive"])
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
     for flag in ("out", "json", "csv"):
         if getattr(args, flag, None) == "":
             raise ConfigError([f"--{flag} needs a path, got ''"])
-    if getattr(args, "out", None):
-        config.out = args.out
     for flag in ("max_dim", "suite", "jobs"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise ConfigError([f"--{flag.replace('_', '-')} must be >= 1, got {value}"])
+    overrides = [(f"--{dest.replace('_', '-')}", key, value) for dest, key in _OVERRIDES.items()
+                 if (value := getattr(args, dest, None)) is not None]
+    config = parse_config(args.config, overrides)
     if getattr(args, "max_dim", None) is not None:
         os.environ["HYPOCO_MAX_DIM"] = str(args.max_dim)
-    if config.model == "adaptive_langevin" and config.epsilons is None:
-        raise ConfigError(["epsilon is required for the adaptive_langevin model"])
     return config
 
 
@@ -178,8 +162,7 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _bound_report(config: RunConfig, gamma: float, epsilon: float | None,
-                  constants: dict | None = None):
+def _bound_report(config: RunConfig, gamma: float, epsilon: float | None, constants: dict):
     return mod.model_bound_report(
         _model_spec(config, gamma, epsilon), _basis_spec(config),
         potential=config.potential(), constants=constants,
@@ -190,23 +173,16 @@ def _bound_report(config: RunConfig, gamma: float, epsilon: float | None,
 def _config_constants(config: RunConfig) -> dict:
     return con.constants_summary(
         config.potential(), config.beta, config.mass, config.d,
-        n_q=max(32, 2 * config.n_q), torus_length=config.torus_length,
+        n_q=con.constants_cutoff(config.n_q), torus_length=config.torus_length,
         c2=config.c2)
 
 
 def cmd_bound(args) -> int:
     config = _load_config(args)
     gamma, epsilon = _first_point(config)
-    report = _bound_report(config, gamma, epsilon,
-                           constants=_config_constants(config))
+    report = _bound_report(config, gamma, epsilon, _config_constants(config))
     _emit_json(report.to_json() + "\n", args.json)
-    if not report.converged:
-        sys.stderr.write("bound report is not converged under cutoff doubling\n")
-        return 3
-    if config.model != "adaptive_langevin" and report.margin < 1.0:
-        sys.stderr.write(f"margin {report.margin:.6f} < 1 on a converged point\n")
-        return 1
-    return 0
+    return _verdict([_csv_row(config, gamma, epsilon, report)])
 
 
 def cmd_constants(args) -> int:
@@ -258,50 +234,57 @@ def _csv_row(config: RunConfig, gamma: float, epsilon: float | None, report) -> 
             "converged": report.converged}
 
 
-def _sweep_worker(payload: dict) -> tuple[dict, str]:
-    """One sweep point: its CSV row and its ``--json`` line."""
-    config = RunConfig(**payload["config"])
-    gamma, epsilon = payload["gamma"], payload["epsilon"]
-    report = _bound_report(config, gamma, epsilon, constants=payload["constants"])
+def _verdict(rows) -> int:
+    """1 if a converged point has bound < exact (the thermostat's margin is not
+    judged), else 3 if a point is unconverged, else 0; explained on stderr."""
+    failed = [r for r in rows if r["converged"] and r["margin"] < 1.0
+              and r["model"] != "adaptive_langevin"]
+    for r in failed:
+        sys.stderr.write(f"margin {r['margin']:.6f} < 1 on a converged point "
+                         f"(gamma={r['gamma']!r}, epsilon={r['epsilon']!r})\n")
+    if failed:
+        return 1
+    unconverged = sum(not r["converged"] for r in rows)
+    if unconverged:
+        sys.stderr.write(f"{unconverged} of {len(rows)} points not converged "
+                         "under cutoff doubling\n")
+        return 3
+    return 0
+
+
+def _sweep_worker(task) -> tuple[dict, str]:
+    """Point ``(config, gamma, epsilon, constants)``: its CSV row and ``--json`` line."""
+    config, gamma, epsilon, constants = task
+    report = _bound_report(config, gamma, epsilon, constants=constants)
     document = {"gamma": gamma, "epsilon": epsilon,
                 "bound": report.to_json_dict(), "details": report.details}
     return _csv_row(config, gamma, epsilon, report), _json_dumps(document)
 
 
 def _config_payload(config: RunConfig) -> dict:
-    payload = {f: getattr(config, f) for f in (
+    return {f: getattr(config, f) for f in (
         "model", "d", "beta", "mass", "potential_text", "torus_length",
-        "n_q", "n_p", "n_xi", "tol_identity", "conv_tol", "rank_tol",
-        "seed")}
-    return payload
+        "n_q", "n_p", "n_xi", "tol_identity", "conv_tol", "rank_tol", "seed")}
 
 
 def cmd_sweep(args) -> int:
     config = _load_config(args)
     epsilons = [None] if config.epsilons is None else list(config.epsilons)
     constants = _config_constants(config)
-    payloads = [{"config": _config_payload(config), "gamma": float(g),
-                 "epsilon": None if e is None else float(e),
-                 "constants": constants}
-                for g in config.gammas for e in epsilons]
+    tasks = [(config, float(g), None if e is None else float(e), constants)
+             for g in config.gammas for e in epsilons]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            points = list(pool.map(_sweep_worker, payloads))
+            points = list(pool.map(_sweep_worker, tasks))
     else:
-        points = [_sweep_worker(p) for p in payloads]
+        points = [_sweep_worker(t) for t in tasks]
     rows = [row for row, _ in points]
     _emit(_csv_text(rows), args.csv)
     if args.csv:
         sys.stdout.write(f"wrote {args.csv} ({len(rows)} rows)\n")
     if args.json:
         _emit("".join(line for _, line in points), args.json)
-    if not all(r["converged"] for r in rows):
-        sys.stderr.write("sweep contains unconverged points\n")
-        return 3
-    if config.model != "adaptive_langevin" and any(r["margin"] < 1.0 for r in rows):
-        sys.stderr.write("sweep contains converged points with margin < 1\n")
-        return 1
-    return 0
+    return _verdict(rows)
 
 
 def cmd_report(args) -> int:
@@ -323,13 +306,10 @@ def cmd_report(args) -> int:
         "seed": config.seed,
     }
     _emit_json(_json_dumps(document), args.json)
+    rows = [_csv_row(config, gamma, epsilon, bound)]
     if args.csv:
-        _emit(_csv_text([_csv_row(config, gamma, epsilon, bound)]), args.csv)
-    if not bound.converged:
-        return 3
-    if config.model != "adaptive_langevin" and bound.margin < 1.0:
-        return 1
-    return 0
+        _emit(_csv_text(rows), args.csv)
+    return _verdict(rows)
 
 
 #: every option of the CLI; ``_COMMANDS`` registers each only where it is read
@@ -338,7 +318,7 @@ _FLAGS = {
     "--model": {"help": "override the configured model"},
     "--gamma": {"help": "value or range start:stop:logN|linN"},
     "--epsilon-range": {"help": "value or range for the thermostat parameter"},
-    "--seed": {"type": int, "help": "override the configured seed"},
+    "--seed": {"help": "override the configured seed"},
     "--max-dim": {"type": int, "help": "override the basis dimension guard"},
     "--out": {"help": "write the assembled operators to this container"},
     "--json": {"help": "write JSON output to this path (sweep: one line per point)"},

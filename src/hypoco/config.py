@@ -97,8 +97,24 @@ _SCHEMA = {
 }
 
 
-def parse_config_text(text: str) -> RunConfig:
-    """Parse and fully validate config text, accumulating every problem."""
+def _set(config: RunConfig, key: str, text: str) -> str | None:
+    """Parse ``text`` as the value of ``key`` into ``config``; the problem, if any."""
+    if key not in _SCHEMA:
+        return f"unknown key {key!r}"
+    attr, convert, describe, validate = _SCHEMA[key]
+    try:
+        parsed = convert(text)
+    except ValueError:
+        return f"{key} = {text!r} is malformed"
+    if validate is not None and not validate(parsed):
+        return f"{key} must be {describe}, got {text!r}"
+    setattr(config, attr, parsed)
+    return None
+
+
+def parse_config_text(text: str, overrides=()) -> RunConfig:
+    """Parse and fully validate config text, then ``(flag, key, value)``
+    overrides on top, accumulating every problem."""
     config = RunConfig()
     problems = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -109,20 +125,13 @@ def parse_config_text(text: str) -> RunConfig:
         if not sep:
             problems.append(f"line {lineno}: {line!r} is not a key=value pair")
             continue
-        key, value = key.strip(), value.strip()
-        if key not in _SCHEMA:
-            problems.append(f"line {lineno}: unknown key {key!r}")
-            continue
-        attr, convert, describe, validate = _SCHEMA[key]
-        try:
-            parsed = convert(value)
-        except ValueError:
-            problems.append(f"line {lineno}: {key} = {value!r} is malformed")
-            continue
-        if validate is not None and not validate(parsed):
-            problems.append(f"line {lineno}: {key} must be {describe}, got {value!r}")
-            continue
-        setattr(config, attr, parsed)
+        problem = _set(config, key.strip(), value.strip())
+        if problem is not None:
+            problems.append(f"line {lineno}: {problem}")
+    for flag, key, value in overrides:
+        problem = _set(config, key, value)
+        if problem is not None:
+            problems.append(f"{flag}: {problem}")
     # cross-field checks run on whatever parsed, so one pass reports everything
     if config.model == "adaptive_langevin" and config.epsilons is None:
         problems.append("epsilon is required for the adaptive_langevin model")
@@ -137,8 +146,8 @@ def parse_config_text(text: str) -> RunConfig:
     return config
 
 
-def parse_config(path: str) -> RunConfig:
-    """Read and validate a key=value config file."""
+def parse_config(path: str, overrides=()) -> RunConfig:
+    """Read and validate a key=value config file, then ``overrides`` on top."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    return parse_config_text(text)
+    return parse_config_text(text, overrides)

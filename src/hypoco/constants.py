@@ -465,6 +465,11 @@ def check_controlH2(u, potential: Potential | None, beta: float, case: str,
 # ---------------------------------------------------------------------------
 
 
+def constants_cutoff(n_q: int) -> int:
+    """Position cutoff of the constants for operators cut at ``n_q``: 2 n_q, at least 32."""
+    return max(32, 2 * n_q)
+
+
 def constants_summary(potential: Potential | None, beta: float, mass: float,
                       d: int, n_q: int = 32, n_grid: int | None = None,
                       torus_length: float = TWO_PI,

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import DEFAULT_TOL_IDENTITY, BasisSpec, Potential, build_basis
-from .constants import case_constants, constants_summary, gauss_hermite_rule
+from .constants import case_constants, constants_cutoff, constants_summary, gauss_hermite_rule
 from .errors import ConfigError, InvariantViolation, NumericalFailure
 from .operators import ModelOperators, ModelSpec, assemble_model, verify_structural_assumptions
-from .schur import (CONVERGENCE_RTOL, BoundReport, Decomposition,
+from .schur import (ASTAR_A_RTOL, CONVERGENCE_RTOL, BoundReport, Decomposition,
                     build_decomposition, exact_resolvent_norm, gershgorin_max,
                     intermediate_norms, operator_norm, schur_complement,
                     theorem_bound)
@@ -193,7 +193,7 @@ def _adl_AstarA_blocks(basis) -> tuple[np.ndarray, np.ndarray]:
                  for span in (basis.span_kron(xi_mat=xi_number), basis.span_kron(pos_mat=witten)))
 
 
-def adl_AstarA_residual(ops: ModelOperators, tol: float = 1e-10) -> float:
+def adl_AstarA_residual(ops: ModelOperators) -> float:
     """Dual-assembly check of A_{+0}* A_{+0} for the thermostated model.
 
     The assembled Gram matrix must match the analytic expression combining
@@ -208,7 +208,7 @@ def adl_AstarA_residual(ops: ModelOperators, tol: float = 1e-10) -> float:
     analytic = (2.0 * d / (m**2 * beta**2 * eps**2)) * xi_number + witten / (m * beta)
     scale = max(float(np.max(np.abs(analytic))), 1.0)
     residual = float(np.max(np.abs(ops.apl0_gram - analytic))) / scale
-    if residual > tol:
+    if residual > ASTAR_A_RTOL:
         raise InvariantViolation(f"NH assembly error: A*A residual {residual:.3e}")
     return residual
 
@@ -317,7 +317,7 @@ def model_bound_report(model: ModelSpec, spec: BasisSpec,
     """
     if constants is None:
         constants = constants_summary(potential, model.beta, model.mass,
-                                      model.d, n_q=max(32, 2 * spec.n_q),
+                                      model.d, n_q=constants_cutoff(spec.n_q),
                                       torus_length=spec.torus_length)
     rep, bound, details, exact = _evaluate(
         model, spec, potential, constants, tol_identity, rank_tol)

@@ -33,6 +33,15 @@ DENSE_THRESHOLD = 150
 #: largest relative Ritz residual |(L^T L)^{-1} x - lam x| / lam accepted
 RITZ_RTOL = 1e-8
 
+#: largest relative gap accepted between the two routes of the Schur complement
+ROUTE_RTOL = 1e-8
+
+#: how far the coarse transport gap a may fall below its analytic lower bound
+GAP_ATOL = 1e-8
+
+#: largest residual of the thermostat's A*A identity, relative to its scale
+ASTAR_A_RTOL = 1e-10
+
 #: largest backward error |L y - b| / (sqrt(|L|_1 |L|_inf) |y|) of the oracle's LU solves
 BACKWARD_RTOL = 1e-10
 
@@ -179,15 +188,14 @@ def operator_norm_upper(mat) -> float:
 
 
 def macroscopic_coercivity(dec: Decomposition,
-                           analytic_bound: float | None = None,
-                           tol: float = 1e-8) -> float:
+                           analytic_bound: float | None = None) -> float:
     """Smallest singular value a of A10, i.e. the coarse transport gap.
 
     When an analytic lower bound for a is supplied (from the measure's
     spectral gap), the numerically computed gap must not undercut it.
     """
     a = float(sla.svdvals(dec.A10)[-1])
-    if analytic_bound is not None and a < analytic_bound - tol:
+    if analytic_bound is not None and a < analytic_bound - GAP_ATOL:
         raise InvariantViolation(
             f"macroscopic coercivity constant {a:.6e} below analytic bound "
             f"{analytic_bound:.6e}"
@@ -201,7 +209,6 @@ def macroscopic_coercivity(dec: Decomposition,
 
 
 def schur_complement(dec: Decomposition,
-                     route_rtol: float = 1e-8,
                      tol_identity: float = DEFAULT_TOL_IDENTITY) -> np.ndarray:
     """The Schur complement on H0, computed once, through two routes.
 
@@ -229,7 +236,7 @@ def schur_complement(dec: Decomposition,
     route1 = (lu.L[n:, n:] @ lu.U[n:, n:]).toarray()
     denom = max(float(np.linalg.norm(route1)), np.finfo(float).tiny)
     rel = float(np.linalg.norm(route1 - route2)) / denom
-    if not rel <= route_rtol:
+    if not rel <= ROUTE_RTOL:
         raise NumericalFailure(f"Schur complement routes disagree: relative gap {rel:.3e}")
     if ops.model.model != "adaptive_langevin":
         sym_res = float(np.max(np.abs(route1 - route1.T)))

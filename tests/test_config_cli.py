@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import hypoco.basis
+import hypoco.models
 from hypoco.basis import BasisSet, clear_basis_cache
 from hypoco.cli import CSV_COLUMNS, build_parser, main
 from hypoco.config import RunConfig, parse_config, parse_config_text, parse_range
@@ -185,11 +187,13 @@ def test_cli_bad_config_exits_two(tmp_path, capsys):
 
 def test_cli_unknown_model_override(cfg_path, capsys):
     assert main(["verify", "--config", cfg_path, "--model", "bogus"]) == 2
-    assert "unknown model" in capsys.readouterr().err
+    assert ("--model: model must be one of langevin, boltzmann_rhmc, adaptive_langevin, "
+            "got 'bogus'") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flag, value, message", [
-    ("assemble", "--model", "", "unknown model ''"),
+    ("assemble", "--model", "", "model must be one of langevin, boltzmann_rhmc, "
+                                "adaptive_langevin, got ''"),
     ("assemble", "--gamma", "", "ConfigError"),
     ("assemble", "--epsilon-range", "", "ConfigError"),
     ("assemble", "--max-dim", "0", "--max-dim must be >= 1, got 0"),
@@ -198,7 +202,9 @@ def test_cli_unknown_model_override(cfg_path, capsys):
     ("lemmas", "--suite", "0", "--suite must be >= 1, got 0"),
     ("lemmas", "--suite", "-4", "--suite must be >= 1, got -4"),
     ("sweep", "--jobs", "0", "--jobs must be >= 1, got 0"),
-    ("sweep", "--jobs", "-2", "--jobs must be >= 1, got -2")])
+    ("sweep", "--jobs", "-2", "--jobs must be >= 1, got -2"),
+    ("lemmas", "--seed", "-1", "--seed: seed must be a nonnegative integer, got '-1'"),
+    ("report", "--seed", "-3", "--seed: seed must be a nonnegative integer, got '-3'")])
 def test_cli_empty_or_nonpositive_override_is_a_config_error(cfg_path, capsys, command,
                                                              flag, value, message):
     # an empty or nonpositive value is rejected, never dropped in favour of the config
@@ -536,6 +542,50 @@ def test_cli_adaptive_model_epsilon_column(small_cfgs, tmp_path):
     row = lines[1].split(",")
     assert row[0] == "adaptive_langevin"
     assert row[2] == "1.0"
+
+
+@pytest.fixture()
+def forced_points(monkeypatch):
+    """Pins (margin, converged) per friction value on real bound reports.
+
+    ``forced[gamma] = (margin, converged)``; a margin of None keeps the real one.
+    """
+    forced = {}
+    real = hypoco.models.model_bound_report
+
+    def forcing(model, *args, **kwargs):
+        report = real(model, *args, **kwargs)
+        if model.gamma not in forced:
+            return report
+        margin, converged = forced[model.gamma]
+        exact = report.exact if margin is None else report.bound / margin
+        return dataclasses.replace(report, exact=exact, converged=converged,
+                                   converged_q=converged, converged_p=converged)
+
+    monkeypatch.setattr("hypoco.models.model_bound_report", forcing)
+    return forced
+
+
+_FALSIFIED = "margin 0.500000 < 1 on a converged point (gamma={}, epsilon=None)\n"
+_SWEEP = ("sweep", "--gamma", "0.5:2:log2")
+
+
+@pytest.mark.parametrize("model, argv, forced, code, err", [
+    # a falsified point is reported even when another point is unconverged
+    ("langevin", _SWEEP, {0.5: (0.5, True), 2.0: (None, False)}, 1, _FALSIFIED.format(0.5)),
+    ("langevin", _SWEEP, {0.5: (None, True), 2.0: (None, False)}, 3,
+     "1 of 2 points not converged under cutoff doubling\n"),
+    ("langevin", ("bound",), {1.0: (0.5, True)}, 1, _FALSIFIED.format(1.0)),
+    ("langevin", ("report",), {1.0: (0.5, True)}, 1, _FALSIFIED.format(1.0)),
+    # the thermostat's margin is not judged
+    *(("adaptive_langevin", (command,), {1.0: (0.5, True)}, 0, "")
+      for command in ("bound", "sweep", "report"))],
+    ids=["sweep-falsified-and-unconverged", "sweep-unconverged", "bound-falsified",
+         "report-falsified", "thermostat-bound", "thermostat-sweep", "thermostat-report"])
+def test_cli_verdict(small_cfgs, forced_points, capsys, model, argv, forced, code, err):
+    forced_points.update(forced)
+    assert main([argv[0], "--config", small_cfgs[model], *argv[1:]]) == code
+    assert capsys.readouterr().err == err
 
 
 def test_cli_gamma_override_rejects_nonpositive(cfg_path, capsys):
