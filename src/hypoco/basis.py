@@ -357,7 +357,6 @@ class HermiteOps:
     mult2: np.ndarray = field(init=False)
     lower: np.ndarray = field(init=False)
     anti: np.ndarray = field(init=False)
-    number: np.ndarray = field(init=False)
 
     def __post_init__(self):
         sigma = math.sqrt(self.variance)
@@ -380,7 +379,6 @@ class HermiteOps:
         self.mult2 = mult2
         self.lower = lower
         self.anti = 0.5 * (lower - lower.T)
-        self.number = np.diag(np.arange(n1, dtype=float))
 
 
 def fourier_deriv_1d(n_q, torus_length):

@@ -62,11 +62,7 @@ def uij_moment(mass: float, beta: float, diagonal: bool, order: int = 40) -> flo
 # ---------------------------------------------------------------------------
 
 
-def _ops_of(obj) -> ModelOperators:
-    return obj.ops if isinstance(obj, Decomposition) else obj
-
-
-def norm_X_hamiltonian_squared(dec_or_ops, check_case: PropositionCase | None = None,
+def norm_X_hamiltonian_squared(ops: ModelOperators, check_case: PropositionCase | None = None,
                                K_nu2: float | None = None,
                                conv_tol: float = 1e-8) -> float:
     """Squared norm of (1-Pi0) A^2 Pi0 (A_{+0}* A_{+0})^{-1}.
@@ -76,10 +72,11 @@ def norm_X_hamiltonian_squared(dec_or_ops, check_case: PropositionCase | None = 
     is declared, the proposition inequality X^2 <= 2(C + C'/K_nu^2) is
     asserted.
     """
-    ops = _ops_of(dec_or_ops)
-    a2 = np.asarray((ops.A @ ops.A[:, ops.idx0].tocsc())[ops.idx_plus].todense())
+    # from Hermite degree 0, A^2 reaches degree <= 2 only: solve on its nonzero rows
+    a2 = (ops.A @ ops.A[:, ops.idx0].tocsc())[ops.idx_plus]
+    rows = np.flatnonzero(a2.getnnz(axis=1))
     try:
-        x_mat = np.linalg.solve(ops.apl0_gram, a2.T).T
+        x_mat = np.linalg.solve(ops.apl0_gram, a2[rows].toarray().T).T
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"macroscopic coercivity failure: {exc}") from exc
     x2 = operator_norm(x_mat) ** 2
@@ -107,7 +104,7 @@ def _model_norms(dec: Decomposition) -> dict:
     out = intermediate_norms(dec)
     s21 = dec.p2(ops.Spp @ dec.Q1)
     out["norm_S21"] = operator_norm(s21)
-    out["X2"] = norm_X_hamiltonian_squared(dec)
+    out["X2"] = norm_X_hamiltonian_squared(ops)
     if ops.model.model != "boltzmann_rhmc":
         out["norm_pi1_lfd_pi1"] = out["norm_S11"] / gamma
         out["norm_XS"] = operator_norm(np.linalg.solve(dec.A10, s21.T).T) / gamma
@@ -187,10 +184,10 @@ def rhmc_bound(dec: Decomposition, constants: dict,
 def _adl_AstarA_blocks(basis) -> tuple[np.ndarray, np.ndarray]:
     """H0 blocks of the xi number operator and of the position Witten Laplacian."""
     spec, idx0 = basis.spec, np.flatnonzero(basis.p_degree == 0)
-    xi_number = spec.beta * np.diag(np.arange(spec.n_xi + 1, dtype=float))
+    xi_number = np.diag(spec.beta * basis.xi_degree[idx0])
     witten = sum(di.T @ di for di in map(basis.witten_deriv, range(spec.d)))
-    return tuple(np.asarray(basis.to_h(span)[idx0][:, idx0].todense())
-                 for span in (basis.span_kron(xi_mat=xi_number), basis.span_kron(pos_mat=witten)))
+    witten = basis.to_h(basis.span_kron(pos_mat=witten))[idx0][:, idx0].toarray()
+    return xi_number, witten
 
 
 def adl_AstarA_residual(ops: ModelOperators) -> float:

@@ -2,10 +2,12 @@
 
 Every operator is represented on the mean-zero working space of a
 :class:`~hypoco.basis.BasisSet`.  Adjoints in L2(mu) coincide with matrix
-transposes because the basis is orthonormal, and the assembled pieces are
+transposes because the basis is orthonormal.  The transport pieces are
 written as Kronecker sums of exactly-(anti)symmetric one-coordinate blocks so
 the structural identities hold to rounding error rather than quadrature
-error.
+error.  Pi0, the reversal and the dissipation depend only on the Hermite
+degrees of a basis function, so they are diagonal and are read off the
+grading ``basis.p_degree`` / ``basis.xi_degree`` exactly.
 """
 
 from __future__ import annotations
@@ -85,32 +87,6 @@ def _hamiltonian_span(basis: BasisSet) -> sp.csr_matrix:
     return out
 
 
-def _fd_span(basis: BasisSet) -> sp.csr_matrix:
-    """Momentum Ornstein-Uhlenbeck generator; diagonal -(total degree)/mass."""
-    spec = basis.spec
-    out = None
-    for i in range(spec.d):
-        term = basis.span_kron(herm_mats={i: basis.herm.number})
-        out = term if out is None else out + term
-    return -out / spec.mass
-
-
-def _pi0_span(basis: BasisSet) -> sp.csr_matrix:
-    """Orthogonal projector onto Hermite degree zero in every momentum."""
-    spec = basis.spec
-    e00 = np.zeros((spec.n_p + 1, spec.n_p + 1))
-    e00[0, 0] = 1.0
-    return basis.span_kron(herm_mats={i: e00 for i in range(spec.d)})
-
-
-def _reversal_span(basis: BasisSet) -> sp.csr_matrix:
-    spec = basis.spec
-    sign = np.diag((-1.0) ** np.arange(spec.n_p + 1))
-    herm = {i: sign for i in range(spec.d)}
-    xi_mat = np.diag((-1.0) ** np.arange(spec.n_xi + 1)) if spec.has_xi else None
-    return basis.span_kron(herm_mats=herm, xi_mat=xi_mat)
-
-
 def _nosehoover_span(basis: BasisSet) -> sp.csr_matrix:
     """Thermostat coupling (|p|^2/m^2 - d/(m beta)) d/dxi - (xi/m) p.grad_p.
 
@@ -138,26 +114,35 @@ def _on_h(basis: BasisSet, span) -> sp.csr_matrix:
     return basis.derived(span.__name__, lambda b: b.to_h(span(b)))
 
 
+def _diagonal(values) -> sp.csr_matrix:
+    """Diagonal CSR matrix storing only the nonzero entries of ``values``."""
+    keep = np.flatnonzero(values)
+    return sp.csr_matrix((values[keep], (keep, keep)), shape=(values.size,) * 2)
+
+
 def assemble_hamiltonian(basis: BasisSet) -> sp.csr_matrix:
     return _on_h(basis, _hamiltonian_span)
 
 
 def assemble_fd(basis: BasisSet) -> sp.csr_matrix:
-    return _on_h(basis, _fd_span)
+    """Momentum Ornstein-Uhlenbeck generator; diagonal -(total degree)/mass."""
+    return basis.derived("fd", lambda b: _diagonal(-b.p_degree / b.spec.mass))
 
 
 def assemble_pi0(basis: BasisSet) -> sp.csr_matrix:
-    return _on_h(basis, _pi0_span)
+    """Orthogonal projector onto Hermite degree zero in every momentum."""
+    return basis.derived("pi0", lambda b: _diagonal((b.p_degree == 0).astype(float)))
 
 
 def assemble_reversal(basis: BasisSet) -> sp.csr_matrix:
-    return _on_h(basis, _reversal_span)
+    """Momentum (and xi) reversal: the parity of the Hermite degrees."""
+    return basis.derived("reversal",
+                         lambda b: _diagonal((-1.0) ** (b.p_degree + b.xi_degree)))
 
 
 def assemble_boltzmann_collision(basis: BasisSet, gamma: float) -> sp.csr_matrix:
     """Projection collision operator gamma (Pi0 - 1)."""
-    pi0 = _on_h(basis, _pi0_span)
-    return gamma * (pi0 - sp.identity(pi0.shape[0], format="csr"))
+    return _diagonal(-gamma * (basis.p_degree > 0))
 
 
 def assemble_nosehoover(basis: BasisSet) -> sp.csr_matrix:
@@ -247,9 +232,9 @@ def _check_model_basis(basis: BasisSet, model: ModelSpec):
 def assemble_model(basis: BasisSet, model: ModelSpec) -> ModelOperators:
     """Assemble A (antisymmetric part), S (symmetric part) and companions.
 
-    Pi0, R, the transport and L_FD do not depend on gamma or epsilon and are
-    shared read-only through the basis; each call forms S, the thermostat A
-    for its epsilon, and L.
+    Pi0, R, the transport pieces and L_FD do not depend on gamma or epsilon
+    and are shared read-only through the basis; each call forms S, the
+    thermostat A for its epsilon, and L.
     """
     _check_model_basis(basis, model)
     pi0 = assemble_pi0(basis)
@@ -261,10 +246,7 @@ def assemble_model(basis: BasisSet, model: ModelSpec) -> ModelOperators:
         a = assemble_hamiltonian(basis)
         s = assemble_boltzmann_collision(basis, model.gamma)
     else:
-        # share the spans, not their to_h, so A is the same expression as unshared
-        ham, nh = basis.derived("adl_spans", lambda b: (_hamiltonian_span(b),
-                                                        _nosehoover_span(b)))
-        a = basis.to_h(ham + nh / model.epsilon)
+        a = assemble_hamiltonian(basis) + assemble_nosehoover(basis) / model.epsilon
         s = model.gamma * assemble_fd(basis)
     return ModelOperators(model=model, basis=basis, A=a, S=s, pi0=pi0, reversal=rev)
 

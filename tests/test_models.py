@@ -98,10 +98,14 @@ def test_x_norm_flat_potential_is_two():
     assert abs(checked - 2.0) < 1e-10
 
 
-def test_x_norm_accepts_decomposition_and_ops(langevin_ops):
-    dec = build_decomposition(langevin_ops)
-    assert norm_X_hamiltonian_squared(dec) == norm_X_hamiltonian_squared(
-        langevin_ops)
+def test_x_norm_solves_only_the_rows_reached_from_degree_zero():
+    # the full dense H+ x H0 block of A^2 gives the same norm
+    pot = Potential.from_string("1 0:0.5,0;0 1:0.3,0.1;1 1:0.2,0", d=2)
+    basis = build_basis(BasisSpec(d=2, n_q=3, n_p=3), potential=pot)
+    ops = assemble_model(basis, ModelSpec(model="langevin", gamma=1.0, d=2))
+    a2 = (ops.A @ ops.A).toarray()[np.ix_(ops.idx_plus, ops.idx0)]
+    dense = np.linalg.norm(np.linalg.solve(ops.apl0_gram, a2.T).T, 2) ** 2
+    assert abs(norm_X_hamiltonian_squared(ops) - dense) <= 1e-13 * dense
 
 
 def test_x_norm_case_check_requires_k(langevin_ops):
