@@ -273,8 +273,9 @@ def cmd_sweep(args) -> int:
     constants = _config_constants(config)
     tasks = [(config, float(g), None if e is None else float(e), constants)
              for g in config.gammas for e in epsilons]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(tasks))  # the pool forks them all at its first submit
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_sweep_worker, tasks))
     else:
         points = [_sweep_worker(t) for t in tasks]

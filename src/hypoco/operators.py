@@ -93,19 +93,19 @@ def _nosehoover_span(basis: BasisSet) -> sp.csr_matrix:
     Assembled in the exactly antisymmetric form
     w(p) (x) (d/dxi - d/dxi^*)/2  -  (1/m) sum_i Z_i (x) xi.
     with Z_i the symmetrised product of p_i and (d/dp_i - d/dp_i^*)/2.
+    Coordinate i adds (p_i^2 - m/beta)/m^2 to w, an exact zero on degree 0.
     """
     spec = basis.spec
     if not spec.has_xi:
         raise ConfigError(["model/basis mismatch: thermostat coupling needs the xi coordinate"])
-    m = spec.mass
+    m, herm = spec.mass, basis.herm
+    w = (herm.mult2 - herm.variance * np.eye(herm.n + 1)) / m**2
+    z = 0.5 * (herm.mult @ herm.anti + herm.anti @ herm.mult)
     out = None
     for i in range(spec.d):
-        term = basis.span_kron(herm_mats={i: basis.herm.mult2 / m**2}, xi_mat=basis.xi.anti)
+        term = (basis.span_kron(herm_mats={i: w}, xi_mat=basis.xi.anti)
+                - basis.span_kron(herm_mats={i: z}, xi_mat=basis.xi.mult) / m)
         out = term if out is None else out + term
-    out = out - (spec.d / (m * spec.beta)) * basis.span_kron(xi_mat=basis.xi.anti)
-    for i in range(spec.d):
-        z = 0.5 * (basis.herm.mult @ basis.herm.anti + basis.herm.anti @ basis.herm.mult)
-        out = out - basis.span_kron(herm_mats={i: z}, xi_mat=basis.xi.mult) / m
     return out
 
 

@@ -4,11 +4,11 @@ The working space splits as H0 (ker S) plus its orthogonal complement H+,
 and H+ splits further into H1 = ran(A from H0) and H2.  In these coordinates
 the generator has a saddle-point block structure whose Schur complement on H0
 yields an explicit inverse.  Only dim0-wide blocks are formed: H2 is reached
-through the projector P2 = 1 - Q1 Q1^T, a sparse LU of L++ bordered by
-A_{+0} and a sign count of the reversal, never through a basis of its own.
+through the projector P2 = 1 - Q1 Q1^T, a pivoted sparse LU of L itself
+and a sign count of the reversal, never through a basis of its own.
 The module builds the decomposition, evaluates the closed-form resolvent
 bound, and provides the oracle for the exact resolvent norm: ARPACK Lanczos
-on (L^T L)^{-1} applied through one sparse LU of L, with a dense SVD kept
+on (L^T L)^{-1} applied through that same LU of L, with a dense SVD kept
 for small matrices and as the cross-check.
 """
 
@@ -82,8 +82,9 @@ class Decomposition:
     pi1_idempotency_residual: float
     pi1_range_residual: float
     l11_symmetry_residual: float
-    #: (SuperLU of L[order][:, order], order), set by :func:`schur_complement`
-    factor: tuple | None = field(default=None, repr=False)
+    #: pivoted SuperLU of ``csc_matrix(ops.L)`` in working coordinates, the LU
+    #: the exact-norm oracle builds itself; set by :func:`schur_complement`
+    factor: spla.SuperLU | None = field(default=None, repr=False)
     _schur: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -212,8 +213,9 @@ def schur_complement(dec: Decomposition,
                      tol_identity: float = DEFAULT_TOL_IDENTITY) -> np.ndarray:
     """The Schur complement on H0, computed once, through two routes.
 
-    Route one is the trailing block of an LU of L with H+ first and H0 last,
-    kept as ``dec.factor``; route two eliminates H2 first and passes through
+    Route one is the trailing block of an unpivoted LU of L with H+ first
+    and H0 last, used for that block only; route two eliminates H2 first
+    through a pivoted LU of L, kept as ``dec.factor``, and passes through
     the square invertible A10.  Both are algebraically equal, so disagreement
     flags a conditioning problem rather than a modelling one.  Symmetry and
     negative definiteness are asserted except for the thermostated model,
@@ -228,10 +230,10 @@ def schur_complement(dec: Decomposition,
         raise NumericalFailure(
             f"dissipation failure on H2: Gershgorin bound of sym L++ reaches {top:.3e}"
         )
-    route2, perm_c = _schur_route2(dec)
+    route2, factor = _schur_route2(dec)
     n = len(ops.idx_plus)
-    cols = np.argsort(perm_c)
-    order = np.concatenate([ops.idx_plus[cols[cols < n]], ops.idx0])
+    cols = np.argsort(factor.perm_c)
+    order = np.concatenate([cols[np.isin(cols, ops.idx_plus)], ops.idx0])
     lu = _h0_last_lu(ops.L, order)
     route1 = (lu.L[n:, n:] @ lu.U[n:, n:]).toarray()
     denom = max(float(np.linalg.norm(route1)), np.finfo(float).tiny)
@@ -248,7 +250,7 @@ def schur_complement(dec: Decomposition,
             raise InvariantViolation(
                 f"Schur complement not negative definite: max eigenvalue {top:.3e}"
             )
-    dec.factor = (lu, order)
+    dec.factor = factor
     dec._schur = route1
     return route1
 
@@ -268,28 +270,29 @@ def _h0_last_lu(L, order: np.ndarray):
     return lu
 
 
-def _schur_route2(dec: Decomposition) -> tuple[np.ndarray, np.ndarray]:
+def _schur_route2(dec: Decomposition) -> tuple[np.ndarray, spla.SuperLU]:
     """A10^T s1^{-1} A10 with s1 = L11 - L12 L22^{-1} L21, H2 never formed,
-    and the column order of its LU.
+    and the pivoted LU of L it solves through.
 
-    By Cauchy interlacing, lambda_max(sym L22) <= lambda_max(sym L++) < 0, so
-    the bordered matrix [[L++, A_{+0}], [A_{+0}^T, 0]] is nonsingular.
-    Its border spans H1 like Q1 but is sparse, and its solve against
-    [L++ Q1; 0] gives X = Q2 L22^{-1} L21, so L12 L22^{-1} L21 = Q1^T L++ X.
+    Relies on L_00 = 0 and L_{0+} = -A_{+0}^T, which ``verify`` asserts: in
+    (H+, H0) order L = [[L++, A_{+0}], [-A_{+0}^T, 0]], nonsingular since
+    lambda_max(sym L22) <= lambda_max(sym L++) < 0 by Cauchy interlacing.
+    A_{+0} spans H1 like Q1, so the solve against [L++ Q1 on H+; 0 on H0]
+    gives X = Q2 L22^{-1} L21 on H+ and L12 L22^{-1} L21 = Q1^T L++ X.
     Its LU is independent of route one's.
     """
-    lpp, border = dec.ops.Lpp, dec.ops.apl0
+    ops, lpp = dec.ops, dec.ops.Lpp
     try:
-        kkt = spla.splu(sp.bmat([[lpp, border], [border.T, None]], format="csc"))
+        lu = spla.splu(sp.csc_matrix(ops.L))
     except RuntimeError as exc:
-        raise NumericalFailure(
-            f"dissipation failure on H2: bordered matrix [[L++, A+0], [A+0^T, 0]] "
-            f"is singular: {exc}"
-        ) from exc
-    x = kkt.solve(np.vstack([lpp @ dec.Q1, np.zeros((dec.dim0, dec.dim1))]))
-    s1 = dec.L11 - dec.Q1.T @ (lpp @ x[:len(dec.ops.idx_plus)])
+        raise NumericalFailure(f"dissipation failure on H2: sparse LU of L is singular: "
+                               f"{exc}") from exc
+    rhs = np.zeros((ops.dim, dec.dim1))
+    rhs[ops.idx_plus] = lpp @ dec.Q1
+    x = lu.solve(rhs)[ops.idx_plus]
+    s1 = dec.L11 - dec.Q1.T @ (lpp @ x)
     try:
-        return dec.A10.T @ np.linalg.solve(s1, dec.A10), kkt.perm_c
+        return dec.A10.T @ np.linalg.solve(s1, dec.A10), lu
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"dissipation failure on H2: {exc}") from exc
 
@@ -341,14 +344,14 @@ def scatter_blocks(dec: Decomposition, u0: np.ndarray, uplus: np.ndarray) -> np.
 def exact_resolvent_norm(L, method: str = "auto",
                          dense_threshold: int = DENSE_THRESHOLD,
                          tol: float = 1e-12, max_iter: int = 20000,
-                         seed: int = 0, factor: tuple | None = None) -> float:
+                         seed: int = 0, factor: spla.SuperLU | None = None) -> float:
     """Operator norm of L^{-1}, i.e. 1/sigma_min(L).
 
     ``method`` is "dense" (full SVD, the cross-check), "iterative" (ARPACK
     Lanczos on (L^T L)^{-1} = L^{-1} L^{-T} through one sparse LU of L, from
     a ``default_rng(seed)`` start vector, so reruns agree bitwise), or "auto"
-    to pick by dimension.  ``factor`` = (SuperLU of L[order][:, order], order),
-    e.g. ``Decomposition.factor``, replaces that LU.  ``tol`` is ARPACK's
+    to pick by dimension.  ``factor``, a SuperLU of ``csc_matrix(L)`` such
+    as ``Decomposition.factor``, replaces that LU.  ``tol`` is ARPACK's
     relative accuracy and ``max_iter`` the number of applications allowed.
     NumericalFailure is raised when that budget runs out, ARPACK does not
     converge, the Ritz residual or the backward error of the final solves
@@ -376,19 +379,15 @@ def exact_resolvent_norm(L, method: str = "auto",
     return 1.0 / smin
 
 
-def _lanczos_sigma_min(mat: sp.csc_matrix, factor: tuple | None, smax: float,
+def _lanczos_sigma_min(mat: sp.csc_matrix, factor: spla.SuperLU | None, smax: float,
                        tol: float, max_iter: int, seed: int) -> float:
     """sigma_min of a sparse square matrix from ARPACK on (L^T L)^{-1}."""
     try:
-        lu, order = factor or (spla.splu(mat), np.arange(mat.shape[0]))
+        solve = (spla.splu(mat) if factor is None else factor).solve
     except RuntimeError as exc:
         raise NumericalFailure(
             f"exact_resolvent_norm: sparse LU of L failed, numerically singular: {exc}"
         ) from exc
-    inverse = np.argsort(order)
-
-    def solve(x, trans="N"):
-        return lu.solve(x[order], trans=trans)[inverse]
 
     # the largest Rayleigh quotient seen bounds the eigenvalue from below; its
     # last relative change shows how far a run cut by the budget got

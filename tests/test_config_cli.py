@@ -287,7 +287,9 @@ FLAG_EFFECTS = {
        for command in ("sweep", "report")},
     **{(command, "--seed"): _effect(["--seed", "9"]) for command in ("lemmas", "report")},
     ("lemmas", "--suite"): _effect(["--suite", "3"]),
-    ("sweep", "--jobs"): _effect(["--jobs", "2"]),
+    # one point runs in-process whatever --jobs says, so the base has two
+    ("sweep", "--jobs"): _effect(["--jobs", "2"],
+                                 base=("--config", "{cfg}", "--gamma", "1:2:log2")),
 }
 
 
@@ -443,6 +445,31 @@ def test_cli_sweep_parallel_is_byte_identical(cfg_path, tmp_path):
         return [path.read_bytes() for path in paths]
 
     assert run(1) == run(3)
+
+
+def test_cli_sweep_starts_no_more_workers_than_points(small_cfgs, monkeypatch):
+    # the pool forks all max_workers processes at its first submit
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return map(func, items)
+
+    monkeypatch.setattr("hypoco.cli.ProcessPoolExecutor", RecordingPool)
+    cfg = small_cfgs["langevin"]
+    main(["sweep", "--config", cfg, "--gamma", "0.5:2:log3", "--jobs", "8"])
+    assert started == [3]
+    main(["sweep", "--config", cfg, "--jobs", "8"])  # one point: no pool
+    assert started == [3]
 
 
 @pytest.mark.parametrize("model, argv, key", [

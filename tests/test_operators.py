@@ -167,6 +167,19 @@ def test_collision_stores_nothing_on_ker_s(rhmc_ops):
     assert rhmc_ops.S[rhmc_ops.idx0].nnz == 0
 
 
+@pytest.mark.parametrize("d, potential", [(1, COS_Q), (2, "1 0:0.5,0;0 1:0.5,0")],
+                         ids=["d1", "d2"])
+def test_thermostat_coupling_stores_nothing_on_ker_s(d, potential):
+    # |p|^2/m^2 - d/(m beta) vanishes on Hermite degree 0 exactly, not up to
+    # rounding, at a mass and temperature other than 1
+    spec = BasisSpec(d=d, n_q=4 // d, n_p=4, beta=0.6, mass=1.7, has_xi=True, n_xi=4)
+    basis = build_basis(spec, potential=Potential.from_string(potential, d=d))
+    ops = assemble_model(basis, ModelSpec(model="adaptive_langevin", gamma=1.0, beta=0.6,
+                                          mass=1.7, d=d, epsilon=0.3))
+    assert ops.L[ops.idx0][:, ops.idx0].nnz == 0
+    assert verify_structural_assumptions(ops).residuals["pi0_A_pi0"] == 0.0
+
+
 @pytest.mark.parametrize("eps", [0.25, 1.0, 4.0])
 def test_thermostat_transport_is_the_restricted_span_sum(adl_basis, eps):
     ops = assemble_model(adl_basis, ModelSpec(model="adaptive_langevin", gamma=1.0,

@@ -176,7 +176,7 @@ def test_schur_routes_agree_adl(adl_dec):
 
 def test_schur_route2_does_not_reuse_route1_lu(langevin_ops, monkeypatch):
     # route one through the H0-last LU of a perturbed L++ must disagree with
-    # route two, which factors its own bordered matrix
+    # route two, which factors L itself
     real = schur._h0_last_lu
     shift = sp.diags(1e-3 * (langevin_ops.basis.p_degree > 0))
     monkeypatch.setattr(schur, "_h0_last_lu", lambda L, order: real(L + shift, order))
@@ -203,7 +203,7 @@ def test_failed_bordered_factorization_is_reported(langevin_ops, monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(spla, "splu", singular)
-    with pytest.raises(NumericalFailure, match="dissipation failure on H2: bordered"):
+    with pytest.raises(NumericalFailure, match="dissipation failure on H2: sparse LU of L"):
         schur_complement(dec)
 
 
@@ -227,14 +227,32 @@ def test_trailing_block_of_h0_last_lu_is_the_schur_complement(which, langevin_de
                                                                rhmc_dec, adl_dec):
     dec = {"langevin": langevin_dec, "rhmc": rhmc_dec, "adl": adl_dec}[which]
     ops = dec.ops
-    lu, order = dec.factor
+    cols = np.argsort(dec.factor.perm_c)
+    order = np.concatenate([cols[np.isin(cols, ops.idx_plus)], ops.idx0])
+    lu = schur._h0_last_lu(ops.L, order)
     n = len(ops.idx_plus)
     assert np.array_equal(np.sort(order[:n]), ops.idx_plus)
-    assert np.array_equal(order[n:], ops.idx0)
     apl0 = ops.apl0.toarray()
     dense = apl0.T @ np.linalg.solve(ops.Lpp.toarray(), apl0)
     trailing = (lu.L[n:, n:] @ lu.U[n:, n:]).toarray()
     assert np.linalg.norm(trailing - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("which", ["langevin", "rhmc", "adl"])
+def test_decomposition_factor_is_the_pivoted_lu_of_L(which, langevin_dec, rhmc_dec, adl_dec):
+    # route two's LU is the one the exact-norm oracle would build for L, and
+    # it fills less than the H0-last LU that serves route one
+    dec = {"langevin": langevin_dec, "rhmc": rhmc_dec, "adl": adl_dec}[which]
+    ops, factor = dec.ops, dec.factor
+    b = np.random.default_rng(0).standard_normal(ops.dim)
+    x = factor.solve(b)
+    assert np.linalg.norm(ops.L @ x - b) <= 1e-12 * operator_norm_upper(ops.L) * np.linalg.norm(x)
+    own = spla.splu(sp.csc_matrix(ops.L))
+    assert factor.L.nnz + factor.U.nnz == own.L.nnz + own.U.nnz
+    cols = np.argsort(factor.perm_c)
+    h0_last = schur._h0_last_lu(ops.L, np.concatenate([cols[np.isin(cols, ops.idx_plus)],
+                                                        ops.idx0]))
+    assert factor.L.nnz + factor.U.nnz < h0_last.L.nnz + h0_last.U.nnz
 
 
 def test_unproved_reversal_sign_count_detected(cos_potential):
@@ -362,18 +380,22 @@ def test_corrupted_factor_fails_the_backward_error_check(langevin_dec):
     # a factor of a nearby matrix is self-consistent, so it passes the Ritz
     # check, but its solves miss L itself
     L = langevin_dec.ops.L
-    _, order = langevin_dec.factor
     near = L + 1e-6 * operator_norm_upper(L) * sp.identity(L.shape[0])
-    lu = spla.splu(sp.csc_matrix(near[order][:, order]))
     with pytest.raises(NumericalFailure, match="exact_resolvent_norm: backward error"):
-        exact_resolvent_norm(L, factor=(lu, order))
+        exact_resolvent_norm(L, factor=spla.splu(sp.csc_matrix(near)))
+
+
+@pytest.mark.parametrize("ops_name", ["langevin_ops", "adl_ops"])
+def test_exact_resolvent_norm_through_its_own_lu_is_bitwise_the_default(ops_name, request):
+    L = request.getfixturevalue(ops_name).L
+    assert exact_resolvent_norm(L, factor=spla.splu(sp.csc_matrix(L))) == exact_resolvent_norm(L)
 
 
 @pytest.mark.parametrize("model", ["langevin", "boltzmann_rhmc", "adaptive_langevin"])
 def test_one_evaluation_makes_two_sparse_lus(model, cos_potential, monkeypatch):
-    # the bordered LU of route two and the H0-last LU of L, which serves
-    # route one and the exact-norm oracle (dim >= DENSE_THRESHOLD, so the
-    # oracle takes its LU path)
+    # route two's pivoted LU of L, which the exact-norm oracle reuses
+    # (dim >= DENSE_THRESHOLD, so it takes its LU path), and the H0-last LU
+    # of L that serves route one
     xi = model == "adaptive_langevin"
     spec = BasisSpec(d=1, n_q=8, n_p=8, has_xi=xi, n_xi=6 if xi else 0)
     model_spec = ModelSpec(model=model, gamma=1.0, epsilon=1.0 if xi else None)
