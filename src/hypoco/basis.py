@@ -72,7 +72,8 @@ class Potential:
 
     Coefficients are stored for integer wavenumber multi-indices k with the
     reality constraint v_{-k} = conj(v_k); the missing half of a conjugate
-    pair is filled in automatically, and contradictory pairs are rejected.
+    pair is filled in automatically; contradictory pairs and non-finite
+    coefficients are rejected.
     """
 
     def __init__(self, coeffs, d, torus_length=TWO_PI):
@@ -86,6 +87,9 @@ class Potential:
             k = tuple(int(ki) for ki in (k if isinstance(k, (tuple, list)) else (k,)))
             if len(k) != self.d:
                 problems.append(f"potential mode {k} has {len(k)} components, expected d={self.d}")
+                continue
+            if not np.isfinite(complex(v)):
+                problems.append(f"potential coefficient at {k} must be finite, got {v!r}")
                 continue
             closed[k] = closed.get(k, 0.0) + complex(v)
         for k in list(closed):
@@ -346,16 +350,15 @@ class HermiteOps:
     """Matrices of the elementary one-coordinate Gaussian operators.
 
     All matrices act on coefficients in the orthonormal Hermite family for
-    N(0, variance) truncated at degree n; `lower` is d/dp, its transpose is
-    the weighted adjoint, `anti` the exactly antisymmetric half-difference,
-    `mult` multiplication by p and `mult2` multiplication by p^2.
+    N(0, variance) truncated at degree n: `anti` is the exactly antisymmetric
+    half-difference of d/dp and its weighted adjoint, `mult` multiplication
+    by p and `mult2` multiplication by p^2.
     """
 
     variance: float
     n: int
     mult: np.ndarray = field(init=False)
     mult2: np.ndarray = field(init=False)
-    lower: np.ndarray = field(init=False)
     anti: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -377,7 +380,6 @@ class HermiteOps:
                 mult2[k, k + 2] = c
         self.mult = mult
         self.mult2 = mult2
-        self.lower = lower
         self.anti = 0.5 * (lower - lower.T)
 
 
@@ -557,9 +559,8 @@ class BasisSet:
         axes = [self.pos_axis] * d
 
         vgrid = potential.value_grid(axes)
-        boltz = np.exp(-spec.beta * vgrid)
-        self.z_nu = float(boltz.mean())
-        self.rho_grid = (boltz / self.z_nu).reshape(-1)
+        boltz = np.exp(-spec.beta * (vgrid - vgrid.min()))
+        self.rho_grid = (boltz / boltz.mean()).reshape(-1)
         self.sqrt_rho = np.sqrt(self.rho_grid)
 
         # position basis values on the tensor grid
@@ -583,7 +584,7 @@ class BasisSet:
         self._build_mean_zero_map()
         self._build_index_arrays()
         self.gram_residual = self._gram_residual()
-        if self.gram_residual > tol_identity:
+        if not self.gram_residual <= tol_identity:  # NaN fails too
             raise NumericalFailure(
                 f"quadrature failure: Gram residual {self.gram_residual:.3e} "
                 f"exceeds {tol_identity:.1e}"
@@ -752,14 +753,6 @@ class BasisSet:
         h_vec = np.asarray(self.U.T @ coeff)
         residual = math.sqrt(max(norm2 - float(h_vec @ h_vec), 0.0))
         return h_vec, residual
-
-    def inner_product(self, u, v) -> float:
-        """L2(mu) pairing of two working-space coefficient vectors."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if u.shape != (self.spec.dimension,) or v.shape != (self.spec.dimension,):
-            raise ConfigError(["coefficient vectors do not match the basis dimension"])
-        return float(u @ v)
 
 
 def _read_only(value):

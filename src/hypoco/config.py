@@ -72,25 +72,28 @@ def _parse_int(text):
     return value
 
 
+def _positive(v) -> bool:
+    """Every value finite and > 0 (NaN and inf fail)."""
+    return bool(np.all(np.isfinite(v) & (np.asarray(v) > 0)))
+
+
 # key -> (attribute, converter, validator description, validator)
 _SCHEMA = {
     "model": ("model", str.strip, f"one of {', '.join(MODELS)}",
               lambda v: v in MODELS),
     "d": ("d", _parse_int, "a positive integer", lambda v: v >= 1),
-    "beta": ("beta", float, "positive", lambda v: v > 0),
-    "mass": ("mass", float, "positive", lambda v: v > 0),
-    "gamma": ("gammas", parse_range, "positive",
-              lambda v: bool(np.all(v > 0))),
-    "epsilon": ("epsilons", parse_range, "positive",
-                lambda v: bool(np.all(v > 0))),
+    "beta": ("beta", float, "positive and finite", _positive),
+    "mass": ("mass", float, "positive and finite", _positive),
+    "gamma": ("gammas", parse_range, "positive and finite", _positive),
+    "epsilon": ("epsilons", parse_range, "positive and finite", _positive),
     "potential": ("potential_text", str.strip, "a coefficient list", None),
-    "torus_length": ("torus_length", float, "positive", lambda v: v > 0),
+    "torus_length": ("torus_length", float, "positive and finite", _positive),
     "n_q": ("n_q", _parse_int, "a positive integer", lambda v: v >= 1),
     "n_p": ("n_p", _parse_int, "a positive integer", lambda v: v >= 1),
     "n_xi": ("n_xi", _parse_int, "a positive integer", lambda v: v >= 1),
-    "tol_identity": ("tol_identity", float, "positive", lambda v: v > 0),
-    "conv_tol": ("conv_tol", float, "positive", lambda v: v > 0),
-    "rank_tol": ("rank_tol", float, "positive", lambda v: v > 0),
+    "tol_identity": ("tol_identity", float, "positive and finite", _positive),
+    "conv_tol": ("conv_tol", float, "positive and finite", _positive),
+    "rank_tol": ("rank_tol", float, "positive and finite", _positive),
     "seed": ("seed", _parse_int, "a nonnegative integer", lambda v: v >= 0),
     "c2": ("c2", float, "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
     "out": ("out", str.strip, "a path", bool),

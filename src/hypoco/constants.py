@@ -56,8 +56,7 @@ class PositionGrid:
     """
 
     def __init__(self, potential: Potential | None, beta: float, d: int,
-                 n_q: int, n_grid: int | None = None,
-                 torus_length: float = TWO_PI):
+                 n_q: int, torus_length: float = TWO_PI):
         if potential is None:
             potential = Potential.zero(d)
         if potential.d != d:
@@ -67,10 +66,8 @@ class PositionGrid:
         self.d = d
         self.n_q = n_q
         self.torus_length = torus_length
-        if n_grid is None:
-            n_grid = _default_n_grid(potential, extra_degree=2 * n_q + 2)
-        self.n_grid = n_grid
-        self.axes = _axes(d, n_grid, torus_length)
+        self.axes = _axes(d, _default_n_grid(potential, extra_degree=2 * n_q + 2),
+                          torus_length)
         self.table = fourier_value_table(self.axes[0], n_q, torus_length)
         self.deriv = fourier_deriv_1d(n_q, torus_length)
         v = potential.value_grid(self.axes)
@@ -118,9 +115,6 @@ class PoincareResult:
 
     constant: float
     eigenvector: np.ndarray
-    residual: float
-    measure: str
-    n_q: int = 0
 
     def __post_init__(self):
         if not self.constant > 0:
@@ -145,8 +139,7 @@ def poincare_constant(measure: str, *, potential: Potential | None = None,
     if measure in ("momentum", "kappa"):
         vec = np.zeros(2)
         vec[1] = 1.0
-        return PoincareResult(constant=beta / mass, eigenvector=vec,
-                              residual=0.0, measure="momentum")
+        return PoincareResult(constant=beta / mass, eigenvector=vec)
     if measure not in ("position", "nu"):
         raise ConfigError([f"unknown measure {measure!r}; expected position or momentum"])
     if n_q < 1:
@@ -174,8 +167,7 @@ def poincare_constant(measure: str, *, potential: Potential | None = None,
     residual = float(np.linalg.norm(wx - c * (c @ wx) - k2 * x))
     if residual > 1e-8 * max(abs(k2), 1.0):
         raise NumericalFailure(f"solver failure: eigenresidual {residual:.3e}")
-    return PoincareResult(constant=k2, eigenvector=mean_zero_map(c).T @ x,
-                          residual=residual, measure="position", n_q=n_q)
+    return PoincareResult(constant=k2, eigenvector=mean_zero_map(c).T @ x)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +188,6 @@ class GrowthConstants:
     c1: float
     c2: float
     c3: float
-    n_grid: int
-    argmax_c1: tuple
-    argmax_c3: tuple
     cprime_case_iii: float
 
 
@@ -226,78 +215,29 @@ def estimate_growth_constants(potential: Potential | None, beta: float, d: int,
     lap = np.einsum("ii...->...", hess)
     grad_sq = np.sum(grad**2, axis=0)
     hess_frob = np.sqrt(np.sum(hess**2, axis=(0, 1)))
-    c3_field = hess_frob / np.sqrt(d + grad_sq)
-    flat3 = int(np.argmax(c3_field))
-    c3 = max(float(c3_field.flat[flat3]), GROWTH_FLOOR)
+    c3 = max(float((hess_frob / np.sqrt(d + grad_sq)).max()), GROWTH_FLOOR)
 
     best = None
     c2_grid = C2_GRID if c2 is None else (float(c2),)
     for c2_try in c2_grid:
-        c1_field = (lap - 0.5 * c2_try * beta * grad_sq) / d
-        flat1 = int(np.argmax(c1_field))
-        c1 = max(float(c1_field.flat[flat1]), GROWTH_FLOOR)
+        c1 = max(float(((lap - 0.5 * c2_try * beta * grad_sq) / d).max()), GROWTH_FLOOR)
         cprime = growth_case_iii_cprime(c1, c3, beta, d)
         if best is None or cprime < best[0] - 1e-15:
-            best = (cprime, float(c2_try), c1, flat1)
-    cprime, c2, c1, flat1 = best
-
-    idx1 = np.unravel_index(flat1, lap.shape)
-    idx3 = np.unravel_index(flat3, lap.shape)
-    point = lambda idx: tuple(float(axes[i][idx[i]]) for i in range(d))
-    return GrowthConstants(c1=c1, c2=c2, c3=c3, n_grid=n_grid,
-                           argmax_c1=point(idx1), argmax_c3=point(idx3),
-                           cprime_case_iii=cprime)
+            best = (cprime, float(c2_try), c1)
+    cprime, c2, c1 = best
+    return GrowthConstants(c1=c1, c2=c2, c3=c3, cprime_case_iii=cprime)
 
 
 def estimate_hessian_K(potential: Potential | None, d: int,
-                       n_grid: int | None = None,
                        torus_length: float = TWO_PI) -> float:
     """Lower-bound constant K with Hessian >= -K Id over the grid, clipped at 0."""
     if potential is None or potential.is_zero:
         return 0.0
-    if n_grid is None:
-        n_grid = _default_n_grid(potential)
-    axes = _axes(d, n_grid, torus_length)
+    axes = _axes(d, _default_n_grid(potential), torus_length)
     hess = potential.hessian_grid(axes)
     stacked = np.moveaxis(hess.reshape(d, d, -1), 2, 0)
     lam_min = np.linalg.eigvalsh(stacked)[:, 0]
     return max(0.0, float(-lam_min.min()))
-
-
-def estimate_lsi_c3(potential: Potential | None, d: int,
-                    n_grid: int | None = None,
-                    torus_length: float = TWO_PI) -> float:
-    """Smallest c3 with |hess V|_op <= c3 (1 + |grad V|_inf) on the grid."""
-    if potential is None or potential.is_zero:
-        return GROWTH_FLOOR
-    if n_grid is None:
-        n_grid = _default_n_grid(potential)
-    axes = _axes(d, n_grid, torus_length)
-    hess = potential.hessian_grid(axes)
-    grad = potential.grad_grid(axes)
-    stacked = np.moveaxis(hess.reshape(d, d, -1), 2, 0)
-    op = np.abs(np.linalg.eigvalsh(stacked)).max(axis=1)
-    grad_inf = np.abs(grad.reshape(d, -1)).max(axis=0)
-    return max(float((op / (1.0 + grad_inf)).max()), GROWTH_FLOOR)
-
-
-def nu_exp_moments(potential: Potential | None, beta: float, d: int,
-                   coefficient: float, n_grid: int | None = None,
-                   torus_length: float = TWO_PI) -> np.ndarray:
-    """Per-coordinate quadratures of exp(coefficient |dV/dq_i|) under nu."""
-    if potential is None:
-        potential = Potential.zero(d)
-    if n_grid is None:
-        n_grid = _default_n_grid(potential)
-    grid = PositionGrid(potential, beta, d, n_q=0, n_grid=n_grid,
-                        torus_length=torus_length)
-    out = np.empty(d)
-    for i in range(d):
-        vals = np.exp(coefficient * np.abs(grid.grad_v[i]))
-        if not np.all(np.isfinite(vals)):
-            raise NumericalFailure("exponential moment overflows on the grid")
-        out[i] = grid.nu_mean(vals)
-    return out
 
 
 def case_constants(case: str, beta: float, d: int, params: dict) -> tuple[float, float]:
@@ -342,15 +282,14 @@ def case_constants(case: str, beta: float, d: int, params: dict) -> tuple[float,
 # ---------------------------------------------------------------------------
 
 
-def kinetic_matrices(mass: float, beta: float, d: int,
-                     order: int = 40) -> tuple[np.ndarray, np.ndarray]:
+def kinetic_matrices(mass: float, beta: float, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The averaged Hessian of the kinetic energy, by two quadratures.
 
     For quadratic kinetic energy |p|^2/(2 mass) the Hessian average equals
     mass^{-1} Id, and integration by parts gives the dual expression
     beta * E[grad U (x) grad U]; both are evaluated by Gauss-Hermite rules.
     """
-    nodes, weights = gauss_hermite_rule(order, mass / beta)
+    nodes, weights = gauss_hermite_rule(40, mass / beta)
     m_hess = np.eye(d) * float(np.sum(weights) / mass)
     second = float(np.sum(weights * nodes**2))
     first = float(np.sum(weights * nodes))
@@ -359,15 +298,11 @@ def kinetic_matrices(mass: float, beta: float, d: int,
     return m_hess, m_dual
 
 
-def lambda_min_M(mass: float, beta: float = 1.0, d: int = 1,
-                 check_dual: bool = True, dual_tol: float = 1e-10) -> float:
+def lambda_min_M(mass: float, beta: float = 1.0, d: int = 1) -> float:
     m_hess, m_dual = kinetic_matrices(mass, beta, d)
-    if check_dual:
-        gap = float(np.max(np.abs(m_hess - m_dual)))
-        if gap > dual_tol:
-            raise InvariantViolation(
-                f"kinetic matrix quadratures disagree by {gap:.3e}"
-            )
+    gap = float(np.max(np.abs(m_hess - m_dual)))
+    if gap > 1e-10:
+        raise InvariantViolation(f"kinetic matrix quadratures disagree by {gap:.3e}")
     return float(np.linalg.eigvalsh(m_hess)[0])
 
 
@@ -376,7 +311,7 @@ def lambda_min_M(mass: float, beta: float = 1.0, d: int = 1,
 # ---------------------------------------------------------------------------
 
 
-def _grid_for(coeffs, potential, beta, d, n_grid, torus_length) -> PositionGrid:
+def _grid_for(coeffs, potential, beta, d, torus_length) -> PositionGrid:
     coeffs = np.asarray(coeffs, dtype=float)
     n1d = round(coeffs.size ** (1.0 / d)) if d > 1 else coeffs.size
     if n1d**d != coeffs.size or n1d % 2 == 0:
@@ -385,15 +320,13 @@ def _grid_for(coeffs, potential, beta, d, n_grid, torus_length) -> PositionGrid:
             f"{d}-fold tensor of odd one-dimensional blocks"
         ])
     n_q = (n1d - 1) // 2
-    return PositionGrid(potential, beta, d, n_q=n_q, n_grid=n_grid,
-                        torus_length=torus_length)
+    return PositionGrid(potential, beta, d, n_q=n_q, torus_length=torus_length)
 
 
 def check_villani_lemma(phi, potential: Potential | None, beta: float, d: int,
-                        c1: float, n_grid: int | None = None,
-                        torus_length: float = TWO_PI) -> float:
+                        c1: float, torus_length: float = TWO_PI) -> float:
     """Ratio of |phi grad V|^2 to its gradient/L2 upper bound, must be <= 1."""
-    grid = _grid_for(phi, potential, beta, d, n_grid, torus_length)
+    grid = _grid_for(phi, potential, beta, d, torus_length)
     phi_g = grid.evaluate(phi)
     lhs = grid.nu_mean(phi_g**2 * np.sum(grid.grad_v**2, axis=0))
     grad_sq = sum(grid.nu_norm2(grid.evaluate(phi, derivs=(i,))) for i in range(d))
@@ -424,10 +357,9 @@ def _second_derivative_norms(grid: PositionGrid, u) -> tuple[float, float, float
 
 
 def check_bochner(u, potential: Potential | None, beta: float, d: int = 1,
-                  n_grid: int | None = None, torus_length: float = TWO_PI,
-                  tol: float = 1e-8) -> float:
+                  torus_length: float = TWO_PI, tol: float = 1e-8) -> float:
     """Residual of sum|d2u|^2 = |grad*grad u|^2 - int grad u . hess V grad u."""
-    grid = _grid_for(u, potential, beta, d, n_grid, torus_length)
+    grid = _grid_for(u, potential, beta, d, torus_length)
     lhs, witten2, cross, _ = _second_derivative_norms(grid, u)
     residual = abs(lhs - (witten2 - cross))
     if residual > tol * max(lhs, 1.0):
@@ -437,16 +369,16 @@ def check_bochner(u, potential: Potential | None, beta: float, d: int = 1,
 
 def check_controlH2(u, potential: Potential | None, beta: float, case: str,
                     params: dict | None = None, d: int = 1,
-                    n_grid: int | None = None, torus_length: float = TWO_PI) -> float:
+                    torus_length: float = TWO_PI) -> float:
     """Ratio sum|d2u|^2 / (C |grad*grad u|^2 + C' |grad u|^2), must be <= 1.
 
     For the Hessian-lower-bound case a missing K is estimated from the grid.
     """
     params = dict(params or {})
     if case == "hessian_lower_bound" and "K" not in params:
-        params["K"] = estimate_hessian_K(potential, d, n_grid, torus_length)
+        params["K"] = estimate_hessian_K(potential, d, torus_length)
     c, cprime = case_constants(case, beta, d, params)
-    grid = _grid_for(u, potential, beta, d, n_grid, torus_length)
+    grid = _grid_for(u, potential, beta, d, torus_length)
     lhs, witten2, _, grads = _second_derivative_norms(grid, u)
     grad2 = sum(grid.nu_norm2(g) for g in grads)
     rhs = c * witten2 + cprime * grad2
@@ -471,14 +403,12 @@ def constants_cutoff(n_q: int) -> int:
 
 
 def constants_summary(potential: Potential | None, beta: float, mass: float,
-                      d: int, n_q: int = 32, n_grid: int | None = None,
-                      torus_length: float = TWO_PI,
+                      d: int, n_q: int = 32, torus_length: float = TWO_PI,
                       c2: float | None = None) -> dict:
     """All scalar constants in one dictionary (the CLI JSON payload)."""
     knu = poincare_constant("position", potential=potential, beta=beta, d=d,
                             n_q=n_q, torus_length=torus_length)
-    growth = estimate_growth_constants(potential, beta, d, n_grid=n_grid,
-                                       torus_length=torus_length, c2=c2)
+    growth = estimate_growth_constants(potential, beta, d, torus_length=torus_length, c2=c2)
     return {
         "K_nu2": knu.constant,
         "K_kappa2": beta / mass,
@@ -486,5 +416,5 @@ def constants_summary(potential: Potential | None, beta: float, mass: float,
         "c1": growth.c1,
         "c2": growth.c2,
         "c3": growth.c3,
-        "K_hessian": estimate_hessian_K(potential, d, n_grid, torus_length),
+        "K_hessian": estimate_hessian_K(potential, d, torus_length),
     }

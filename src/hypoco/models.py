@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import DEFAULT_TOL_IDENTITY, BasisSpec, Potential, build_basis
-from .constants import case_constants, constants_cutoff, constants_summary, gauss_hermite_rule
+from .constants import case_constants, constants_cutoff, constants_summary
 from .errors import ConfigError, InvariantViolation, NumericalFailure
 from .operators import ModelOperators, ModelSpec, assemble_model, verify_structural_assumptions
 from .schur import (ASTAR_A_RTOL, CONVERGENCE_RTOL, BoundReport, Decomposition,
@@ -45,16 +45,6 @@ def prop_CCprime(case: PropositionCase) -> tuple[float, float]:
     """(C, C') constants of the Hessian-control proposition for the case."""
     return case_constants(case.case, beta=case.params.get("beta", 1.0),
                           d=case.params.get("d", 1), params=case.params)
-
-
-def uij_moment(mass: float, beta: float, diagonal: bool, order: int = 40) -> float:
-    """Second moment of p_i p_j / m^2 - delta_ij/(m beta) under the momentum Gaussian."""
-    nodes, weights = gauss_hermite_rule(order, mass / beta)
-    if diagonal:
-        vals = nodes**2 / mass**2 - 1.0 / (mass * beta)
-        return float(np.sum(weights * vals**2))
-    second = float(np.sum(weights * nodes**2))
-    return (second / mass**2) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -240,34 +230,36 @@ def adl_envelope_fit(points) -> tuple[float, float]:
     return float(np.exp(log_c)), factor
 
 
-def adl_bound(dec: Decomposition, constants: dict,
-              epsilon: float | None = None) -> tuple[float, dict]:
+def adl_bound(dec: Decomposition, constants: dict) -> tuple[float, dict]:
     """Closed-form machinery applied to the thermostated model.
 
-    Verifies the analytic A*A identity, compares the numerical gap with the
-    tensorized analytic one, and evaluates the saddle-point bound with the
-    numerically computed blocks.  The bound prefactor for this model is not
-    explicit, so callers should fit the envelope over a (gamma, epsilon)
-    sweep rather than trusting a single margin.
+    Verifies the analytic A*A identity, checks the numerical gap a^2 against
+    the floor min(2d/(m eps)^2, K_nu^2/m)/beta with K_nu^2 at the operators'
+    own position cutoff (a finite-cutoff gap can sit below the continuum
+    floor from ``constants``, reported as ``a2_analytic``), and evaluates the
+    saddle-point bound with the numerically computed blocks.  The bound
+    prefactor for this model is not explicit, so callers should fit the
+    envelope over a (gamma, epsilon) sweep rather than trusting a single margin.
     """
     ops = dec.ops
     if ops.model.model != "adaptive_langevin":
         raise ConfigError(["adl_bound requires the adaptive_langevin model"])
-    if epsilon is not None and abs(epsilon - ops.model.epsilon) > 1e-12:
-        raise ConfigError(["epsilon disagrees with the assembled model"])
     residual = adl_AstarA_residual(ops)
     norms = intermediate_norms(dec)
-    a2 = adl_a_squared(ops.model.beta, ops.basis.spec.d, ops.model.epsilon,
-                       constants["K_nu2"], ops.model.mass)
-    if norms["a"] ** 2 < a2 - 1e-8:
+    beta, d, eps, m = ops.model.beta, ops.basis.spec.d, ops.model.epsilon, ops.model.mass
+    _, witten = ops.basis.derived("adl_AstarA_blocks", _adl_AstarA_blocks)
+    xi0 = ops.basis.xi_degree[ops.idx0] == 0  # mean-zero position functions
+    k_nu2 = float(np.linalg.eigvalsh(witten[np.ix_(xi0, xi0)])[0])
+    floor = adl_a_squared(beta, d, eps, k_nu2, m)
+    if norms["a"] ** 2 < floor - 1e-8:
         raise InvariantViolation(
-            f"numerical gap {norms['a']**2:.6e} below analytic value {a2:.6e}"
+            f"numerical gap {norms['a']**2:.6e} below analytic value {floor:.6e}"
         )
     bound = theorem_bound(ops.model.s_analytic, norms["a"], norms["norm_S11"],
                           norms["norm_R22"], norms["norm_L21A10inv"])
     details = dict(norms)
     details["AstarA_residual"] = residual
-    details["a2_analytic"] = a2
+    details["a2_analytic"] = adl_a_squared(beta, d, eps, constants["K_nu2"], m)
     details["envelope"] = adl_envelope(ops.model.gamma, ops.model.epsilon)
     return bound, details
 

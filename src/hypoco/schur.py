@@ -36,9 +36,6 @@ RITZ_RTOL = 1e-8
 #: largest relative gap accepted between the two routes of the Schur complement
 ROUTE_RTOL = 1e-8
 
-#: how far the coarse transport gap a may fall below its analytic lower bound
-GAP_ATOL = 1e-8
-
 #: largest residual of the thermostat's A*A identity, relative to its scale
 ASTAR_A_RTOL = 1e-10
 
@@ -98,10 +95,6 @@ class Decomposition:
     @property
     def dim1(self) -> int:
         return self.Q1.shape[1]
-
-    @property
-    def dim2(self) -> int:
-        return len(self.ops.idx_plus) - self.dim1
 
     def p2(self, y: np.ndarray) -> np.ndarray:
         """P2 y = y - Q1 Q1^T y, the H2 component of H+ vectors."""
@@ -188,20 +181,14 @@ def operator_norm_upper(mat) -> float:
     return float(np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()))
 
 
-def macroscopic_coercivity(dec: Decomposition,
-                           analytic_bound: float | None = None) -> float:
+def macroscopic_coercivity(dec: Decomposition) -> float:
     """Smallest singular value a of A10, i.e. the coarse transport gap.
 
-    When an analytic lower bound for a is supplied (from the measure's
-    spectral gap), the numerically computed gap must not undercut it.
+    No analytic floor is checked here: for Langevin and RHMC none holds at
+    a finite cutoff, and the thermostat's is checked by
+    :func:`hypoco.models.adl_bound` at the operators' own cutoff.
     """
-    a = float(sla.svdvals(dec.A10)[-1])
-    if analytic_bound is not None and a < analytic_bound - GAP_ATOL:
-        raise InvariantViolation(
-            f"macroscopic coercivity constant {a:.6e} below analytic bound "
-            f"{analytic_bound:.6e}"
-        )
-    return a
+    return float(sla.svdvals(dec.A10)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +331,12 @@ def scatter_blocks(dec: Decomposition, u0: np.ndarray, uplus: np.ndarray) -> np.
 def exact_resolvent_norm(L, method: str = "auto",
                          dense_threshold: int = DENSE_THRESHOLD,
                          tol: float = 1e-12, max_iter: int = 20000,
-                         seed: int = 0, factor: spla.SuperLU | None = None) -> float:
+                         factor: spla.SuperLU | None = None) -> float:
     """Operator norm of L^{-1}, i.e. 1/sigma_min(L).
 
     ``method`` is "dense" (full SVD, the cross-check), "iterative" (ARPACK
     Lanczos on (L^T L)^{-1} = L^{-1} L^{-T} through one sparse LU of L, from
-    a ``default_rng(seed)`` start vector, so reruns agree bitwise), or "auto"
+    a fixed ``default_rng(0)`` start vector, so reruns agree bitwise), or "auto"
     to pick by dimension.  ``factor``, a SuperLU of ``csc_matrix(L)`` such
     as ``Decomposition.factor``, replaces that LU.  ``tol`` is ARPACK's
     relative accuracy and ``max_iter`` the number of applications allowed.
@@ -370,7 +357,7 @@ def exact_resolvent_norm(L, method: str = "auto",
         smin, smax = float(sv[-1]), float(sv[0])
     else:
         smax = operator_norm_upper(mat)
-        smin = _lanczos_sigma_min(mat, factor, smax, tol, max_iter, seed)
+        smin = _lanczos_sigma_min(mat, factor, smax, tol, max_iter)
     if not smin > 64 * n * np.finfo(float).eps * smax:
         ratio = smin / smax if smax > 0 else 0.0
         raise NumericalFailure(
@@ -380,7 +367,7 @@ def exact_resolvent_norm(L, method: str = "auto",
 
 
 def _lanczos_sigma_min(mat: sp.csc_matrix, factor: spla.SuperLU | None, smax: float,
-                       tol: float, max_iter: int, seed: int) -> float:
+                       tol: float, max_iter: int) -> float:
     """sigma_min of a sparse square matrix from ARPACK on (L^T L)^{-1}."""
     try:
         solve = (spla.splu(mat) if factor is None else factor).solve
@@ -415,7 +402,7 @@ def _lanczos_sigma_min(mat: sp.csc_matrix, factor: spla.SuperLU | None, smax: fl
     op = spla.LinearOperator(mat.shape, matvec=matvec, dtype=float)
     try:
         lam, vec = spla.eigsh(op, k=1, which="LM", tol=tol,
-                              v0=np.random.default_rng(seed).standard_normal(mat.shape[0]))
+                              v0=np.random.default_rng(0).standard_normal(mat.shape[0]))
     except spla.ArpackNoConvergence as exc:
         raise NumericalFailure(
             f"exact_resolvent_norm: ARPACK eigenvalue of (L^T L)^-1 not converged "

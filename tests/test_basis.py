@@ -63,6 +63,13 @@ def test_potential_from_string_rejects_malformed():
     assert len(err.value.problems) == 2
 
 
+def test_potential_rejects_non_finite_coefficients():
+    # abs(nan) > 0 is False, so a NaN coefficient used to vanish silently
+    for text in ("1:nan,0", "1:inf,0", "1:0.5,nan"):
+        with pytest.raises(ConfigError, match="must be finite"):
+            Potential.from_string(text, d=1)
+
+
 def test_potential_imaginary_part_gives_sine():
     pot = Potential.from_string("1:0,-0.5", d=1)  # v_1 = -i/2 -> sin q
     axis = np.linspace(0.0, TWO_PI, 13, endpoint=False)
@@ -202,6 +209,22 @@ def test_fourier_table_and_derivative():
 
 def test_gram_residual_small(cos_basis):
     assert cos_basis.gram_residual < 1e-10
+
+
+def test_constant_offset_leaves_the_quadrature_unchanged(cos_basis):
+    # exp(-beta V) of V = cos q - 1000 overflows unless V is shifted by its minimum
+    offset = build_basis(cos_basis.spec, Potential.from_string("0:-1000,0;1:0.5,0", d=1))
+    assert offset.gram_residual <= offset.tol_identity
+    fn = lambda q, p, xi: np.cos(q[:, 0]) * p[:, 0]
+    gap = offset.expand_function(fn)[0] - cos_basis.expand_function(fn)[0]
+    assert np.max(np.abs(gap)) <= 1e-12
+
+
+def test_underflowing_density_is_a_quadrature_failure():
+    # even shifted, exp(-beta V) of V = 800 cos q underflows to 0: the Gram is NaN
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(NumericalFailure, match="quadrature failure"):
+        build_basis(BasisSpec(d=1, n_q=8, n_p=8), Potential.from_string("1:400,0", d=1))
 
 
 def test_mean_zero_columns(cos_basis):
@@ -366,12 +389,3 @@ def test_mean_zero_map_is_sparse_householder_columns():
 def test_dimension_formula_property(n_q, n_p, beta, mass):
     spec = BasisSpec(d=1, n_q=n_q, n_p=n_p, beta=beta, mass=mass)
     assert spec.dimension == (2 * n_q + 1) * (n_p + 1) - 1
-
-
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_inner_product_is_euclidean(seed, cos_basis):
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(cos_basis.spec.dimension)
-    v = rng.standard_normal(cos_basis.spec.dimension)
-    assert abs(cos_basis.inner_product(u, v) - u @ v) < 1e-12

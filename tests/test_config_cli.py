@@ -185,6 +185,16 @@ def test_cli_bad_config_exits_two(tmp_path, capsys):
     assert "gamma must be positive" in capsys.readouterr().err
 
 
+def test_cli_non_finite_value_is_a_config_error(cfg_path, tmp_path, capsys):
+    # inf is > 0, and used to reach the solvers as a traceback or exit 3
+    assert main(["bound", "--config", cfg_path, "--gamma", "inf"]) == 2
+    assert "--gamma: gamma must be positive and finite, got 'inf'" in capsys.readouterr().err
+    path = tmp_path / "inf.cfg"
+    path.write_text("model = langevin\nmass = inf\n")
+    assert main(["bound", "--config", str(path)]) == 2
+    assert "line 2: mass must be positive and finite, got 'inf'" in capsys.readouterr().err
+
+
 def test_cli_unknown_model_override(cfg_path, capsys):
     assert main(["verify", "--config", cfg_path, "--model", "bogus"]) == 2
     assert ("--model: model must be one of langevin, boltzmann_rhmc, adaptive_langevin, "

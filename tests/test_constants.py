@@ -9,9 +9,8 @@ from hypoco.basis import BasisSpec, Potential, build_basis
 from hypoco.constants import (case_constants, check_bochner, check_controlH2,
                               check_villani_lemma, constants_summary,
                               estimate_growth_constants, estimate_hessian_K,
-                              estimate_lsi_c3, growth_case_iii_cprime,
-                              kinetic_matrices, lambda_min_M, nu_exp_moments,
-                              poincare_constant)
+                              growth_case_iii_cprime, kinetic_matrices,
+                              lambda_min_M, poincare_constant)
 from hypoco.errors import ConfigError, InvariantViolation, NumericalFailure
 
 from conftest import COS_COS2, COS_Q
@@ -139,16 +138,6 @@ def test_hessian_K():
     pot = Potential.from_string(COS_Q, d=1)
     assert abs(estimate_hessian_K(pot, d=1) - 1.0) < 1e-12
     assert estimate_hessian_K(None, d=1) == 0.0
-
-
-def test_lsi_c3():
-    pot = Potential.from_string(COS_Q, d=1)
-    assert abs(estimate_lsi_c3(pot, d=1) - 1.0) < 1e-10
-
-
-def test_exp_moments_flat():
-    val = nu_exp_moments(None, beta=1.0, d=1, coefficient=2.0)
-    assert abs(val - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from hypoco.models import (
     rhmc_bound,
     rhmc_bound_formula,
     static_poincare_constants,
-    uij_moment,
 )
 from hypoco.operators import (ModelOperators, ModelSpec, assemble_model,
                               verify_structural_assumptions)
@@ -64,17 +63,6 @@ def test_proposition_case_validates_eagerly():
         PropositionCase("general", {"c1": 1.0})
     with pytest.raises(ConfigError):
         PropositionCase("no_such_case")
-
-
-@pytest.mark.parametrize("mass,beta", [(1.0, 1.0), (1.5, 2.0), (0.7, 0.3)])
-def test_uij_moments(mass, beta):
-    # E[(p_i^2/m^2 - 1/(m beta))^2] = 2/(m beta)^2 and
-    # E[p_i^2 p_j^2]/m^4 = 1/(m beta)^2 for i != j.
-    diag = uij_moment(mass, beta, diagonal=True)
-    off = uij_moment(mass, beta, diagonal=False)
-    ref = 1.0 / (mass * beta) ** 2
-    assert abs(diag - 2.0 * ref) < 1e-12 * ref, (diag, 2.0 * ref)
-    assert abs(off - ref) < 1e-12 * ref, (off, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +262,30 @@ def test_adl_bound_end_to_end(adl_ops):
     assert bound >= exact_resolvent_norm(adl_ops.L)
 
 
-def test_adl_bound_rejects_mismatched_epsilon(adl_ops):
-    dec = build_decomposition(adl_ops)
-    pot = adl_ops.basis.potential
-    constants = constants_summary(pot, 1.0, 1.0, 1, n_q=32)
-    with pytest.raises(ConfigError, match="epsilon"):
-        adl_bound(dec, constants, epsilon=2.0)
+#: its Galerkin gap at n_q = 8 sits 4e-5 below the continuum floor
+SKEW_POTENTIAL = "1:0.5,0.3;3:0.7,0"
+
+
+def test_adl_gap_floor_is_taken_at_the_operators_cutoff():
+    spec = BasisSpec(d=1, n_q=8, n_p=6, has_xi=True, n_xi=6)
+    model = ModelSpec(model="adaptive_langevin", gamma=1.0, epsilon=1.0)
+    report = model_bound_report(model, spec, Potential.from_string(SKEW_POTENTIAL, d=1),
+                                check_convergence=False)
+    assert report.a**2 < report.details["a2_analytic"] - 1e-8
+
+
+def test_adl_gap_below_the_cutoff_floor_fails(monkeypatch):
+    pot = Potential.from_string(SKEW_POTENTIAL, d=1)
+    basis = build_basis(BasisSpec(d=1, n_q=8, n_p=6, has_xi=True, n_xi=6), potential=pot)
+    dec = build_decomposition(assemble_model(
+        basis, ModelSpec(model="adaptive_langevin", gamma=1.0, epsilon=1.0)))
+    k2 = poincare_constant("nu", potential=pot, n_q=8).constant
+    floor = adl_a_squared(1.0, 1, 1.0, k2, 1.0)
+    norms = intermediate_norms(dec)
+    monkeypatch.setattr(hypoco.models, "intermediate_norms",
+                        lambda dec: {**norms, "a": math.sqrt(floor - 1e-7)})
+    with pytest.raises(InvariantViolation, match="numerical gap"):
+        adl_bound(dec, {"K_nu2": k2})
 
 
 # ---------------------------------------------------------------------------
