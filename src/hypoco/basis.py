@@ -672,9 +672,11 @@ class BasisSet:
 
     def _gram_residual(self) -> float:
         spec = self.spec
-        # position factor: weighted basis against the measured density
-        psiw = self.phi / self.sqrt_rho[:, None]
-        g_pos = psiw.T @ (self.rho_grid[:, None] * psiw) / self.n_grid**spec.d
+        # position factor: weighted basis against the measured density; where
+        # that density underflows to 0 the NaN left here fails the caller's check
+        with np.errstate(divide="ignore", invalid="ignore"):
+            psiw = self.phi / self.sqrt_rho[:, None]
+            g_pos = psiw.T @ (self.rho_grid[:, None] * psiw) / self.n_grid**spec.d
         res = float(np.max(np.abs(g_pos - np.eye(spec.n_pos))))
         # momentum factor (one coordinate; all coordinates share the rule)
         y, w = self.gh_p

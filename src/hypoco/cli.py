@@ -24,7 +24,7 @@ from .basis import BasisSpec, build_basis
 from .config import RunConfig, parse_config
 from .container import save_container
 from .errors import ConfigError, HypocoError
-from .operators import ModelSpec, assemble_model, verify_structural_assumptions
+from .operators import ModelSpec, assemble_model, diagonal, verify_structural_assumptions
 
 CSV_COLUMNS = ("model", "gamma", "epsilon", "d", "n_q", "n_p",
                "s", "a", "bound", "exact", "margin", "converged")
@@ -124,7 +124,7 @@ def cmd_assemble(args) -> int:
     summary = {
         "model": ops.model.model, "dim": ops.dim,
         "dim0": int(len(ops.idx0)), "dim_plus": int(len(ops.idx_plus)),
-        "nnz": {"A": int(ops.A.nnz), "S": int(ops.S.nnz),
+        "nnz": {"A": int(ops.A.nnz), "S": int(np.count_nonzero(ops.S)),
                 "L": int(ops.L.nnz)},
         "s_analytic": ops.model.s_analytic,
     }
@@ -137,8 +137,8 @@ def cmd_assemble(args) -> int:
                 "n_xi": config.n_xi if basis.spec.has_xi else 0,
                 "potential": config.potential_text, "dim": ops.dim}
         save_container(config.out, {
-            "A": ops.A, "S": ops.S, "L": ops.L,
-            "pi0": ops.pi0, "reversal": ops.reversal,
+            "A": ops.A, "S": diagonal(ops.S), "L": ops.L,
+            "pi0": diagonal(ops.pi0), "reversal": diagonal(ops.reversal),
         }, meta=meta)
         sys.stdout.write(f"wrote {config.out}\n")
     return 0

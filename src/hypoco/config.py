@@ -7,6 +7,7 @@ first, so a config file can be fixed in one pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,8 @@ def parse_range(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"range {text!r} is not 'start:stop:logN' or 'start:stop:linN'")
     start, stop = float(parts[0]), float(parts[1])
+    if not math.isfinite(stop - start):  # an endpoint inf or nan, or a span past float range
+        raise ValueError(f"range {text!r} needs finite endpoints a finite distance apart")
     kind, count = parts[2][:3], parts[2][3:]
     n = int(count)
     if n < 1:

@@ -141,16 +141,15 @@ def build_decomposition(ops: ModelOperators,
 
     lq1 = ops.Lpp @ q1
     l11 = q1.T @ lq1
-    s11 = q1.T @ (ops.Spp @ q1)
+    s11 = q1.T @ (ops.Spp[:, None] * q1)
     l11_sym = float(np.max(np.abs(l11 - l11.T)))
     if ops.model.model != "adaptive_langevin" and l11_sym > tol_identity:
         raise InvariantViolation(
             f"L11 symmetry residual {l11_sym:.3e} exceeds tolerance {tol_identity:g}"
         )
 
-    rpp = ops.plus_block(ops.reversal)
-    signs = np.where(rpp.diagonal() > 0, 1.0, -1.0)
-    bad = (rpp - sp.diags(signs)).count_nonzero()
+    signs = ops.reversal[ops.idx_plus]
+    bad = int(np.count_nonzero(np.abs(signs) != 1.0))
     if bad:
         raise InvariantViolation(f"build_decomposition: reversal on H+ is not a diagonal "
                                  f"sign matrix ({bad} entries off)")

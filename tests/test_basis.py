@@ -222,8 +222,7 @@ def test_constant_offset_leaves_the_quadrature_unchanged(cos_basis):
 
 def test_underflowing_density_is_a_quadrature_failure():
     # even shifted, exp(-beta V) of V = 800 cos q underflows to 0: the Gram is NaN
-    with np.errstate(divide="ignore", invalid="ignore"), \
-            pytest.raises(NumericalFailure, match="quadrature failure"):
+    with pytest.raises(NumericalFailure, match="quadrature failure"):
         build_basis(BasisSpec(d=1, n_q=8, n_p=8), Potential.from_string("1:400,0", d=1))
 
 

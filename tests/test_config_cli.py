@@ -6,6 +6,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,33 @@ def test_cli_non_finite_value_is_a_config_error(cfg_path, tmp_path, capsys):
     path.write_text("model = langevin\nmass = inf\n")
     assert main(["bound", "--config", str(path)]) == 2
     assert "line 2: mass must be positive and finite, got 'inf'" in capsys.readouterr().err
+
+
+def _main_without_warnings(argv, capsys):
+    """Exit code and stderr lines of ``main(argv)``, asserting no warning was raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    return code, capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("gamma", ["1:inf:log3", "1:1e400:log3", "1:inf:lin3",
+                                   "inf:1:log3", "1:inf:log1", "-1e308:1e308:lin3"])
+def test_cli_non_finite_range_is_one_error_line(cfg_path, capsys, gamma):
+    # no grid is built from a non-finite endpoint, so numpy has nothing to warn about
+    code, err = _main_without_warnings(["bound", "--config", cfg_path, f"--gamma={gamma}"],
+                                       capsys)
+    assert code == 2
+    assert err == [f"ConfigError: --gamma: gamma = {gamma!r} is malformed"]
+
+
+def test_cli_underflowing_density_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "underflow.cfg"
+    path.write_text("model = langevin\npotential = 1:400,0\nn_q = 8\nn_p = 8\n")
+    code, err = _main_without_warnings(["bound", "--config", str(path)], capsys)
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith("NumericalFailure: quadrature failure")
 
 
 def test_cli_unknown_model_override(cfg_path, capsys):

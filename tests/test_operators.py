@@ -12,7 +12,7 @@ from hypoco.errors import ConfigError
 from hypoco.operators import (MODELS, ModelSpec, assemble_boltzmann_collision,
                               assemble_fd, assemble_hamiltonian, assemble_model,
                               assemble_nosehoover, assemble_pi0,
-                              assemble_reversal, verify_structural_assumptions,
+                              assemble_reversal, diagonal, verify_structural_assumptions,
                               _hamiltonian_span, _nosehoover_span)
 
 from conftest import COS_Q
@@ -127,7 +127,7 @@ def test_fd_is_number_operator(graded_bases):
         number = np.diag(np.arange(spec.n_p + 1, dtype=float))
         reference = -sum(basis.to_h(basis.span_kron(herm_mats={i: number}))
                          for i in range(spec.d)) / spec.mass
-        assert abs(assemble_fd(basis) - reference).max() <= 1e-14
+        assert abs(sp.diags(assemble_fd(basis)) - reference).max() <= 1e-14
 
 
 def test_collision_operator(graded_bases):
@@ -137,8 +137,9 @@ def test_collision_operator(graded_bases):
         e00[0, 0] = 1.0
         pi0 = _kron_reference(basis, e00)
         reference = gamma * (pi0 - sp.identity(basis.spec.dimension))
-        assert abs(assemble_boltzmann_collision(basis, gamma) - reference).max() <= 1e-14
-        assert abs(assemble_pi0(basis) - pi0).max() <= 1e-14
+        assert abs(sp.diags(assemble_boltzmann_collision(basis, gamma))
+                   - reference).max() <= 1e-14
+        assert abs(sp.diags(assemble_pi0(basis)) - pi0).max() <= 1e-14
 
 
 def test_reversal_parities(graded_bases):
@@ -147,7 +148,7 @@ def test_reversal_parities(graded_bases):
         sign = np.diag((-1.0) ** np.arange(spec.n_p + 1))
         xi_sign = np.diag((-1.0) ** np.arange(spec.n_xi + 1)) if spec.has_xi else None
         reference = _kron_reference(basis, sign, xi_sign)
-        assert abs(assemble_reversal(basis) - reference).max() <= 1e-14
+        assert abs(sp.diags(assemble_reversal(basis)) - reference).max() <= 1e-14
 
 
 def test_diagonal_operators_store_only_their_nonzero_diagonal():
@@ -158,13 +159,17 @@ def test_diagonal_operators_store_only_their_nonzero_diagonal():
     ops = assemble_model(basis, ModelSpec(model="langevin", gamma=1.0, d=2))
     pi0 = (basis.p_degree == 0).astype(float)
     parity = (-1.0) ** (basis.p_degree + basis.xi_degree)
-    for mat, diag in ((ops.pi0, pi0), (ops.reversal, parity)):
+    lfd = -basis.p_degree / basis.spec.mass
+    for vec, diag in ((ops.pi0, pi0), (ops.reversal, parity), (ops.S, lfd)):
+        assert np.array_equal(vec, diag)
+        mat = diagonal(vec)
         assert mat.nnz == np.count_nonzero(diag)
         assert (mat != sp.diags(diag)).nnz == 0
 
 
 def test_collision_stores_nothing_on_ker_s(rhmc_ops):
-    assert rhmc_ops.S[rhmc_ops.idx0].nnz == 0
+    assert np.count_nonzero(rhmc_ops.S[rhmc_ops.idx0]) == 0
+    assert rhmc_ops.L[rhmc_ops.idx0][:, rhmc_ops.idx0].nnz == 0
 
 
 @pytest.mark.parametrize("d, potential", [(1, COS_Q), (2, "1 0:0.5,0;0 1:0.5,0")],
@@ -250,14 +255,50 @@ def test_structural_assumptions_adl(adl_ops):
     assert abs(report.residuals["R_pi0_identity"] - 2.0) < 1e-12
 
 
+def _product_residuals(ops):
+    """verify's residuals as the sparse operator products they stand for."""
+    a = ops.A
+    s, p, r = (sp.diags(v, format="csr") for v in (ops.S, ops.pi0, ops.reversal))
+    eye = sp.identity(ops.dim, format="csr")
+
+    def max_abs(m):
+        m = sp.csr_matrix(m)
+        return 0.0 if m.nnz == 0 else float(np.max(np.abs(m.data)))
+
+    return {
+        "pi0_A_pi0": max_abs(p @ a @ p), "S_pi0": max_abs(s @ p), "pi0_S": max_abs(p @ s),
+        "R_squared": max_abs(r @ r - eye), "R_S_R_minus_S": max_abs(r @ s @ r - s),
+        "R_A_R_plus_A": max_abs(r @ a @ r + a), "A_antisymmetry": max_abs(a + a.T),
+        "S_symmetry": max_abs(s - s.T), "pi0_projector": max_abs(p @ p - p),
+        "R_pi0_commutator": max_abs(r @ p - p @ r), "R_pi0_identity": max_abs(r @ p - p),
+    }
+
+
+@pytest.mark.parametrize("which", ["langevin_ops", "rhmc_ops", "adl_ops"])
+@pytest.mark.parametrize("inject", [False, True], ids=["assembled", "injected"])
+def test_verify_residuals_equal_the_operator_products_bitwise(which, inject, request):
+    ops = request.getfixturevalue(which)
+    if inject:
+        # an H0 x H0 entry and an R-even one between two degree-1 states
+        i0, j0 = ops.idx0[:2]
+        i, j = np.flatnonzero((ops.basis.p_degree == 1) & (ops.reversal == -1.0))[:2]
+        bump = sp.csr_matrix(([0.3, 0.7], ([i0, i], [j0, j])), shape=ops.A.shape)
+        ops = replace(ops, A=ops.A + bump)
+    report = verify_structural_assumptions(ops)
+    expected = _product_residuals(ops)
+    assert report.residuals == expected
+    if inject:
+        assert expected["pi0_A_pi0"] > 0 and expected["R_A_R_plus_A"] > 0
+
+
 def test_friction_free_operators_are_shared_per_basis(cos_basis):
     one, two = (assemble_model(cos_basis, ModelSpec(model="langevin", gamma=g))
                 for g in (1.0, 2.0))
-    for name in ("A", "pi0", "reversal"):
-        shared = getattr(one, name).data
-        assert np.shares_memory(getattr(two, name).data, shared)
+    for shared, other in ((one.A.data, two.A.data), (one.pi0, two.pi0),
+                          (one.reversal, two.reversal)):
+        assert np.shares_memory(other, shared)
         assert not shared.flags.writeable
-    assert (two.S != 2.0 * one.S).nnz == 0
+    assert np.array_equal(two.S, 2.0 * one.S)
 
 
 @pytest.mark.parametrize("model", [
@@ -272,7 +313,7 @@ def test_shared_operators_give_the_fresh_generator_bitwise(model, cos_basis, adl
 
 def test_generator_is_sum(langevin_ops):
     gap = abs(langevin_ops.L
-              - (langevin_ops.A + langevin_ops.S)).max()
+              - (langevin_ops.A + sp.diags(langevin_ops.S))).max()
     assert gap == 0.0
 
 

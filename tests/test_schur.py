@@ -67,7 +67,7 @@ def test_pi1_matches_normal_equation_projector(langevin_dec):
 def test_fd_acts_as_minus_one_over_m_on_h1(langevin_ops, langevin_dec):
     # columns of A_{+0} are pure Hermite-degree-1, so L_FD Pi1 = -Pi1/m
     lfd_pp = langevin_ops.Spp / langevin_ops.model.gamma
-    gap = np.max(np.abs(lfd_pp @ langevin_dec.Q1 + langevin_dec.Q1
+    gap = np.max(np.abs(lfd_pp[:, None] * langevin_dec.Q1 + langevin_dec.Q1
                         / langevin_ops.model.mass))
     assert gap < 1e-13
 
@@ -75,7 +75,7 @@ def test_fd_acts_as_minus_one_over_m_on_h1(langevin_ops, langevin_dec):
 def test_s21_vanishes_for_quadratic_kinetic_energy(langevin_dec, rhmc_dec):
     for dec in (langevin_dec, rhmc_dec):
         # |Q2^T S Q1| = |P2 S Q1|: H2 is reached through its projector
-        s21 = dec.p2(dec.ops.plus_block(dec.ops.S) @ dec.Q1)
+        s21 = dec.p2(sp.diags(dec.ops.S[dec.ops.idx_plus]) @ dec.Q1)
         assert np.max(np.abs(s21)) < 1e-13
 
 
@@ -115,13 +115,13 @@ def test_non_orthonormal_h1_basis_detected(langevin_ops, monkeypatch):
 
 
 def test_asymmetric_l11_detected(langevin_ops):
-    # S coupling two degree-1 states one way only makes L11 non-symmetric
-    s = langevin_ops.S.tolil()
+    # a generator coupling two degree-1 states one way only makes L11 non-symmetric
+    a = langevin_ops.A.tolil()
     i, j = np.flatnonzero(langevin_ops.basis.p_degree == 1)[:2]
-    s[i, j] += 0.5
+    a[i, j] += 0.5
     fake = type(langevin_ops)(model=langevin_ops.model,
-                              basis=langevin_ops.basis, A=langevin_ops.A,
-                              S=sp.csr_matrix(s),
+                              basis=langevin_ops.basis, A=sp.csr_matrix(a),
+                              S=langevin_ops.S,
                               pi0=langevin_ops.pi0, reversal=langevin_ops.reversal)
     with pytest.raises(InvariantViolation, match="L11 symmetry residual"):
         build_decomposition(fake)
@@ -130,10 +130,8 @@ def test_asymmetric_l11_detected(langevin_ops):
 def test_asymmetric_reversal_detected(langevin_ops):
     # |R22| = 1 is proved from the signs of R on H+, which needs R to be a
     # diagonal sign matrix there
-    r = langevin_ops.reversal.tolil()
-    i, j = langevin_ops.idx_plus[-2:]
-    r[i, j] += 1e-3
-    broken = sp.csr_matrix(r)
+    broken = langevin_ops.reversal.copy()
+    broken[langevin_ops.idx_plus[-1]] = 0.5
     fake = type(langevin_ops)(model=langevin_ops.model,
                               basis=langevin_ops.basis, A=langevin_ops.A,
                               S=langevin_ops.S, pi0=langevin_ops.pi0,
@@ -252,21 +250,18 @@ def test_unproved_reversal_sign_count_detected(cos_potential):
     # (+1, +1, +1, -1, -1) on H+ leaves |R22| = 1 unproved
     ops = assemble_model(build_basis(BasisSpec(d=1, n_q=2, n_p=1), potential=cos_potential),
                          ModelSpec(model="langevin", gamma=1.0))
-    r = ops.reversal.tolil()
-    for k, i in enumerate(ops.idx_plus):
-        r[i, i] = 1.0 if k < 3 else -1.0
+    r = ops.reversal.copy()
+    r[ops.idx_plus] = [1.0, 1.0, 1.0, -1.0, -1.0]
     fake = type(ops)(model=ops.model, basis=ops.basis, A=ops.A, S=ops.S, pi0=ops.pi0,
-                     reversal=sp.csr_matrix(r))
+                     reversal=r)
     with pytest.raises(InvariantViolation,
                        match=r"build_decomposition: \|R22\| = 1 not proved.*\(3, 2\)"):
         build_decomposition(fake)
 
 
 def test_positive_friction_entry_fails_h2_dissipation(langevin_ops):
-    s = langevin_ops.S.tolil()
-    i = langevin_ops.idx_plus[-1]
-    s[i, i] = 0.5
-    broken = sp.csr_matrix(s)
+    broken = langevin_ops.S.copy()
+    broken[langevin_ops.idx_plus[-1]] = 0.5
     fake = type(langevin_ops)(model=langevin_ops.model,
                               basis=langevin_ops.basis, A=langevin_ops.A,
                               S=broken, pi0=langevin_ops.pi0,
@@ -449,8 +444,8 @@ def test_theorem_bound_rejects_bad_inputs():
 def _t3_identity_residual(dec):
     """Relative residual of T3* T3 = -(S on H+)^{-1}, behind the bound's 3/s term,
     against dense inverses of L++ and S++."""
-    lpp = dec.ops.plus_block(dec.ops.L).toarray()
-    spp = dec.ops.plus_block(dec.ops.S).toarray()
+    lpp = dec.ops.Lpp.toarray()
+    spp = np.diag(dec.ops.Spp)
     linv = np.linalg.inv(lpp)
     sym = -0.5 * (linv + linv.T)
     t3t3 = linv.T @ np.linalg.solve(sym, linv)
@@ -479,7 +474,7 @@ def test_norm_R22_eigvalsh_matches_svd(dec_name, request):
     dec = request.getfixturevalue(dec_name)
     q_full = sla.qr(dec.ops.apl0.toarray(), mode="full")[0]
     q2 = q_full[:, dec.dim0:]
-    r22 = q2.T @ (dec.ops.plus_block(dec.ops.reversal) @ q2)
+    r22 = q2.T @ (np.diag(dec.ops.reversal[dec.ops.idx_plus]) @ q2)
     norm = intermediate_norms(dec)["norm_R22"]
     assert abs(norm - float(sla.svdvals(r22)[0])) <= 1e-12
 
@@ -508,7 +503,7 @@ def test_rank_check_implies_reversal_sign_count(model, n_p, n_xi, cos_potential)
             with pytest.raises(InvariantViolation, match="macroscopic coercivity failure"):
                 build_decomposition(ops)
             continue
-        signs = ops.reversal[ops.idx_plus][:, ops.idx_plus].diagonal()
+        signs = ops.reversal[ops.idx_plus]
         assert max(np.sum(signs > 0), np.sum(signs < 0)) > dim0
         assert intermediate_norms(build_decomposition(ops))["norm_R22"] == 1.0
 
