@@ -124,9 +124,9 @@ class PoincareResult:
 
 
 def poincare_constant(measure: str, *, potential: Potential | None = None,
-                      beta: float = 1.0, mass: float = 1.0, d: int = 1,
+                      beta: float = 1.0, d: int = 1,
                       n_q: int = 32, torus_length: float = TWO_PI) -> PoincareResult:
-    """Smallest nonzero eigenvalue of grad*grad for the marginal measure.
+    """Smallest nonzero eigenvalue of grad*grad for the position marginal.
 
     For the position marginal the weighted Laplacian -Delta + beta grad V .
     grad is W = sum_i D_i^T D_i, with D_i the sparse Witten derivatives in
@@ -134,14 +134,11 @@ def poincare_constant(measure: str, *, potential: Potential | None = None,
     bordered [[W, c], [c^T, 0]] inverts W on the complement of the constant
     mode c, where ARPACK finds the bottom eigenvalue by shift-invert; the
     eigenvector is reported in the basis coordinates T of that complement.
-    The Gaussian momentum marginal has the known gap beta/mass.
+    The Gaussian momentum marginal's gap beta/mass is written by
+    :func:`constants_summary` as ``K_kappa2``.
     """
-    if measure in ("momentum", "kappa"):
-        vec = np.zeros(2)
-        vec[1] = 1.0
-        return PoincareResult(constant=beta / mass, eigenvector=vec)
     if measure not in ("position", "nu"):
-        raise ConfigError([f"unknown measure {measure!r}; expected position or momentum"])
+        raise ConfigError([f"unknown measure {measure!r}; expected position or nu"])
     if n_q < 1:
         raise ConfigError(["the position Poincare constant needs n_q >= 1"])
     potential = validated_potential(

@@ -92,7 +92,7 @@ def _model_norms(dec: Decomposition) -> dict:
     """
     ops, gamma = dec.ops, dec.ops.model.gamma
     out = intermediate_norms(dec)
-    s21 = dec.p2(ops.Spp[:, None] * dec.Q1)
+    s21 = ops.Spp[:, None] * dec.Q1 - dec.Q1 @ dec.S11
     out["norm_S21"] = operator_norm(s21)
     out["X2"] = norm_X_hamiltonian_squared(ops)
     if ops.model.model != "boltzmann_rhmc":

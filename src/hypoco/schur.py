@@ -65,9 +65,9 @@ class Decomposition:
 
     H0 is the coordinate block ``ops.idx0``; Q1 holds the H1 basis in H+
     coordinates.  H2 is never formed: it is reached through the projector
-    P2 = 1 - Q1 Q1^T, as |Q2^T Y| = |P2 Y|, so ``P2LQ1`` = P2 L++ Q1 stands
-    in for L21.  A10 is square (dim0 = dim1) and invertible whenever the
-    build succeeded.
+    P2 = 1 - Q1 Q1^T, as |Q2^T Y| = |P2 Y|, so P2 ``LQ1`` = LQ1 - Q1 L11,
+    with ``LQ1`` = L++ Q1, stands in for L21.  A10 is square (dim0 = dim1)
+    and invertible whenever the build succeeded.
     """
 
     ops: ModelOperators
@@ -75,7 +75,7 @@ class Decomposition:
     A10: np.ndarray
     L11: np.ndarray
     S11: np.ndarray
-    P2LQ1: np.ndarray
+    LQ1: np.ndarray
     pi1_idempotency_residual: float
     pi1_range_residual: float
     l11_symmetry_residual: float
@@ -95,10 +95,6 @@ class Decomposition:
     @property
     def dim1(self) -> int:
         return self.Q1.shape[1]
-
-    def p2(self, y: np.ndarray) -> np.ndarray:
-        """P2 y = y - Q1 Q1^T y, the H2 component of H+ vectors."""
-        return y - self.Q1 @ (self.Q1.T @ y)
 
 
 def build_decomposition(ops: ModelOperators,
@@ -159,7 +155,7 @@ def build_decomposition(ops: ModelOperators,
                                  f"(+1, -1) = {counts} of R on H+ not above dim H1 = {dim0}")
     return Decomposition(
         ops=ops, Q1=q1, A10=q_rows.T @ block,
-        L11=l11, S11=s11, P2LQ1=lq1 - q1 @ l11,
+        L11=l11, S11=s11, LQ1=lq1,
         pi1_idempotency_residual=pi1_idem, pi1_range_residual=pi1_range,
         l11_symmetry_residual=l11_sym,
     )
@@ -205,40 +201,39 @@ def schur_complement(dec: Decomposition,
     the square invertible A10.  Both are algebraically equal, so disagreement
     flags a conditioning problem rather than a modelling one.  Symmetry and
     negative definiteness are asserted except for the thermostated model,
-    whose extended reversal fixes ker S only up to a sign.
+    whose extended reversal fixes ker S only up to a sign; these checks run
+    at the caller's ``tol_identity`` on every call, only the routes are cached.
     """
-    if dec._schur is not None:
-        return dec._schur
     ops = dec.ops
-    lpp = ops.Lpp
-    top = gershgorin_max(0.5 * (lpp + lpp.T))
-    if not top < 0.0:
-        raise NumericalFailure(
-            f"dissipation failure on H2: Gershgorin bound of sym L++ reaches {top:.3e}"
-        )
-    route2, factor = _schur_route2(dec)
-    n = len(ops.idx_plus)
-    cols = np.argsort(factor.perm_c)
-    order = np.concatenate([cols[np.isin(cols, ops.idx_plus)], ops.idx0])
-    lu = _h0_last_lu(ops.L, order)
-    route1 = (lu.L[n:, n:] @ lu.U[n:, n:]).toarray()
-    denom = max(float(np.linalg.norm(route1)), np.finfo(float).tiny)
-    rel = float(np.linalg.norm(route1 - route2)) / denom
-    if not rel <= ROUTE_RTOL:
-        raise NumericalFailure(f"Schur complement routes disagree: relative gap {rel:.3e}")
+    if dec._schur is None:
+        top = gershgorin_max(0.5 * (ops.Lpp + ops.Lpp.T))
+        if not top < 0.0:
+            raise NumericalFailure(
+                f"dissipation failure on H2: Gershgorin bound of sym L++ reaches {top:.3e}"
+            )
+        route2, factor = _schur_route2(dec)
+        n = len(ops.idx_plus)
+        cols = np.argsort(factor.perm_c)
+        order = np.concatenate([cols[np.isin(cols, ops.idx_plus)], ops.idx0])
+        lu = _h0_last_lu(ops.L, order)
+        route1 = (lu.L[n:, n:] @ lu.U[n:, n:]).toarray()
+        denom = max(float(np.linalg.norm(route1)), np.finfo(float).tiny)
+        rel = float(np.linalg.norm(route1 - route2)) / denom
+        if not rel <= ROUTE_RTOL:
+            raise NumericalFailure(f"Schur complement routes disagree: relative gap {rel:.3e}")
+        dec.factor, dec._schur = factor, route1
+    s0 = dec._schur
     if ops.model.model != "adaptive_langevin":
-        sym_res = float(np.max(np.abs(route1 - route1.T)))
-        scale = max(float(np.max(np.abs(route1))), 1.0)
+        sym_res = float(np.max(np.abs(s0 - s0.T)))
+        scale = max(float(np.max(np.abs(s0))), 1.0)
         if sym_res / scale > tol_identity:
             raise InvariantViolation(f"Schur complement symmetry residual {sym_res:.3e}")
-        top = float(np.linalg.eigvalsh(0.5 * (route1 + route1.T))[-1])
+        top = float(np.linalg.eigvalsh(0.5 * (s0 + s0.T))[-1])
         if top >= 0.0:
             raise InvariantViolation(
                 f"Schur complement not negative definite: max eigenvalue {top:.3e}"
             )
-    dec.factor = factor
-    dec._schur = route1
-    return route1
+    return s0
 
 
 def _h0_last_lu(L, order: np.ndarray):
@@ -263,20 +258,20 @@ def _schur_route2(dec: Decomposition) -> tuple[np.ndarray, spla.SuperLU]:
     Relies on L_00 = 0 and L_{0+} = -A_{+0}^T, which ``verify`` asserts: in
     (H+, H0) order L = [[L++, A_{+0}], [-A_{+0}^T, 0]], nonsingular since
     lambda_max(sym L22) <= lambda_max(sym L++) < 0 by Cauchy interlacing.
-    A_{+0} spans H1 like Q1, so the solve against [L++ Q1 on H+; 0 on H0]
-    gives X = Q2 L22^{-1} L21 on H+ and L12 L22^{-1} L21 = Q1^T L++ X.
-    Its LU is independent of route one's.
+    A_{+0} spans H1 like Q1, so the solve against [``dec.LQ1`` on H+; 0 on H0]
+    gives X+ = Q2 L22^{-1} L21 and L12 L22^{-1} L21 = Q1^T L++ X+.  Its H+ rows
+    read L++ X+ + A_{+0} X0 = L++ Q1, so Q1^T L++ X+ = L11 - A10 X0 and
+    s1 = A10 X0, read off the H0 rows.  Its LU is independent of route one's.
     """
-    ops, lpp = dec.ops, dec.ops.Lpp
+    ops = dec.ops
     try:
         lu = spla.splu(sp.csc_matrix(ops.L))
     except RuntimeError as exc:
         raise NumericalFailure(f"dissipation failure on H2: sparse LU of L is singular: "
                                f"{exc}") from exc
     rhs = np.zeros((ops.dim, dec.dim1))
-    rhs[ops.idx_plus] = lpp @ dec.Q1
-    x = lu.solve(rhs)[ops.idx_plus]
-    s1 = dec.L11 - dec.Q1.T @ (lpp @ x)
+    rhs[ops.idx_plus] = dec.LQ1
+    s1 = dec.A10 @ lu.solve(rhs)[ops.idx0]
     try:
         return dec.A10.T @ np.linalg.solve(s1, dec.A10), lu
     except np.linalg.LinAlgError as exc:
@@ -286,18 +281,15 @@ def _schur_route2(dec: Decomposition) -> tuple[np.ndarray, spla.SuperLU]:
 def block_resolvent(dec: Decomposition, rhs) -> tuple[np.ndarray, np.ndarray]:
     """Solve L u = phi through the explicit block inverse.
 
-    ``rhs`` is either a full working-space vector or a pair (phi0, phi_plus)
-    in H0 / H+ coordinates.  Returns (u0, u_plus); the assembled solution is
-    validated against the original system to 1e-8 relative.
+    ``rhs`` is a full working-space vector.  Returns (u0, u_plus) in H0 / H+
+    coordinates; the assembled solution is validated against the original
+    system to 1e-8 relative.
     """
     ops = dec.ops
-    if isinstance(rhs, tuple):
-        phi0, phip = np.asarray(rhs[0], float), np.asarray(rhs[1], float)
-    else:
-        rhs = np.asarray(rhs, float)
-        phi0, phip = rhs[ops.idx0], rhs[ops.idx_plus]
-    if phi0.shape != (dec.dim0,) or phip.shape != (len(ops.idx_plus),):
-        raise ConfigError(["right-hand side has wrong block dimensions"])
+    rhs = np.asarray(rhs, float)
+    if rhs.shape != (dec.dim,):
+        raise ConfigError([f"right-hand side has shape {rhs.shape}, expected ({dec.dim},)"])
+    phi0, phip = rhs[ops.idx0], rhs[ops.idx_plus]
     s0 = schur_complement(dec)  # proves sym L++ definite, so L++ is nonsingular
     lu = spla.splu(ops.Lpp.tocsc())
     # u0 = S0^{-1} (phi0 - A_{0+} Lpp^{-1} phi+)   with A_{0+} = -A_{+0}^T
@@ -307,9 +299,8 @@ def block_resolvent(dec: Decomposition, rhs) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"Schur singular: {exc}") from exc
     uplus = lu.solve(phip - ops.apl0 @ u0)
-    full_phi = scatter_blocks(dec, phi0, phip)
-    res = np.linalg.norm(ops.L @ scatter_blocks(dec, u0, uplus) - full_phi)
-    if res > 1e-8 * max(np.linalg.norm(full_phi), np.finfo(float).tiny):
+    res = np.linalg.norm(ops.L @ scatter_blocks(dec, u0, uplus) - rhs)
+    if res > 1e-8 * max(np.linalg.norm(rhs), np.finfo(float).tiny):
         raise NumericalFailure(f"block resolvent residual too large: {res:.3e}")
     return u0, uplus
 
@@ -453,7 +444,8 @@ def norm_X21(dec: Decomposition) -> float:
     square: A10 (A10^T A10)^{-1} = A10^{-T}.  A10 is not symmetric in general, so
     this differs from |L21 A10^{-1}|.
     """
-    return operator_norm(np.linalg.solve(dec.A10, dec.P2LQ1.T).T)
+    p2lq1 = dec.LQ1 - dec.Q1 @ dec.L11
+    return operator_norm(np.linalg.solve(dec.A10, p2lq1.T).T)
 
 
 def intermediate_norms(dec: Decomposition) -> dict:

@@ -26,11 +26,6 @@ def test_poincare_flat_torus_is_one():
     assert abs(res.constant - 1.0) < 1e-12
 
 
-def test_poincare_momentum_gaussian():
-    res = poincare_constant("kappa", beta=2.0, mass=4.0)
-    assert abs(res.constant - 0.5) < 1e-14
-
-
 def test_poincare_cos_reference_value():
     pot = Potential.from_string(COS_Q, d=1)
     res = poincare_constant("nu", potential=pot, beta=1.0, d=1, n_q=32)
@@ -77,8 +72,9 @@ def test_poincare_position_checks(monkeypatch):
 
 
 def test_poincare_unknown_measure():
-    with pytest.raises(ConfigError):
-        poincare_constant("speed")
+    for measure in ("speed", "kappa", "momentum"):
+        with pytest.raises(ConfigError, match="unknown measure"):
+            poincare_constant(measure)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +292,8 @@ def test_constants_summary_keys_and_values():
 @settings(max_examples=15, deadline=None)
 @given(beta=st.floats(0.5, 3.0), mass=st.floats(0.5, 3.0))
 def test_kappa_poincare_scaling_property(beta, mass):
-    res = poincare_constant("kappa", beta=beta, mass=mass)
-    assert abs(res.constant - beta / mass) < 1e-12
+    k2 = constants_summary(None, beta, mass, 1, n_q=4)["K_kappa2"]
+    assert abs(k2 - beta / mass) < 1e-12
 
 
 @settings(max_examples=10, deadline=None)

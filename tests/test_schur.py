@@ -74,8 +74,8 @@ def test_fd_acts_as_minus_one_over_m_on_h1(langevin_ops, langevin_dec):
 
 def test_s21_vanishes_for_quadratic_kinetic_energy(langevin_dec, rhmc_dec):
     for dec in (langevin_dec, rhmc_dec):
-        # |Q2^T S Q1| = |P2 S Q1|: H2 is reached through its projector
-        s21 = dec.p2(sp.diags(dec.ops.S[dec.ops.idx_plus]) @ dec.Q1)
+        # |Q2^T S Q1| = |P2 S Q1| = |S Q1 - Q1 S11|: H2 is reached through its projector
+        s21 = sp.diags(dec.ops.S[dec.ops.idx_plus]) @ dec.Q1 - dec.Q1 @ dec.S11
         assert np.max(np.abs(s21)) < 1e-13
 
 
@@ -213,6 +213,41 @@ def test_pivoted_h0_last_lu_is_refused(langevin_ops, monkeypatch):
 
 
 @pytest.mark.parametrize("which", ["langevin", "rhmc", "adl"])
+def test_route2_s1_read_off_the_solve_is_the_h2_schur_complement(which, langevin_dec,
+                                                                  rhmc_dec, adl_dec):
+    # the H0 rows of X solving L X = [L++ Q1; 0] give s1 = A10 X0, which must
+    # equal L11 - Q1^T L++ X+, and route two must be A10^T s1^{-1} A10
+    dec = {"langevin": langevin_dec, "rhmc": rhmc_dec, "adl": adl_dec}[which]
+    ops = dec.ops
+    rhs = np.zeros((ops.dim, dec.dim1))
+    rhs[ops.idx_plus] = ops.Lpp @ dec.Q1
+    x = dec.factor.solve(rhs)
+    s1 = dec.L11 - dec.Q1.T @ (ops.Lpp @ x[ops.idx_plus])
+    assert np.linalg.norm(dec.A10 @ x[ops.idx0] - s1) <= 1e-12 * np.linalg.norm(s1)
+    route2 = schur._schur_route2(dec)[0]
+    expected = dec.A10.T @ np.linalg.solve(s1, dec.A10)
+    assert np.linalg.norm(route2 - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("ops_name", ["langevin_ops", "rhmc_ops", "adl_ops"])
+def test_route_check_covers_the_stored_l_plus_plus_q1(ops_name, request):
+    # X21 reads the stored L++ Q1, and so does route two: a corrupted block
+    # must make the routes disagree
+    dec = build_decomposition(request.getfixturevalue(ops_name))
+    dec.LQ1 *= 1.0 + 1e-6
+    with pytest.raises(NumericalFailure, match="routes disagree: relative gap 1.000e-06"):
+        schur_complement(dec)
+
+
+def test_schur_checks_run_at_each_callers_tolerance(langevin_ops):
+    # the cached complement must not skip the symmetry check at a tighter tolerance
+    dec = build_decomposition(langevin_ops)
+    schur_complement(dec, tol_identity=1e-10)
+    with pytest.raises(InvariantViolation, match="Schur complement symmetry residual"):
+        schur_complement(dec, tol_identity=1e-20)
+
+
+@pytest.mark.parametrize("which", ["langevin", "rhmc", "adl"])
 def test_trailing_block_of_h0_last_lu_is_the_schur_complement(which, langevin_dec,
                                                                rhmc_dec, adl_dec):
     dec = {"langevin": langevin_dec, "rhmc": rhmc_dec, "adl": adl_dec}[which]
@@ -283,17 +318,9 @@ def test_block_resolvent_matches_dense_lu(which, langevin_dec, rhmc_dec, adl_dec
         assert np.linalg.norm(u - reference) < 1e-8 * np.linalg.norm(reference)
 
 
-def test_block_resolvent_accepts_blocks(langevin_dec):
-    rng = np.random.default_rng(3)
-    phi0 = rng.standard_normal(langevin_dec.dim0)
-    phip = rng.standard_normal(langevin_dec.dim - langevin_dec.dim0)
-    u0, uplus = block_resolvent(langevin_dec, (phi0, phip))
-    full = np.zeros(langevin_dec.dim)
-    full[langevin_dec.ops.idx0] = phi0
-    full[langevin_dec.ops.idx_plus] = phip
-    v0, vplus = block_resolvent(langevin_dec, full)
-    assert np.allclose(u0, v0, atol=1e-12)
-    assert np.allclose(uplus, vplus, atol=1e-12)
+def test_block_resolvent_rejects_a_wrong_length_vector(langevin_dec):
+    with pytest.raises(ConfigError, match="right-hand side has shape"):
+        block_resolvent(langevin_dec, np.zeros(langevin_dec.dim + 1))
 
 
 def test_singular_schur_raises():
