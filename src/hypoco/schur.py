@@ -8,8 +8,10 @@ through the projector P2 = 1 - Q1 Q1^T, a pivoted sparse LU of L itself
 and a sign count of the reversal, never through a basis of its own.
 The module builds the decomposition, evaluates the closed-form resolvent
 bound, and provides the oracle for the exact resolvent norm: ARPACK Lanczos
-on (L^T L)^{-1} applied through that same LU of L, with a dense SVD kept
-for small matrices and as the cross-check.
+on (L^T L)^{-1} applied through an unpivoted LU of L with H+ in
+nested-dissection order and H0 last, the LU whose trailing block is the
+Schur complement, with a dense SVD kept for small matrices and as the
+cross-check.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .basis import DEFAULT_TOL_IDENTITY
@@ -79,10 +82,12 @@ class Decomposition:
     pi1_idempotency_residual: float
     pi1_range_residual: float
     l11_symmetry_residual: float
-    #: pivoted SuperLU of ``csc_matrix(ops.L)`` in working coordinates, the LU
-    #: the exact-norm oracle builds itself; set by :func:`schur_complement`
-    factor: spla.SuperLU | None = field(default=None, repr=False)
+    #: route one's H0-last LU of L, the factor the exact-norm oracle builds
+    #: itself; set by :func:`schur_complement`
+    factor: H0LastLU | None = field(default=None, repr=False)
     _schur: np.ndarray | None = field(default=None, repr=False)
+    #: SuperLU of L++, built by the first :func:`block_resolvent` call
+    _lpp_lu: spla.SuperLU | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -195,10 +200,11 @@ def schur_complement(dec: Decomposition,
                      tol_identity: float = DEFAULT_TOL_IDENTITY) -> np.ndarray:
     """The Schur complement on H0, computed once, through two routes.
 
-    Route one is the trailing block of an unpivoted LU of L with H+ first
-    and H0 last, used for that block only; route two eliminates H2 first
-    through a pivoted LU of L, kept as ``dec.factor``, and passes through
-    the square invertible A10.  Both are algebraically equal, so disagreement
+    Route one is the trailing block of an unpivoted LU of L with H+ first,
+    in the nested-dissection order the basis keeps, and H0 last; that LU is
+    kept as ``dec.factor`` for the exact-norm oracle.  Route two eliminates
+    H2 first through a pivoted LU of L of its own and passes through the
+    square invertible A10.  Both are algebraically equal, so disagreement
     flags a conditioning problem rather than a modelling one.  Symmetry and
     negative definiteness are asserted except for the thermostated model,
     whose extended reversal fixes ker S only up to a sign; these checks run
@@ -211,17 +217,19 @@ def schur_complement(dec: Decomposition,
             raise NumericalFailure(
                 f"dissipation failure on H2: Gershgorin bound of sym L++ reaches {top:.3e}"
             )
-        route2, factor = _schur_route2(dec)
+        route2 = _schur_route2(dec)
         n = len(ops.idx_plus)
-        cols = np.argsort(factor.perm_c)
-        order = np.concatenate([cols[np.isin(cols, ops.idx_plus)], ops.idx0])
+        # the pattern of L++ does not depend on the friction, epsilon or model
+        order = ops.basis.derived("h0_last_order", lambda _: _h0_last_order(ops.L))
+        if not np.array_equal(order[n:], ops.idx0):
+            raise InvariantViolation("H0-last order: the zero diagonal of L is not ker S")
         lu = _h0_last_lu(ops.L, order)
         route1 = (lu.L[n:, n:] @ lu.U[n:, n:]).toarray()
         denom = max(float(np.linalg.norm(route1)), np.finfo(float).tiny)
         rel = float(np.linalg.norm(route1 - route2)) / denom
         if not rel <= ROUTE_RTOL:
             raise NumericalFailure(f"Schur complement routes disagree: relative gap {rel:.3e}")
-        dec.factor, dec._schur = factor, route1
+        dec.factor, dec._schur = H0LastLU(lu, order), route1
     s0 = dec._schur
     if ops.model.model != "adaptive_langevin":
         sym_res = float(np.max(np.abs(s0 - s0.T)))
@@ -234,6 +242,60 @@ def schur_complement(dec: Decomposition,
                 f"Schur complement not negative definite: max eigenvalue {top:.3e}"
             )
     return s0
+
+
+def _bisect(graph) -> tuple[list[np.ndarray], np.ndarray]:
+    """Parts and separator of a symmetric pattern, in its local indices.
+
+    A disconnected pattern splits into its components with no separator.
+    A connected one is cut at the smallest breadth-first level set between
+    the 1/3 and 2/3 quantiles, counted from a far end: levels only touch
+    their neighbours, so no edge joins the levels before the cut to those
+    after it.
+    """
+    count, labels = csgraph.connected_components(graph, directed=False)
+    if count > 1:
+        comps = np.argsort(labels, kind="stable")
+        return np.split(comps, np.cumsum(np.bincount(labels))[:-1]), np.arange(0)
+    # the pattern is symmetric, so directed paths are undirected ones
+    far = int(np.argmax(csgraph.shortest_path(graph, unweighted=True, indices=0)))
+    level = csgraph.shortest_path(graph, unweighted=True, indices=far).astype(int)
+    ranked = np.sort(level)
+    lo, hi = ranked[len(level) // 3], ranked[2 * len(level) // 3]
+    cut = lo + int(np.argmin(np.bincount(level)[lo:hi + 1]))
+    return [np.flatnonzero(level < cut), np.flatnonzero(level > cut)], np.flatnonzero(level == cut)
+
+
+def _nested_dissection(graph, leaf: int = 64) -> np.ndarray:
+    """Nested-dissection order of a symmetric pattern: each part before its
+    separator, parts of at most ``leaf`` indices in index order.
+
+    The recursion runs on an explicit stack: separators are emitted first
+    and the list is reversed at the end, so nothing holds a reference to
+    itself.
+    """
+    # csgraph works on float64 and would convert any other dtype on every call
+    graph = (sp.csr_matrix(graph) != 0).astype(float)
+    chunks, stack = [], [np.arange(graph.shape[0])]
+    while stack:
+        nodes = stack.pop()
+        if len(nodes) <= leaf:
+            chunks.append(nodes)
+            continue
+        parts, sep = _bisect(graph[nodes][:, nodes])
+        chunks.append(nodes[sep])
+        stack.extend(nodes[part] for part in parts)
+    return np.concatenate(chunks[::-1])
+
+
+def _h0_last_order(L) -> np.ndarray:
+    """H+, the indices where L's diagonal is nonzero, in nested-dissection
+    order of |L++| + |L++^T|, then H0, its zero diagonal."""
+    L = sp.csr_matrix(L)
+    zero = L.diagonal() == 0
+    plus = np.flatnonzero(~zero)
+    lpp = abs(L[plus][:, plus])
+    return np.concatenate([plus[_nested_dissection(lpp + lpp.T)], np.flatnonzero(zero)])
 
 
 def _h0_last_lu(L, order: np.ndarray):
@@ -251,9 +313,23 @@ def _h0_last_lu(L, order: np.ndarray):
     return lu
 
 
-def _schur_route2(dec: Decomposition) -> tuple[np.ndarray, spla.SuperLU]:
+@dataclass(frozen=True)
+class H0LastLU:
+    """The unpivoted SuperLU ``lu`` of L[order][:, order], solving with L
+    (``trans="N"``) or L^T (``trans="T"``) in working coordinates."""
+
+    lu: spla.SuperLU
+    order: np.ndarray
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        x = np.empty(np.shape(b))
+        x[self.order] = self.lu.solve(np.asarray(b, float)[self.order], trans=trans)
+        return x
+
+
+def _schur_route2(dec: Decomposition) -> np.ndarray:
     """A10^T s1^{-1} A10 with s1 = L11 - L12 L22^{-1} L21, H2 never formed,
-    and the pivoted LU of L it solves through.
+    solved through a pivoted LU of L of its own.
 
     Relies on L_00 = 0 and L_{0+} = -A_{+0}^T, which ``verify`` asserts: in
     (H+, H0) order L = [[L++, A_{+0}], [-A_{+0}^T, 0]], nonsingular since
@@ -273,7 +349,7 @@ def _schur_route2(dec: Decomposition) -> tuple[np.ndarray, spla.SuperLU]:
     rhs[ops.idx_plus] = dec.LQ1
     s1 = dec.A10 @ lu.solve(rhs)[ops.idx0]
     try:
-        return dec.A10.T @ np.linalg.solve(s1, dec.A10), lu
+        return dec.A10.T @ np.linalg.solve(s1, dec.A10)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"dissipation failure on H2: {exc}") from exc
 
@@ -291,7 +367,9 @@ def block_resolvent(dec: Decomposition, rhs) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError([f"right-hand side has shape {rhs.shape}, expected ({dec.dim},)"])
     phi0, phip = rhs[ops.idx0], rhs[ops.idx_plus]
     s0 = schur_complement(dec)  # proves sym L++ definite, so L++ is nonsingular
-    lu = spla.splu(ops.Lpp.tocsc())
+    if dec._lpp_lu is None:
+        dec._lpp_lu = spla.splu(ops.Lpp.tocsc())
+    lu = dec._lpp_lu
     # u0 = S0^{-1} (phi0 - A_{0+} Lpp^{-1} phi+)   with A_{0+} = -A_{+0}^T
     rhs0 = phi0 + ops.apl0.T @ lu.solve(phip)
     try:
@@ -321,20 +399,23 @@ def scatter_blocks(dec: Decomposition, u0: np.ndarray, uplus: np.ndarray) -> np.
 def exact_resolvent_norm(L, method: str = "auto",
                          dense_threshold: int = DENSE_THRESHOLD,
                          tol: float = 1e-12, max_iter: int = 20000,
-                         factor: spla.SuperLU | None = None) -> float:
+                         factor: H0LastLU | None = None) -> float:
     """Operator norm of L^{-1}, i.e. 1/sigma_min(L).
 
     ``method`` is "dense" (full SVD, the cross-check), "iterative" (ARPACK
     Lanczos on (L^T L)^{-1} = L^{-1} L^{-T} through one sparse LU of L, from
     a fixed ``default_rng(0)`` start vector, so reruns agree bitwise), or "auto"
-    to pick by dimension.  ``factor``, a SuperLU of ``csc_matrix(L)`` such
-    as ``Decomposition.factor``, replaces that LU.  ``tol`` is ARPACK's
-    relative accuracy and ``max_iter`` the number of applications allowed.
-    NumericalFailure is raised when that budget runs out, ARPACK does not
-    converge, the Ritz residual or the backward error of the final solves
-    exceeds RITZ_RTOL or BACKWARD_RTOL, or sigma_min <= 64 n eps
-    sigma_max (on the LU path the upper bound sqrt(|L|_1 |L|_inf) >= sigma_max
-    takes its place).
+    to pick by dimension.  That LU is unpivoted, with the indices of L's
+    nonzero diagonal in nested-dissection order first and its zero diagonal
+    last: for a generator, route one's LU.  ``factor``, anything whose
+    ``solve(b, trans)`` solves with L and L^T such as ``Decomposition.factor``,
+    replaces it.  ``tol`` is ARPACK's relative accuracy and ``max_iter`` the
+    number of applications allowed.
+    NumericalFailure is raised when that LU fails or pivots, the budget runs
+    out, ARPACK does not converge, the Ritz residual or the backward error of
+    the final solves exceeds RITZ_RTOL or BACKWARD_RTOL, or sigma_min <= 64 n
+    eps sigma_max (on the LU path the upper bound sqrt(|L|_1 |L|_inf) >=
+    sigma_max takes its place).
     """
     if method not in ("auto", "dense", "iterative"):
         raise ConfigError([f"unknown method {method!r}"])
@@ -356,15 +437,16 @@ def exact_resolvent_norm(L, method: str = "auto",
     return 1.0 / smin
 
 
-def _lanczos_sigma_min(mat: sp.csc_matrix, factor: spla.SuperLU | None, smax: float,
+def _lanczos_sigma_min(mat: sp.csc_matrix, factor: H0LastLU | None, smax: float,
                        tol: float, max_iter: int) -> float:
     """sigma_min of a sparse square matrix from ARPACK on (L^T L)^{-1}."""
-    try:
-        solve = (spla.splu(mat) if factor is None else factor).solve
-    except RuntimeError as exc:
-        raise NumericalFailure(
-            f"exact_resolvent_norm: sparse LU of L failed, numerically singular: {exc}"
-        ) from exc
+    if factor is None:
+        order = _h0_last_order(mat)
+        try:
+            factor = H0LastLU(_h0_last_lu(mat, order), order)
+        except NumericalFailure as exc:
+            raise NumericalFailure(f"exact_resolvent_norm: {exc}") from exc
+    solve = factor.solve
 
     # the largest Rayleigh quotient seen bounds the eigenvalue from below; its
     # last relative change shows how far a run cut by the budget got
