@@ -57,9 +57,12 @@ def max_dim_default() -> int:
     if env is None:
         return DEFAULT_MAX_DIM
     try:
-        return int(env)
+        limit = int(env)
     except ValueError as exc:
         raise ConfigError([f"HYPOCO_MAX_DIM is not an integer: {env!r}"]) from exc
+    if limit < 1:
+        raise ConfigError([f"HYPOCO_MAX_DIM must be >= 1, got {limit}"])
+    return limit
 
 
 # ---------------------------------------------------------------------------

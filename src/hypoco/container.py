@@ -55,31 +55,37 @@ def save_container(path: str, arrays: dict, meta: dict | None = None) -> None:
             handle.write(payload.tobytes())
 
 
+def _read(handle, dtype, count: int, path: str, what: str) -> np.ndarray:
+    """``count`` items of ``dtype``, or a ConfigError naming the file and the part."""
+    dtype = np.dtype(dtype)
+    size = count * dtype.itemsize
+    data = handle.read(size)
+    if len(data) != size:
+        raise ConfigError([f"{path!r} is truncated: {what} needs {size} bytes, "
+                           f"{len(data)} left"])
+    return np.frombuffer(data, dtype=dtype).copy()
+
+
 def load_container(path: str) -> tuple[dict, dict]:
     """Read a container back; returns ({name: array-or-csr}, meta)."""
     with open(path, "rb") as handle:
         magic = handle.read(len(MAGIC))
         if magic != MAGIC:
             raise ConfigError([f"{path!r} is not a container file (bad magic {magic!r})"])
-        (header_len,) = np.frombuffer(handle.read(4), dtype="<u4")
-        header = json.loads(handle.read(int(header_len)).decode("utf-8"))
+        (header_len,) = _read(handle, "<u4", 1, path, "the header length")
+        header = json.loads(_read(handle, "u1", int(header_len), path, "the header").tobytes())
         arrays = {}
         for entry in header["arrays"]:
+            name = entry["name"]
             if entry["kind"] == "dense":
                 count = int(np.prod(entry["shape"], dtype=np.int64))
-                dtype = np.dtype(entry["dtype"])
-                flat = np.frombuffer(handle.read(count * dtype.itemsize), dtype=dtype)
-                arrays[entry["name"]] = flat.reshape(entry["shape"]).copy()
+                arrays[name] = _read(handle, entry["dtype"], count, path,
+                                     f"array {name!r}").reshape(entry["shape"])
             elif entry["kind"] == "csr":
-                parts = {}
-                for part in ("data", "indices", "indptr"):
-                    dtype = np.dtype(entry["dtypes"][part])
-                    count = int(entry["lengths"][part])
-                    parts[part] = np.frombuffer(
-                        handle.read(count * dtype.itemsize), dtype=dtype).copy()
-                arrays[entry["name"]] = sp.csr_matrix(
-                    (parts["data"], parts["indices"], parts["indptr"]),
-                    shape=tuple(entry["shape"]))
+                parts = [_read(handle, entry["dtypes"][part], int(entry["lengths"][part]),
+                               path, f"array {name!r} ({part})")
+                         for part in ("data", "indices", "indptr")]
+                arrays[name] = sp.csr_matrix(tuple(parts), shape=tuple(entry["shape"]))
             else:
                 raise ConfigError([f"unknown array kind {entry['kind']!r} in {path!r}"])
     return arrays, header["meta"]

@@ -346,17 +346,18 @@ def static_poincare_constants(dec: Decomposition) -> tuple[float, float]:
     C1 = 1 + |(1-Pi0) A^2 Pi0 (A*A)^{-1}| and C2 = |(1-S_++)^{1/2} A_{+0}
     (A*A)^{-1}|, taken as |P^T (1-S_++) P|^{1/2} with P = A_{+0} (A*A)^{-1},
     which needs 1 - S_++ >= 0, i.e. every entry of the diagonal S_++ below 1.
+    With A_{+0} = Q1 A10 and A10 square, P = Q1 A10^{-T}, so P^T (1-S_++) P
+    = A10^{-1} (1 - S11) A10^{-T}, a dim0 x dim0 product.
     """
     ops = dec.ops
     c1 = 1.0 + np.sqrt(norm_X_hamiltonian_squared(ops))
-    spp = ops.Spp
-    low = 1.0 - float(np.max(spp))
+    low = 1.0 - float(np.max(ops.Spp))
     if not low > 0:
         raise NumericalFailure(
             f"1 - S is not positive definite on H+: smallest entry {low:.3e}"
         )
-    pseudo = np.linalg.solve(ops.apl0_gram, ops.apl0.T.toarray()).T
-    c2 = np.sqrt(operator_norm(pseudo.T @ pseudo - pseudo.T @ (spp[:, None] * pseudo)))
+    half = np.linalg.solve(dec.A10, np.eye(dec.dim0) - dec.S11)
+    c2 = np.sqrt(operator_norm(np.linalg.solve(dec.A10, half.T).T))
     return float(c1), float(c2)
 
 

@@ -6,11 +6,12 @@ the generator has a saddle-point block structure whose Schur complement on H0
 yields an explicit inverse.  Only dim0-wide blocks are formed: H2 is reached
 through the projector P2 = 1 - Q1 Q1^T, a pivoted sparse LU of L itself
 and a sign count of the reversal, never through a basis of its own.
-The module builds the decomposition, evaluates the closed-form resolvent
-bound, and provides the oracle for the exact resolvent norm: ARPACK Lanczos
-on (L^T L)^{-1} applied through an unpivoted LU of L with H+ in
-nested-dissection order and H0 last, the LU whose trailing block is the
-Schur complement, with a dense SVD kept for small matrices and as the
+The module builds the decomposition and evaluates the closed-form resolvent
+bound.  One unpivoted LU of L with H+ in nested-dissection order and H0
+last, the LU whose trailing block is the Schur complement, is kept for the
+block resolvent, whose block elimination is its substitution, and for the
+oracle for the exact resolvent norm: ARPACK Lanczos on (L^T L)^{-1} applied
+through that LU, with a dense SVD kept for small matrices and as the
 cross-check.
 """
 
@@ -83,11 +84,10 @@ class Decomposition:
     pi1_range_residual: float
     l11_symmetry_residual: float
     #: route one's H0-last LU of L, the factor the exact-norm oracle builds
-    #: itself; set by :func:`schur_complement`
+    #: itself and :func:`block_resolvent` substitutes through; set by
+    #: :func:`schur_complement`
     factor: H0LastLU | None = field(default=None, repr=False)
     _schur: np.ndarray | None = field(default=None, repr=False)
-    #: SuperLU of L++, built by the first :func:`block_resolvent` call
-    _lpp_lu: spla.SuperLU | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -202,13 +202,14 @@ def schur_complement(dec: Decomposition,
 
     Route one is the trailing block of an unpivoted LU of L with H+ first,
     in the nested-dissection order the basis keeps, and H0 last; that LU is
-    kept as ``dec.factor`` for the exact-norm oracle.  Route two eliminates
-    H2 first through a pivoted LU of L of its own and passes through the
-    square invertible A10.  Both are algebraically equal, so disagreement
-    flags a conditioning problem rather than a modelling one.  Symmetry and
-    negative definiteness are asserted except for the thermostated model,
-    whose extended reversal fixes ker S only up to a sign; these checks run
-    at the caller's ``tol_identity`` on every call, only the routes are cached.
+    kept as ``dec.factor`` for the exact-norm oracle and the block resolvent.
+    Route two eliminates H2 first through a pivoted LU of L of its own and
+    passes through the square invertible A10.  Both are algebraically equal,
+    so disagreement flags a conditioning problem rather than a modelling one.
+    Symmetry and negative definiteness are asserted except for the
+    thermostated model, whose extended reversal fixes ker S only up to a
+    sign; these checks run at the caller's ``tol_identity`` on every call,
+    only the routes are cached.
     """
     ops = dec.ops
     if dec._schur is None:
@@ -357,38 +358,23 @@ def _schur_route2(dec: Decomposition) -> np.ndarray:
 def block_resolvent(dec: Decomposition, rhs) -> tuple[np.ndarray, np.ndarray]:
     """Solve L u = phi through the explicit block inverse.
 
+    Block elimination with the Schur complement on H0 as the last pivot is
+    the forward and back substitution of ``dec.factor``, the unpivoted LU of
+    L with H+ first and H0 last that :func:`schur_complement` keeps.
     ``rhs`` is a full working-space vector.  Returns (u0, u_plus) in H0 / H+
-    coordinates; the assembled solution is validated against the original
-    system to 1e-8 relative.
+    coordinates; the solution is validated against the original system to
+    1e-8 relative.
     """
     ops = dec.ops
     rhs = np.asarray(rhs, float)
     if rhs.shape != (dec.dim,):
         raise ConfigError([f"right-hand side has shape {rhs.shape}, expected ({dec.dim},)"])
-    phi0, phip = rhs[ops.idx0], rhs[ops.idx_plus]
-    s0 = schur_complement(dec)  # proves sym L++ definite, so L++ is nonsingular
-    if dec._lpp_lu is None:
-        dec._lpp_lu = spla.splu(ops.Lpp.tocsc())
-    lu = dec._lpp_lu
-    # u0 = S0^{-1} (phi0 - A_{0+} Lpp^{-1} phi+)   with A_{0+} = -A_{+0}^T
-    rhs0 = phi0 + ops.apl0.T @ lu.solve(phip)
-    try:
-        u0 = np.linalg.solve(s0, rhs0)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"Schur singular: {exc}") from exc
-    uplus = lu.solve(phip - ops.apl0 @ u0)
-    res = np.linalg.norm(ops.L @ scatter_blocks(dec, u0, uplus) - rhs)
+    schur_complement(dec)  # builds dec.factor, refusing a singular or pivoted LU
+    u = dec.factor.solve(rhs)
+    res = np.linalg.norm(ops.L @ u - rhs)
     if res > 1e-8 * max(np.linalg.norm(rhs), np.finfo(float).tiny):
         raise NumericalFailure(f"block resolvent residual too large: {res:.3e}")
-    return u0, uplus
-
-
-def scatter_blocks(dec: Decomposition, u0: np.ndarray, uplus: np.ndarray) -> np.ndarray:
-    """Reassemble a full working-space vector from (H0, H+) parts."""
-    out = np.zeros(dec.dim)
-    out[dec.ops.idx0] = u0
-    out[dec.ops.idx_plus] = uplus
-    return out
+    return u[ops.idx0], u[ops.idx_plus]
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,15 @@ def test_cli_max_dim_guard(cfg_path, capsys):
         os.environ.pop("HYPOCO_MAX_DIM", None)
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_cli_max_dim_from_the_environment_below_one_is_a_config_error(cfg_path, capsys,
+                                                                       monkeypatch, value):
+    # the same refusal, and exit code, as --max-dim 0
+    monkeypatch.setenv("HYPOCO_MAX_DIM", value)
+    assert main(["bound", "--config", cfg_path]) == 2
+    assert capsys.readouterr().err == f"ConfigError: HYPOCO_MAX_DIM must be >= 1, got {value}\n"
+
+
 def test_cli_max_dim_guard_holds_on_a_warm_cache(cfg_path, capsys):
     assert main(["report", "--config", cfg_path]) == 0
     assert main(["report", "--config", cfg_path, "--max-dim", "100"]) == 3

@@ -60,3 +60,19 @@ def test_magic_prefix_present_on_disk(tmp_path):
     path = tmp_path / "ok.hypo"
     save_container(str(path), {"x": np.zeros(2)})
     assert path.read_bytes()[: len(MAGIC)] == MAGIC
+
+
+def test_truncated_payload_is_config_error_naming_the_array(tmp_path):
+    path = tmp_path / "cut.hypo"
+    save_container(str(path), {"x": np.arange(5.0)})
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ConfigError, match=r"cut\.hypo.*truncated.*array 'x'"):
+        load_container(str(path))
+
+
+def test_truncated_header_length_is_config_error(tmp_path):
+    path = tmp_path / "stub.hypo"
+    save_container(str(path), {"x": np.arange(5.0)})
+    path.write_bytes(path.read_bytes()[:7])
+    with pytest.raises(ConfigError, match=r"stub\.hypo.*truncated.*header length"):
+        load_container(str(path))

@@ -19,7 +19,7 @@ from hypoco.operators import ModelSpec, assemble_model, verify_structural_assump
 from hypoco.schur import (DENSE_THRESHOLD, Decomposition, block_resolvent,
                           build_decomposition, exact_resolvent_norm,
                           intermediate_norms, macroscopic_coercivity,
-                          operator_norm, operator_norm_upper, scatter_blocks,
+                          operator_norm, operator_norm_upper,
                           schur_complement, theorem_bound)
 
 from conftest import COS_Q
@@ -367,7 +367,8 @@ def test_block_resolvent_matches_dense_lu(which, langevin_dec, rhmc_dec, adl_dec
     for _ in range(20):
         phi = rng.standard_normal(dec.dim)
         u0, uplus = block_resolvent(dec, phi)
-        u = scatter_blocks(dec, u0, uplus)
+        u = np.zeros(dec.dim)
+        u[dec.ops.idx0], u[dec.ops.idx_plus] = u0, uplus
         reference = np.linalg.solve(dense, phi)
         assert np.linalg.norm(u - reference) < 1e-8 * np.linalg.norm(reference)
 
@@ -375,6 +376,24 @@ def test_block_resolvent_matches_dense_lu(which, langevin_dec, rhmc_dec, adl_dec
 def test_block_resolvent_rejects_a_wrong_length_vector(langevin_dec):
     with pytest.raises(ConfigError, match="right-hand side has shape"):
         block_resolvent(langevin_dec, np.zeros(langevin_dec.dim + 1))
+
+
+def test_block_resolvent_factors_nothing_after_the_schur_complement(langevin_ops,
+                                                                     monkeypatch):
+    # block elimination is the substitution of the decomposition's H0-last LU
+    dec = build_decomposition(langevin_ops)
+    schur_complement(dec)
+    real, calls = spla.splu, []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("permc_spec"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        block_resolvent(dec, rng.standard_normal(dec.dim))
+    assert calls == []
 
 
 def test_singular_schur_raises():
@@ -476,9 +495,9 @@ def test_exact_resolvent_norm_through_its_own_lu_is_bitwise_the_default(ops_name
 
 @pytest.mark.parametrize("model", ["langevin", "boltzmann_rhmc", "adaptive_langevin"])
 def test_one_evaluation_makes_two_sparse_lus(model, cos_potential, monkeypatch):
-    # route two's pivoted LU of L, which the exact-norm oracle reuses
-    # (dim >= DENSE_THRESHOLD, so it takes its LU path), and the H0-last LU
-    # of L that serves route one
+    # route two's pivoted LU of L, and the H0-last LU of L that serves
+    # route one and that the exact-norm oracle reuses (dim >= DENSE_THRESHOLD,
+    # so it takes its LU path)
     xi = model == "adaptive_langevin"
     spec = BasisSpec(d=1, n_q=8, n_p=8, has_xi=xi, n_xi=6 if xi else 0)
     model_spec = ModelSpec(model=model, gamma=1.0, epsilon=1.0 if xi else None)
@@ -677,7 +696,8 @@ def test_block_solve_on_synthetic_generators(seed):
     schur_complement(dec)
     phi = rng.standard_normal(dec.dim)
     u0, uplus = block_resolvent(dec, phi)
-    u = scatter_blocks(dec, u0, uplus)
+    u = np.zeros(dec.dim)
+    u[ops.idx0], u[ops.idx_plus] = u0, uplus
     assert np.linalg.norm(ops.L @ u - phi) < 1e-9 * np.linalg.norm(phi)
 
 
