@@ -60,10 +60,8 @@ def _fmt(value) -> str:
 
 
 def _csv_text(rows) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    lines = [CSV_COLUMNS] + [[_fmt(row[c]) for c in CSV_COLUMNS] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 #: argparse dest of each flag that overrides a config key -> that key
@@ -364,7 +362,7 @@ def main(argv=None) -> int:
     except HypocoError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(f"ConfigError: {exc}\n")
         return ConfigError([str(exc)]).exit_code
     finally:

@@ -67,25 +67,30 @@ def _read(handle, dtype, count: int, path: str, what: str) -> np.ndarray:
 
 
 def load_container(path: str) -> tuple[dict, dict]:
-    """Read a container back; returns ({name: array-or-csr}, meta)."""
+    """Read a container back; returns ({name: array-or-csr}, meta).  A header
+    that does not parse, lacks a key or contradicts its payload is a
+    ConfigError naming the file, like a truncated file."""
     with open(path, "rb") as handle:
         magic = handle.read(len(MAGIC))
         if magic != MAGIC:
             raise ConfigError([f"{path!r} is not a container file (bad magic {magic!r})"])
         (header_len,) = _read(handle, "<u4", 1, path, "the header length")
-        header = json.loads(_read(handle, "u1", int(header_len), path, "the header").tobytes())
-        arrays = {}
-        for entry in header["arrays"]:
-            name = entry["name"]
-            if entry["kind"] == "dense":
-                count = int(np.prod(entry["shape"], dtype=np.int64))
-                arrays[name] = _read(handle, entry["dtype"], count, path,
-                                     f"array {name!r}").reshape(entry["shape"])
-            elif entry["kind"] == "csr":
-                parts = [_read(handle, entry["dtypes"][part], int(entry["lengths"][part]),
-                               path, f"array {name!r} ({part})")
-                         for part in ("data", "indices", "indptr")]
-                arrays[name] = sp.csr_matrix(tuple(parts), shape=tuple(entry["shape"]))
-            else:
-                raise ConfigError([f"unknown array kind {entry['kind']!r} in {path!r}"])
-    return arrays, header["meta"]
+        try:
+            header = json.loads(_read(handle, "u1", int(header_len), path, "the header").tobytes())
+            arrays = {}
+            for entry in header["arrays"]:
+                name = entry["name"]
+                if entry["kind"] == "dense":
+                    count = int(np.prod(entry["shape"], dtype=np.int64))
+                    arrays[name] = _read(handle, entry["dtype"], count, path,
+                                         f"array {name!r}").reshape(entry["shape"])
+                elif entry["kind"] == "csr":
+                    parts = [_read(handle, entry["dtypes"][part], int(entry["lengths"][part]),
+                                   path, f"array {name!r} ({part})")
+                             for part in ("data", "indices", "indptr")]
+                    arrays[name] = sp.csr_matrix(tuple(parts), shape=tuple(entry["shape"]))
+                else:
+                    raise ConfigError([f"unknown array kind {entry['kind']!r} in {path!r}"])
+            return arrays, header["meta"]
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ConfigError([f"{path!r} is corrupt: {type(exc).__name__}: {exc}"]) from exc

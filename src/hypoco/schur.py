@@ -4,15 +4,14 @@ The working space splits as H0 (ker S) plus its orthogonal complement H+,
 and H+ splits further into H1 = ran(A from H0) and H2.  In these coordinates
 the generator has a saddle-point block structure whose Schur complement on H0
 yields an explicit inverse.  Only dim0-wide blocks are formed: H2 is reached
-through the projector P2 = 1 - Q1 Q1^T, a pivoted sparse LU of L itself
-and a sign count of the reversal, never through a basis of its own.
+through the projector P2 = 1 - Q1 Q1^T, an LU of L++ bordered by Q1 and a
+sign count of the reversal, never through a basis of its own.
 The module builds the decomposition and evaluates the closed-form resolvent
-bound.  One unpivoted LU of L with H+ in nested-dissection order and H0
-last, the LU whose trailing block is the Schur complement, is kept for the
-block resolvent, whose block elimination is its substitution, and for the
-oracle for the exact resolvent norm: ARPACK Lanczos on (L^T L)^{-1} applied
-through that LU, with a dense SVD kept for small matrices and as the
-cross-check.
+bound.  Each sparse LU is unpivoted, with H+ in one nested-dissection order
+and a zero-diagonal block last, so its trailing block is a Schur complement:
+one of L itself (L++ bordered by A_{+0}, H0 last), kept for the block
+resolvent and the exact-norm oracle (ARPACK Lanczos on (L^T L)^{-1}, a dense
+SVD for small matrices and as the cross-check), and one of L++ bordered by Q1.
 """
 
 from __future__ import annotations
@@ -69,9 +68,9 @@ class Decomposition:
 
     H0 is the coordinate block ``ops.idx0``; Q1 holds the H1 basis in H+
     coordinates.  H2 is never formed: it is reached through the projector
-    P2 = 1 - Q1 Q1^T, as |Q2^T Y| = |P2 Y|, so P2 ``LQ1`` = LQ1 - Q1 L11,
-    with ``LQ1`` = L++ Q1, stands in for L21.  A10 is square (dim0 = dim1)
-    and invertible whenever the build succeeded.
+    P2 = 1 - Q1 Q1^T, as |Q2^T Y| = |P2 Y|, so P2 L++ Q1 = L++ Q1 - Q1 L11
+    stands in for L21.  A10 is square (dim0 = dim1) and invertible whenever
+    the build succeeded.
     """
 
     ops: ModelOperators
@@ -79,7 +78,6 @@ class Decomposition:
     A10: np.ndarray
     L11: np.ndarray
     S11: np.ndarray
-    LQ1: np.ndarray
     pi1_idempotency_residual: float
     pi1_range_residual: float
     l11_symmetry_residual: float
@@ -140,8 +138,7 @@ def build_decomposition(ops: ModelOperators,
             f"idempotency {pi1_idem:.3e}"
         )
 
-    lq1 = ops.Lpp @ q1
-    l11 = q1.T @ lq1
+    l11 = q1.T @ (ops.Lpp @ q1)
     s11 = q1.T @ (ops.Spp[:, None] * q1)
     l11_sym = float(np.max(np.abs(l11 - l11.T)))
     if ops.model.model != "adaptive_langevin" and l11_sym > tol_identity:
@@ -160,7 +157,7 @@ def build_decomposition(ops: ModelOperators,
                                  f"(+1, -1) = {counts} of R on H+ not above dim H1 = {dim0}")
     return Decomposition(
         ops=ops, Q1=q1, A10=q_rows.T @ block,
-        L11=l11, S11=s11, LQ1=lq1,
+        L11=l11, S11=s11,
         pi1_idempotency_residual=pi1_idem, pi1_range_residual=pi1_range,
         l11_symmetry_residual=l11_sym,
     )
@@ -203,9 +200,10 @@ def schur_complement(dec: Decomposition,
     Route one is the trailing block of an unpivoted LU of L with H+ first,
     in the nested-dissection order the basis keeps, and H0 last; that LU is
     kept as ``dec.factor`` for the exact-norm oracle and the block resolvent.
-    Route two eliminates H2 first through a pivoted LU of L of its own and
-    passes through the square invertible A10.  Both are algebraically equal,
-    so disagreement flags a conditioning problem rather than a modelling one.
+    Route two, through the square invertible A10, is the trailing block of an
+    LU of L++ bordered by Q1.  Both are algebraically equal, so disagreement
+    flags a conditioning problem or a wrong H1 split rather than a modelling
+    one; a seeded solve through the kept LU is checked against L as well.
     Symmetry and negative definiteness are asserted except for the
     thermostated model, whose extended reversal fixes ker S only up to a
     sign; these checks run at the caller's ``tol_identity`` on every call,
@@ -215,22 +213,25 @@ def schur_complement(dec: Decomposition,
     if dec._schur is None:
         top = gershgorin_max(0.5 * (ops.Lpp + ops.Lpp.T))
         if not top < 0.0:
-            raise NumericalFailure(
-                f"dissipation failure on H2: Gershgorin bound of sym L++ reaches {top:.3e}"
-            )
-        route2 = _schur_route2(dec)
+            raise NumericalFailure(f"dissipation failure on H2: Gershgorin bound of sym L++ "
+                                   f"reaches {top:.3e}")
         n = len(ops.idx_plus)
         # the pattern of L++ does not depend on the friction, epsilon or model
         order = ops.basis.derived("h0_last_order", lambda _: _h0_last_order(ops.L))
         if not np.array_equal(order[n:], ops.idx0):
             raise InvariantViolation("H0-last order: the zero diagonal of L is not ker S")
-        lu = _h0_last_lu(ops.L, order)
+        route2 = _schur_route2(dec, order)
+        lu = _h0_last_lu(ops.L[order][:, order])
         route1 = (lu.L[n:, n:] @ lu.U[n:, n:]).toarray()
         denom = max(float(np.linalg.norm(route1)), np.finfo(float).tiny)
         rel = float(np.linalg.norm(route1 - route2)) / denom
         if not rel <= ROUTE_RTOL:
             raise NumericalFailure(f"Schur complement routes disagree: relative gap {rel:.3e}")
-        dec.factor, dec._schur = H0LastLU(lu, order), route1
+        # both routes eliminate L++ in one order: their agreement cannot vouch for it
+        factor, b = H0LastLU(lu, order), np.random.default_rng(0).standard_normal(ops.dim)
+        y = factor.solve(b)
+        _check_backward_error([(ops.L @ y - b, y)], operator_norm_upper(ops.L), "Schur complement")
+        dec.factor, dec._schur = factor, route1
     s0 = dec._schur
     if ops.model.model != "adaptive_langevin":
         sym_res = float(np.max(np.abs(s0 - s0.T)))
@@ -239,9 +240,8 @@ def schur_complement(dec: Decomposition,
             raise InvariantViolation(f"Schur complement symmetry residual {sym_res:.3e}")
         top = float(np.linalg.eigvalsh(0.5 * (s0 + s0.T))[-1])
         if top >= 0.0:
-            raise InvariantViolation(
-                f"Schur complement not negative definite: max eigenvalue {top:.3e}"
-            )
+            raise InvariantViolation(f"Schur complement not negative definite: max "
+                                     f"eigenvalue {top:.3e}")
     return s0
 
 
@@ -299,17 +299,17 @@ def _h0_last_order(L) -> np.ndarray:
     return np.concatenate([plus[_nested_dissection(lpp + lpp.T)], np.flatnonzero(zero)])
 
 
-def _h0_last_lu(L, order: np.ndarray):
-    """SuperLU of L[order][:, order] without pivoting: with sym L++ negative
-    definite and A+0 of full column rank, every leading block has a definite
-    symmetric part, so elimination in order is stable.  A pivoted LU is refused."""
+def _h0_last_lu(mat, what: str = "H0-last LU of L"):
+    """SuperLU of ``mat``, in elimination order, without pivoting, named ``what`` in
+    failures.  The order ends in the zero-diagonal block: with sym L++ negative
+    definite and the border (A_{+0} or Q1) of full column rank, every leading block
+    has a definite symmetric part, so elimination in order is stable; pivoting is refused."""
     try:
-        lu = spla.splu(sp.csc_matrix(L[order][:, order]), permc_spec="NATURAL",
-                       diag_pivot_thresh=0.0)
+        lu = spla.splu(sp.csc_matrix(mat), permc_spec="NATURAL", diag_pivot_thresh=0.0)
     except RuntimeError as exc:
-        raise NumericalFailure(f"H0-last LU of L failed, numerically singular: {exc}") from exc
-    if np.any(lu.perm_r != np.arange(len(order))) or np.any(lu.perm_c != lu.perm_r):
-        raise NumericalFailure("H0-last LU of L pivoted: its trailing block need not be "
+        raise NumericalFailure(f"{what} failed, numerically singular: {exc}") from exc
+    if np.any(lu.perm_r != np.arange(mat.shape[0])) or np.any(lu.perm_c != lu.perm_r):
+        raise NumericalFailure(f"{what} pivoted: its trailing block need not be "
                                "the Schur complement")
     return lu
 
@@ -328,31 +328,27 @@ class H0LastLU:
         return x
 
 
-def _schur_route2(dec: Decomposition) -> np.ndarray:
+def _schur_route2(dec: Decomposition, order: np.ndarray) -> np.ndarray:
     """A10^T s1^{-1} A10 with s1 = L11 - L12 L22^{-1} L21, H2 never formed,
-    solved through a pivoted LU of L of its own.
+    read off the trailing block of an unpivoted LU of L++ bordered by Q1.
 
-    Relies on L_00 = 0 and L_{0+} = -A_{+0}^T, which ``verify`` asserts: in
-    (H+, H0) order L = [[L++, A_{+0}], [-A_{+0}^T, 0]], nonsingular since
-    lambda_max(sym L22) <= lambda_max(sym L++) < 0 by Cauchy interlacing.
-    A_{+0} spans H1 like Q1, so the solve against [``dec.LQ1`` on H+; 0 on H0]
-    gives X+ = Q2 L22^{-1} L21 and L12 L22^{-1} L21 = Q1^T L++ X+.  Its H+ rows
-    read L++ X+ + A_{+0} X0 = L++ Q1, so Q1^T L++ X+ = L11 - A10 X0 and
-    s1 = A10 X0, read off the H0 rows.  Its LU is independent of route one's.
+    s1 is the Schur complement of L22 in L++ in H1/H2 coordinates (L22 is
+    nonsingular: lambda_max(sym L22) <= lambda_max(sym L++) < 0 by Cauchy
+    interlacing), so s1^{-1} = Q1^T L++^{-1} Q1.  Eliminating H+, in route
+    one's ``order``, from K = [[L++, Q1], [Q1^T, 0]] leaves T = -s1^{-1}.
+    Route one borders L++ by A_{+0} = Q1 A10 instead, so the routes agree
+    only if the H1 split (Q1, A10) the bound reads does.
     """
     ops = dec.ops
-    try:
-        lu = spla.splu(sp.csc_matrix(ops.L))
-    except RuntimeError as exc:
-        raise NumericalFailure(f"dissipation failure on H2: sparse LU of L is singular: "
-                               f"{exc}") from exc
-    rhs = np.zeros((ops.dim, dec.dim1))
-    rhs[ops.idx_plus] = dec.LQ1
-    s1 = dec.A10 @ lu.solve(rhs)[ops.idx0]
-    try:
-        return dec.A10.T @ np.linalg.solve(s1, dec.A10)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"dissipation failure on H2: {exc}") from exc
+    n, lpp, q1 = len(ops.idx_plus), ops.Lpp.tocoo(), sp.coo_matrix(dec.Q1)
+    pos = np.empty(n, dtype=np.intp)  # where each H+ coordinate sits in ``order``
+    pos[np.searchsorted(ops.idx_plus, order[:n])] = np.arange(n)
+    k = sp.csc_matrix((np.concatenate([lpp.data, q1.data, q1.data]),
+                       (np.concatenate([pos[lpp.row], pos[q1.row], n + q1.col]),
+                        np.concatenate([pos[lpp.col], n + q1.col, pos[q1.row]]))),
+                      shape=(n + dec.dim1,) * 2)
+    lu = _h0_last_lu(k, "dissipation failure on H2: Q1-bordered LU of L++")
+    return -dec.A10.T @ (lu.L[n:, n:] @ lu.U[n:, n:]).toarray() @ dec.A10
 
 
 def block_resolvent(dec: Decomposition, rhs) -> tuple[np.ndarray, np.ndarray]:
@@ -417,9 +413,8 @@ def exact_resolvent_norm(L, method: str = "auto",
         smin = _lanczos_sigma_min(mat, factor, smax, tol, max_iter)
     if not smin > 64 * n * np.finfo(float).eps * smax:
         ratio = smin / smax if smax > 0 else 0.0
-        raise NumericalFailure(
-            f"exact_resolvent_norm: L numerically singular, sigma_min/sigma_max = {ratio:.3e}"
-        )
+        raise NumericalFailure(f"exact_resolvent_norm: L numerically singular, "
+                               f"sigma_min/sigma_max = {ratio:.3e}")
     return 1.0 / smin
 
 
@@ -428,10 +423,8 @@ def _lanczos_sigma_min(mat: sp.csc_matrix, factor: H0LastLU | None, smax: float,
     """sigma_min of a sparse square matrix from ARPACK on (L^T L)^{-1}."""
     if factor is None:
         order = _h0_last_order(mat)
-        try:
-            factor = H0LastLU(_h0_last_lu(mat, order), order)
-        except NumericalFailure as exc:
-            raise NumericalFailure(f"exact_resolvent_norm: {exc}") from exc
+        lu = _h0_last_lu(mat[order][:, order], "exact_resolvent_norm: H0-last LU of L")
+        factor = H0LastLU(lu, order)
     solve = factor.solve
 
     # the largest Rayleigh quotient seen bounds the eigenvalue from below; its
@@ -449,9 +442,8 @@ def _lanczos_sigma_min(mat: sp.csc_matrix, factor: H0LastLU | None, smax: float,
         x = np.ravel(x)
         z = solve(solve(x, trans="T"))
         if not np.all(np.isfinite(z)):
-            raise NumericalFailure(
-                "exact_resolvent_norm: (L^T L)^-1 x is not finite, L numerically singular"
-            )
+            raise NumericalFailure("exact_resolvent_norm: (L^T L)^-1 x is not finite, "
+                                   "L numerically singular")
         apps += 1
         top = max(best, float(x @ z) / float(x @ x))
         change, best = (top - best) / top, top
@@ -471,16 +463,21 @@ def _lanczos_sigma_min(mat: sp.csc_matrix, factor: H0LastLU | None, smax: float,
     z = solve(u)
     ritz = float(np.linalg.norm(z - lam * x)) / abs(lam)
     if not ritz <= RITZ_RTOL:
-        raise NumericalFailure(
-            f"exact_resolvent_norm: Ritz residual {ritz:.3e} of (L^T L)^-1 exceeds {RITZ_RTOL:.0e}"
-        )
+        raise NumericalFailure(f"exact_resolvent_norm: Ritz residual {ritz:.3e} of "
+                               f"(L^T L)^-1 exceeds {RITZ_RTOL:.0e}")
     # the LU must solve L itself, not only agree with its own iterates
-    backward = max(float(np.linalg.norm(mat.T @ u - x)) / (smax * float(np.linalg.norm(u))),
-                   float(np.linalg.norm(mat @ z - u)) / (smax * float(np.linalg.norm(z))))
-    if not backward <= BACKWARD_RTOL:
-        raise NumericalFailure(f"exact_resolvent_norm: backward error {backward:.3e} of the "
-                               f"LU solves against L exceeds {BACKWARD_RTOL:.0e}")
+    _check_backward_error([(mat.T @ u - x, u), (mat @ z - u, z)], smax, "exact_resolvent_norm")
     return float(1.0 / np.sqrt(lam))
+
+
+def _check_backward_error(solves, scale: float, where: str) -> None:
+    """Refuse LU solves that miss L: each (residual L y - b or L^T y - b, y) in
+    ``solves`` must have |residual| <= BACKWARD_RTOL scale |y|, scale >= |L|."""
+    backward = max(float(np.linalg.norm(res)) / (scale * float(np.linalg.norm(y)))
+                   for res, y in solves)
+    if not backward <= BACKWARD_RTOL:
+        raise NumericalFailure(f"{where}: backward error {backward:.3e} of the LU solves "
+                               f"against L exceeds {BACKWARD_RTOL:.0e}")
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +509,7 @@ def norm_X21(dec: Decomposition) -> float:
     square: A10 (A10^T A10)^{-1} = A10^{-T}.  A10 is not symmetric in general, so
     this differs from |L21 A10^{-1}|.
     """
-    p2lq1 = dec.LQ1 - dec.Q1 @ dec.L11
+    p2lq1 = dec.ops.Lpp @ dec.Q1 - dec.Q1 @ dec.L11
     return operator_norm(np.linalg.solve(dec.A10, p2lq1.T).T)
 
 

@@ -179,6 +179,19 @@ def test_cli_missing_config_file(capsys):
     assert main(["verify", "--config", "/no/such/file.cfg"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["verify", "--config", "{dir}"],
+                                  ["assemble", "--config", "{cfg}", "--out", "{dir}"],
+                                  ["bound", "--config", "{cfg}", "--json", "{dir}"],
+                                  ["report", "--config", "{cfg}", "--csv", "{dir}"]],
+                         ids=["config", "out", "json", "csv"])
+def test_cli_path_that_is_a_directory_is_one_error_line(argv, small_cfgs, tmp_path, capsys):
+    # an unusable path is bad input like a missing one: exit 2, not a traceback
+    argv = [a.format(dir=tmp_path, cfg=small_cfgs["langevin"]) for a in argv]
+    code, err = _main_without_warnings(argv, capsys)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("ConfigError: [Errno 21] Is a directory")
+
+
 def test_cli_bad_config_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("model = langevin\ngamma = -3\n")

@@ -76,3 +76,34 @@ def test_truncated_header_length_is_config_error(tmp_path):
     path.write_bytes(path.read_bytes()[:7])
     with pytest.raises(ConfigError, match=r"stub\.hypo.*truncated.*header length"):
         load_container(str(path))
+
+
+def _corrupt(path, old: bytes, new: bytes):
+    """Rewrite the first ``old`` in the saved file as ``new``, of equal length."""
+    data = path.read_bytes()
+    assert len(old) == len(new) and old in data
+    path.write_bytes(data.replace(old, new, 1))
+
+
+def test_corrupt_header_byte_is_config_error_naming_the_file(tmp_path):
+    path = tmp_path / "hash.hypo"
+    save_container(str(path), {"x": np.arange(5.0)})
+    _corrupt(path, b'{"arrays"', b'#"arrays"')
+    with pytest.raises(ConfigError, match=r"hash\.hypo.*corrupt: JSONDecodeError"):
+        load_container(str(path))
+
+
+def test_missing_header_key_is_config_error_naming_the_file(tmp_path):
+    path = tmp_path / "nokey.hypo"
+    save_container(str(path), {"x": np.arange(5.0)})
+    _corrupt(path, b'"dtype"', b'"dtypo"')
+    with pytest.raises(ConfigError, match=r"nokey\.hypo.*corrupt: KeyError: 'dtype'"):
+        load_container(str(path))
+
+
+def test_csr_triplet_not_matching_its_shape_is_config_error_naming_the_file(tmp_path):
+    path = tmp_path / "shape.hypo"
+    save_container(str(path), {"m": sp.identity(3, format="csr")})
+    _corrupt(path, b'"shape":[3,3]', b'"shape":[2,3]')
+    with pytest.raises(ConfigError, match=r"shape\.hypo.*corrupt: ValueError: index pointer"):
+        load_container(str(path))

@@ -168,10 +168,16 @@ def test_schur_routes_agree_adl(adl_dec):
 
 def test_schur_route2_does_not_reuse_route1_lu(langevin_ops, monkeypatch):
     # route one through the H0-last LU of a perturbed L++ must disagree with
-    # route two, which factors L itself
+    # route two, which factors L++ bordered by Q1 itself
     real = schur._h0_last_lu
-    shift = sp.diags(1e-3 * (langevin_ops.basis.p_degree > 0))
-    monkeypatch.setattr(schur, "_h0_last_lu", lambda L, order: real(L + shift, order))
+    # route one's matrix comes in H0-last order, H+ first
+    shift = sp.diags(1e-3 * (np.arange(langevin_ops.dim) < len(langevin_ops.idx_plus)))
+
+    def perturbed(mat, *what):
+        # route two names its LU; route one's takes the default name
+        return real(mat if what else mat + shift, *what)
+
+    monkeypatch.setattr(schur, "_h0_last_lu", perturbed)
     with pytest.raises(NumericalFailure, match="routes disagree"):
         schur_complement(build_decomposition(langevin_ops))
 
@@ -179,9 +185,9 @@ def test_schur_route2_does_not_reuse_route1_lu(langevin_ops, monkeypatch):
 def test_non_finite_route_one_is_a_disagreement(langevin_ops, monkeypatch):
     real = schur._h0_last_lu
 
-    def nan_factor(L, order):
-        lu = real(L, order)
-        return SimpleNamespace(L=lu.L, U=lu.U * np.nan)
+    def nan_factor(mat, *what):
+        lu = real(mat, *what)
+        return lu if what else SimpleNamespace(L=lu.L, U=lu.U * np.nan)
 
     monkeypatch.setattr(schur, "_h0_last_lu", nan_factor)
     with pytest.raises(NumericalFailure, match="routes disagree"):
@@ -195,50 +201,110 @@ def test_failed_bordered_factorization_is_reported(langevin_ops, monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(spla, "splu", singular)
-    with pytest.raises(NumericalFailure, match="dissipation failure on H2: sparse LU of L"):
+    with pytest.raises(NumericalFailure, match=r"dissipation failure on H2: Q1-bordered LU "
+                                               r"of L\+\+ failed, numerically singular"):
         schur_complement(dec)
 
 
 def test_pivoted_h0_last_lu_is_refused(langevin_ops, monkeypatch):
-    # partial pivoting swaps rows of the H0-last matrix; the trailing block
-    # of a pivoted factor need not be the Schur complement, so it is refused
-    real = spla.splu
+    # partial pivoting swaps rows of either factor; the trailing block of a
+    # pivoted factor need not be the Schur complement, so it is refused.
+    # Route two's LU comes first, then route one's.
+    real, calls = spla.splu, []
 
     def pivoting(mat, **kwargs):
-        if kwargs.get("permc_spec") == "NATURAL":
+        calls.append(mat)
+        if len(calls) >= first:
             kwargs["diag_pivot_thresh"] = 1.0
         return real(mat, **kwargs)
 
     monkeypatch.setattr(spla, "splu", pivoting)
-    with pytest.raises(NumericalFailure, match="H0-last LU of L pivoted"):
-        schur_complement(build_decomposition(langevin_ops))
+    for first, message in ((1, r"dissipation failure on H2: Q1-bordered LU of L\+\+ pivoted"),
+                           (2, "H0-last LU of L pivoted")):
+        calls.clear()
+        with pytest.raises(NumericalFailure, match=message):
+            schur_complement(build_decomposition(langevin_ops))
 
 
 @pytest.mark.parametrize("which", ["langevin", "rhmc", "adl"])
 def test_route2_s1_read_off_the_solve_is_the_h2_schur_complement(which, langevin_dec,
                                                                   rhmc_dec, adl_dec):
-    # the H0 rows of X solving L X = [L++ Q1; 0] give s1 = A10 X0, which must
-    # equal L11 - Q1^T L++ X+, and route two must be A10^T s1^{-1} A10
+    # the trailing block of the Q1-bordered LU is -Q1^T L++^{-1} Q1 = -s1^{-1},
+    # s1 = L11 - L12 L22^{-1} L21 the Schur complement of L22 in L++, so route
+    # two is A10^T s1^{-1} A10; the reference forms H2 densely
     dec = {"langevin": langevin_dec, "rhmc": rhmc_dec, "adl": adl_dec}[which]
-    ops = dec.ops
-    rhs = np.zeros((ops.dim, dec.dim1))
-    rhs[ops.idx_plus] = ops.Lpp @ dec.Q1
-    x = dec.factor.solve(rhs)
-    s1 = dec.L11 - dec.Q1.T @ (ops.Lpp @ x[ops.idx_plus])
-    assert np.linalg.norm(dec.A10 @ x[ops.idx0] - s1) <= 1e-12 * np.linalg.norm(s1)
-    route2 = schur._schur_route2(dec)
+    ops, n = dec.ops, len(dec.ops.idx_plus)
+    order = schur._h0_last_order(ops.L)
+    lpp = ops.Lpp.toarray()
+    inverse = dec.Q1.T @ np.linalg.solve(lpp, dec.Q1)
+    pos = np.searchsorted(ops.idx_plus, order[:n])
+    bordered = np.block([[lpp[np.ix_(pos, pos)], dec.Q1[pos]], [dec.Q1[pos].T,
+                                                              np.zeros((dec.dim1,) * 2)]])
+    lu = schur._h0_last_lu(bordered)
+    trailing = (lu.L[n:, n:] @ lu.U[n:, n:]).toarray()
+    assert np.linalg.norm(trailing + inverse) <= 1e-12 * np.linalg.norm(inverse)
+    q2 = sla.null_space(dec.Q1.T)
+    s1 = dec.L11 - dec.Q1.T @ lpp @ q2 @ np.linalg.solve(q2.T @ lpp @ q2, q2.T @ lpp @ dec.Q1)
+    route2 = schur._schur_route2(dec, order)
     expected = dec.A10.T @ np.linalg.solve(s1, dec.A10)
     assert np.linalg.norm(route2 - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
+@pytest.mark.parametrize("n_q", [4, 8])
+def test_shared_elimination_fault_fails_the_run(n_q, cos_potential, monkeypatch):
+    # both routes eliminate L++ in one order, so a fault there scales both
+    # alike and the routes agree; the seeded solve against L must catch it,
+    # also below DENSE_THRESHOLD, where the oracle never solves through the LU
+    spec = BasisSpec(d=1, n_q=n_q, n_p=8)
+    assert (spec.dimension < DENSE_THRESHOLD) == (n_q == 4)  # dim 80 and 152
+    real = schur._h0_last_lu
+
+    def scaled(*args):
+        lu, c = real(*args), 1.0 + 1e-6
+        return SimpleNamespace(L=lu.L, U=lu.U * c,
+                               solve=lambda b, trans="N": lu.solve(b, trans=trans) / c)
+
+    constants = constants_summary(cos_potential, 1.0, 1.0, 1, n_q=32)
+    monkeypatch.setattr(schur, "_h0_last_lu", scaled)
+    with pytest.raises(NumericalFailure, match="Schur complement: backward error"):
+        _evaluate(ModelSpec(model="langevin", gamma=1.0), spec, cos_potential, constants,
+                  DEFAULT_TOL_IDENTITY, 1e-12)
+
+
+def test_schur_complement_makes_no_multi_column_solve(langevin_ops, monkeypatch):
+    # every solve during the two routes takes one right-hand side
+    real, shapes = spla.splu, []
+
+    class Recording:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def __getattr__(self, name):
+            return getattr(self._lu, name)
+
+        def solve(self, b, trans="N"):
+            shapes.append(np.shape(b))
+            return self._lu.solve(b, trans=trans)
+
+    def dense_solve(*args):
+        shapes.append(np.shape(args[1]))
+        return np.linalg.inv(args[0]) @ args[1]
+
+    monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: Recording(real(*args, **kwargs)))
+    monkeypatch.setattr(np.linalg, "solve", dense_solve)
+    schur_complement(build_decomposition(langevin_ops))
+    assert shapes and all(len(shape) == 1 for shape in shapes)
+
+
 @pytest.mark.parametrize("ops_name", ["langevin_ops", "rhmc_ops", "adl_ops"])
-def test_route_check_covers_the_stored_l_plus_plus_q1(ops_name, request):
-    # X21 reads the stored L++ Q1, and so does route two: a corrupted block
-    # must make the routes disagree
-    dec = build_decomposition(request.getfixturevalue(ops_name))
-    dec.LQ1 *= 1.0 + 1e-6
-    with pytest.raises(NumericalFailure, match="routes disagree: relative gap 1.000e-06"):
-        schur_complement(dec)
+def test_route_check_covers_the_stored_h1_split(ops_name, request):
+    # the bound and X21 read the stored Q1 and A10, and so does route two,
+    # which borders L++ by Q1: a corrupted block must make the routes disagree
+    for block in ("Q1", "A10"):
+        dec = build_decomposition(request.getfixturevalue(ops_name))
+        getattr(dec, block)[...] *= 1.0 + 1e-6
+        with pytest.raises(NumericalFailure, match="routes disagree: relative gap 2.000e-06"):
+            schur_complement(dec)
 
 
 def test_schur_checks_run_at_each_callers_tolerance(langevin_ops):
@@ -255,7 +321,7 @@ def test_trailing_block_of_h0_last_lu_is_the_schur_complement(which, langevin_de
     dec = {"langevin": langevin_dec, "rhmc": rhmc_dec, "adl": adl_dec}[which]
     ops = dec.ops
     order = schur._h0_last_order(ops.L)
-    lu = schur._h0_last_lu(ops.L, order)
+    lu = schur._h0_last_lu(ops.L[order][:, order])
     n = len(ops.idx_plus)
     assert np.array_equal(np.sort(order[:n]), ops.idx_plus)
     assert np.array_equal(order[n:], ops.idx0)
@@ -495,9 +561,9 @@ def test_exact_resolvent_norm_through_its_own_lu_is_bitwise_the_default(ops_name
 
 @pytest.mark.parametrize("model", ["langevin", "boltzmann_rhmc", "adaptive_langevin"])
 def test_one_evaluation_makes_two_sparse_lus(model, cos_potential, monkeypatch):
-    # route two's pivoted LU of L, and the H0-last LU of L that serves
-    # route one and that the exact-norm oracle reuses (dim >= DENSE_THRESHOLD,
-    # so it takes its LU path)
+    # route two's LU of L++ bordered by Q1, and the H0-last LU of L that
+    # serves route one and that the exact-norm oracle reuses (dim >=
+    # DENSE_THRESHOLD, so it takes its LU path): both unpivoted, in order
     xi = model == "adaptive_langevin"
     spec = BasisSpec(d=1, n_q=8, n_p=8, has_xi=xi, n_xi=6 if xi else 0)
     model_spec = ModelSpec(model=model, gamma=1.0, epsilon=1.0 if xi else None)
@@ -510,7 +576,7 @@ def test_one_evaluation_makes_two_sparse_lus(model, cos_potential, monkeypatch):
 
     monkeypatch.setattr(spla, "splu", counting)
     _evaluate(model_spec, spec, cos_potential, constants, DEFAULT_TOL_IDENTITY, 1e-12)
-    assert calls == [None, "NATURAL"]
+    assert calls == ["NATURAL", "NATURAL"]
 
 
 def test_oracle_and_pipeline_leave_no_reference_cycles(adl_ops, cos_potential):
