@@ -14,8 +14,10 @@ where chi_k are the real trigonometric functions {1, sqrt2 cos, sqrt2 sin}
 (orthonormal for the uniform probability measure) and rho is the density of
 nu relative to the uniform measure.  Dividing by sqrt(rho) makes the family
 exactly orthonormal in L2(nu) and keeps all assembled matrix entries exact
-integrals of trigonometric polynomials, so a modest uniform quadrature grid
-is exact for band-limited potentials.
+integrals of trigonometric polynomials: for a band-limited potential they
+are built exactly and sparse from its Fourier coefficients, with no
+quadrature.  The one grid is the uniform one that the FFT of sqrt(rho)
+samples, and the basis is refused where rho underflows to 0 on it.
 
 The constant function is removed structurally: the coefficient vector of
 sqrt(rho) in the trigonometric family is computed once and the basis is
@@ -29,6 +31,7 @@ sqrt(rho) has no component, so those modes couple to nothing else.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import OrderedDict
@@ -326,22 +329,6 @@ class BasisSpec:
 # ---------------------------------------------------------------------------
 
 
-def hermite_value_table(y, n_max):
-    """Orthonormal Hermite values h_0..h_{n_max} at standardised points y.
-
-    h_n is the degree-n polynomial family orthonormal for the standard
-    Gaussian; the stable three-term recurrence is used.
-    """
-    y = np.asarray(y, dtype=float)
-    table = np.zeros((n_max + 1,) + y.shape)
-    table[0] = 1.0
-    if n_max >= 1:
-        table[1] = y
-    for n in range(1, n_max):
-        table[n + 1] = (y * table[n] - math.sqrt(n) * table[n - 1]) / math.sqrt(n + 1)
-    return table
-
-
 def gauss_hermite_rule(order, variance):
     """Nodes/probability-weights integrating exactly against N(0, variance)."""
     y, w = np.polynomial.hermite_e.hermegauss(order)
@@ -468,25 +455,26 @@ def witten_deriv(potential: Potential, beta, n_q, i) -> sp.csr_matrix:
             + 0.5 * beta * fourier_mult(potential.deriv_coeffs(i), d, n_q))
 
 
-def position_grid_size(n_q, potential: Potential) -> int:
-    """Uniform grid points per axis: exact for every assembled trig-polynomial
-    entry and fine enough to resolve exp(-beta V / 2) to machine precision
-    for moderate potentials."""
-    return max(4 * n_q + 4, 2 * (2 * n_q + max(potential.degrees)) + 2, 64)
+def position_axis(n_q, potential: Potential) -> np.ndarray:
+    """The uniform grid on each torus axis that samples sqrt(rho): exact for
+    every product of trig polynomials of the basis and the potential, and fine
+    enough to resolve exp(-beta V / 2) to machine precision for moderate
+    potentials."""
+    n_grid = max(4 * n_q + 4, 2 * (2 * n_q + max(potential.degrees)) + 2, 64)
+    return np.arange(n_grid) * (potential.torus_length / n_grid)
 
 
 def sqrt_rho_coeffs(potential: Potential, beta, n_q) -> np.ndarray:
     """Unit coefficients of sqrt(rho) in the tensor trigonometric family.
 
-    The grid quadrature phi.T @ sqrt(rho) / N^d, taken from one FFT.  A
+    The uniform-grid quadrature of chi_k sqrt(rho), taken from one FFT.  A
     coefficient at most eps times the largest is the transform's own rounding
     (a mode that vanishes by symmetry comes out near 1e-17) and is set to 0.
     """
-    n_grid, d = position_grid_size(n_q, potential), potential.d
-    axes = [np.arange(n_grid) * (potential.torus_length / n_grid)] * d
-    v = potential.value_grid(axes)
+    grid, d = position_axis(n_q, potential), potential.d
+    v = potential.value_grid([grid] * d)
     hat = np.fft.fftn(np.exp(-0.5 * beta * (v - v.min())))
-    idx = (-np.arange(-n_q, n_q + 1)) % n_grid
+    idx = (-np.arange(-n_q, n_q + 1)) % grid.size
     c = hat[np.ix_(*([idx] * d))]
     E, s = _trig_exp_table(n_q)
     for axis in range(d):
@@ -536,7 +524,8 @@ def validated_potential(spec: BasisSpec, potential: Potential | None = None,
 
 
 class BasisSet:
-    """Concrete discretisation: quadratures, index maps and the mean-zero map.
+    """Concrete discretisation: the Gaussian operators, the mean-zero map and
+    the index maps, the only things the operators read.
 
     Attributes of note:
 
@@ -546,52 +535,31 @@ class BasisSet:
         working space is ``U.T @ M @ U``.
     ``p_degree, xi_degree``
         integer arrays over working-space columns.
+
+    The density exp(-beta (V - min V)) must be positive on the grid that
+    samples sqrt(rho): where it underflows to 0, psi_k = chi_k / sqrt(rho) is
+    not defined, and the basis is refused as a quadrature failure.
     """
 
     def __init__(self, spec: BasisSpec, potential: Potential | None = None,
-                 tol_identity: float = DEFAULT_TOL_IDENTITY, max_dim: int | None = None):
+                 max_dim: int | None = None):
         potential = validated_potential(spec, potential, max_dim)
         self.spec = spec
         self.potential = potential
-        self.tol_identity = tol_identity
         self._derived: dict = {}
 
-        d, n_q = spec.d, spec.n_q
-        self.n_grid = position_grid_size(n_q, potential)
-        self.pos_axis = np.arange(self.n_grid) * (spec.torus_length / self.n_grid)
-        axes = [self.pos_axis] * d
+        v = potential.value_grid([position_axis(spec.n_q, potential)] * spec.d)
+        zeros = np.count_nonzero(~(np.exp(-spec.beta * (v - v.min())) > 0.0))  # NaN too
+        if zeros:
+            raise NumericalFailure(
+                f"quadrature failure: the density exp(-beta (V - min V)) is 0 or NaN "
+                f"at {zeros} of {v.size} grid points"
+            )
 
-        vgrid = potential.value_grid(axes)
-        boltz = np.exp(-spec.beta * (vgrid - vgrid.min()))
-        self.rho_grid = (boltz / boltz.mean()).reshape(-1)
-        self.sqrt_rho = np.sqrt(self.rho_grid)
-
-        # position basis values on the tensor grid
-        table1d = fourier_value_table(self.pos_axis, n_q, spec.torus_length)
-        phi = table1d
-        for _ in range(1, d):
-            phi = np.einsum("ga,hb->ghab", phi.reshape(phi.shape[0], -1), table1d)
-            phi = phi.reshape(phi.shape[0] * table1d.shape[0], -1)
-        self.phi = phi  # (n_grid^d, n_pos)
-
-        # momentum and xi blocks
         self.herm = HermiteOps(spec.mass / spec.beta, spec.n_p)
-        self.gh_p = gauss_hermite_rule(2 * spec.n_p + 4, spec.mass / spec.beta)
-        if spec.has_xi:
-            self.xi = HermiteOps(1.0 / spec.beta, spec.n_xi)
-            self.gh_xi = gauss_hermite_rule(2 * spec.n_xi + 4, 1.0 / spec.beta)
-        else:
-            self.xi = None
-            self.gh_xi = None
-
+        self.xi = HermiteOps(1.0 / spec.beta, spec.n_xi) if spec.has_xi else None
         self._build_mean_zero_map()
         self._build_index_arrays()
-        self.gram_residual = self._gram_residual()
-        if not self.gram_residual <= tol_identity:  # NaN fails too
-            raise NumericalFailure(
-                f"quadrature failure: Gram residual {self.gram_residual:.3e} "
-                f"exceeds {tol_identity:.1e}"
-            )
 
     # -- geometry of the working space --------------------------------------
 
@@ -671,93 +639,18 @@ class BasisSet:
         """Restrict a span operator to the mean-zero working space."""
         return sp.csr_matrix(self.U.T @ (sp.csr_matrix(m_span) @ self.U))
 
-    # -- quadrature ----------------------------------------------------------
+    @property
+    def phi(self) -> np.ndarray:
+        """The tensor trigonometric family on the uniform position grid,
+        shape (n_grid^d, n_pos), built on each access and never stored.
 
-    def _gram_residual(self) -> float:
-        spec = self.spec
-        # position factor: weighted basis against the measured density; where
-        # that density underflows to 0 the NaN left here fails the caller's check
-        with np.errstate(divide="ignore", invalid="ignore"):
-            psiw = self.phi / self.sqrt_rho[:, None]
-            g_pos = psiw.T @ (self.rho_grid[:, None] * psiw) / self.n_grid**spec.d
-        res = float(np.max(np.abs(g_pos - np.eye(spec.n_pos))))
-        # momentum factor (one coordinate; all coordinates share the rule)
-        y, w = self.gh_p
-        table = hermite_value_table(y / math.sqrt(self.herm.variance), spec.n_p)
-        g_h = np.einsum("ng,g,mg->nm", table, w, table)
-        res = max(res, float(np.max(np.abs(g_h - np.eye(spec.n_p + 1)))))
-        if spec.has_xi:
-            y, w = self.gh_xi
-            table = hermite_value_table(y / math.sqrt(self.xi.variance), spec.n_xi)
-            g_x = np.einsum("ng,g,mg->nm", table, w, table)
-            res = max(res, float(np.max(np.abs(g_x - np.eye(spec.n_xi + 1)))))
-        return res
-
-    def quadrature_points(self):
-        """Flattened tensor quadrature nodes (q, p[, xi]) and mu-weights."""
-        spec = self.spec
-        pos_mesh = np.meshgrid(*([self.pos_axis] * spec.d), indexing="ij")
-        q = np.stack([m.reshape(-1) for m in pos_mesh], axis=-1)  # (Nq, d)
-        wq = self.rho_grid / self.n_grid**spec.d
-
-        yp, wp = self.gh_p
-        p_mesh = np.meshgrid(*([yp] * spec.d), indexing="ij")
-        p = np.stack([m.reshape(-1) for m in p_mesh], axis=-1)  # (Np, d)
-        wp_full = np.ones(p.shape[0])
-        for i, m in enumerate(np.meshgrid(*([wp] * spec.d), indexing="ij")):
-            wp_full *= m.reshape(-1)
-
-        if spec.has_xi:
-            yx, wx = self.gh_xi
-        else:
-            yx, wx = np.zeros(1), np.ones(1)
-        return (q, wq), (p, wp_full), (yx, wx)
-
-    def expand_function(self, fn):
-        """Quadrature expansion of a callable on the working basis.
-
-        `fn(q, p, xi)` receives arrays of shape (M, d), (M, d), (M,) and
-        must return shape (M,).  Returns (coefficients, residual) where the
-        residual is the L2(mu) norm of the part of `fn` outside the working
-        space (constants included).
+        Nothing in the package reads it: it stays only for the benchmark's
+        ``basis.phi_mb`` metric, and ROADMAP item 8 deletes both together.
         """
         spec = self.spec
-        (q, wq), (p, wp), (yx, wx) = self.quadrature_points()
-        n_qpts, n_ppts, n_xpts = q.shape[0], p.shape[0], yx.shape[0]
-        if n_qpts * n_ppts * n_xpts > 5_000_000:
-            raise NumericalFailure("problem too large: expansion grid exceeds 5e6 points")
-
-        qq = np.repeat(np.repeat(q, n_ppts, axis=0), n_xpts, axis=0)
-        pp = np.tile(np.repeat(p, n_xpts, axis=0), (n_qpts, 1))
-        xx = np.tile(yx, n_qpts * n_ppts)
-        raw = np.asarray(fn(qq, pp, xx), dtype=float).reshape(n_qpts, n_ppts, n_xpts)
-        norm2 = float(np.einsum("qpx,q,p,x->", raw**2, wq, wp, wx))
-
-        # contract xi
-        if spec.has_xi:
-            table_x = hermite_value_table(yx / math.sqrt(self.xi.variance), spec.n_xi)
-            vals = np.einsum("qpx,nx,x->qpn", raw, table_x, wx)
-        else:
-            vals = raw[..., 0:1] * wx[0]
-        # contract momentum coordinates one at a time
-        yp, wp1 = self.gh_p
-        table_p = hermite_value_table(yp / math.sqrt(self.herm.variance), spec.n_p)
-        n_gh = yp.size
-        vals = vals.reshape((n_qpts,) + (n_gh,) * spec.d + (vals.shape[-1],))
-        for _ in range(spec.d):
-            # tensordot appends the new Hermite axis at the end; the next
-            # momentum grid axis slides back to position 1.
-            vals = np.tensordot(vals, table_p * wp1[None, :], axes=([1], [1]))
-        # axes now: (q, xi_or_1, n_1, ..., n_d) -> reorder to (q, n..., xi)
-        vals = np.moveaxis(vals, 1, -1)
-        # psi_j = chi_j / sqrt(rho) and the nu-weight is rho / N^d, so the
-        # position contraction carries chi_j sqrt(rho) / N^d.
-        coeff = np.tensordot(self.phi * self.sqrt_rho[:, None], vals, axes=([0], [0]))
-        coeff /= self.n_grid**spec.d
-        coeff = coeff.reshape(-1)
-        h_vec = np.asarray(self.U.T @ coeff)
-        residual = math.sqrt(max(norm2 - float(h_vec @ h_vec), 0.0))
-        return h_vec, residual
+        table = fourier_value_table(position_axis(spec.n_q, self.potential), spec.n_q,
+                                    spec.torus_length)
+        return functools.reduce(np.kron, [table] * spec.d)
 
 
 def _read_only(value):
@@ -779,20 +672,18 @@ _BASES: OrderedDict = OrderedDict()
 
 
 def build_basis(spec: BasisSpec, potential: Potential | None = None,
-                tol_identity: float = DEFAULT_TOL_IDENTITY,
                 max_dim: int | None = None) -> BasisSet:
-    """Validate, build quadratures and index maps, and check orthonormality.
+    """Validate, check the density, and build the mean-zero map and index maps.
 
     The basis is shared per process: one read-only :class:`BasisSet` per
-    (spec, potential, tol_identity), at most BASIS_CACHE_SIZE of them.  The
-    dimension guard runs on every call, and a basis failing its Gram check
-    is never kept.
+    (spec, potential), at most BASIS_CACHE_SIZE of them.  The dimension guard
+    runs on every call, and a refused basis is never kept.
     """
     potential = validated_potential(spec, potential, max_dim)
-    key = (spec, potential, tol_identity)
+    key = (spec, potential)
     basis = _BASES.get(key)
     if basis is None:
-        basis = BasisSet(spec, potential, tol_identity=tol_identity, max_dim=max_dim)
+        basis = BasisSet(spec, potential, max_dim=max_dim)
         _read_only(list(vars(basis).values()))
         _BASES[key] = basis
         if len(_BASES) > BASIS_CACHE_SIZE:

@@ -110,8 +110,7 @@ def _first_point(config: RunConfig) -> tuple[float, float | None]:
 
 def _assemble(config: RunConfig):
     gamma, epsilon = _first_point(config)
-    basis = build_basis(_basis_spec(config), potential=config.potential(),
-                        tol_identity=config.tol_identity)
+    basis = build_basis(_basis_spec(config), potential=config.potential())
     ops = assemble_model(basis, _model_spec(config, gamma, epsilon))
     return basis, ops
 

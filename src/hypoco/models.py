@@ -271,7 +271,7 @@ def adl_bound(dec: Decomposition, constants: dict) -> tuple[float, dict]:
 
 def _evaluate(model: ModelSpec, spec: BasisSpec, potential: Potential | None,
               constants: dict, tol_identity: float, rank_tol: float):
-    basis = build_basis(spec, potential=potential, tol_identity=tol_identity)
+    basis = build_basis(spec, potential=potential)
     ops = assemble_model(basis, model)
     rep = verify_structural_assumptions(ops, tol=tol_identity)
     if not rep.passed:
@@ -364,6 +364,10 @@ def static_poincare_constants(dec: Decomposition) -> tuple[float, float]:
 def check_static_inequality(ops: ModelOperators, c1: float, c2: float,
                             n_samples: int = 100, seed: int = 0) -> float:
     """Worst ratio |f| / (C1 |(1-Pi0)f| + C2 |(1-S)^{-1/2} A f|) over random f."""
+    problems = [f"{name} must be positive and finite, got {val!r}"
+                for name, val in (("c1", c1), ("c2", c2)) if not 0.0 < val < np.inf]
+    if problems:  # max(worst, nan) keeps worst, so a NaN constant would pass
+        raise ConfigError(problems)
     inv_sqrt = 1.0 / np.sqrt(1.0 - ops.S)
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -365,6 +365,8 @@ def block_resolvent(dec: Decomposition, rhs) -> tuple[np.ndarray, np.ndarray]:
     rhs = np.asarray(rhs, float)
     if rhs.shape != (dec.dim,):
         raise ConfigError([f"right-hand side has shape {rhs.shape}, expected ({dec.dim},)"])
+    if not np.all(np.isfinite(rhs)):  # a NaN residual would pass the check below
+        raise ConfigError(["right-hand side must be finite"])
     schur_complement(dec)  # builds dec.factor, refusing a singular or pivoted LU
     u = dec.factor.solve(rhs)
     res = np.linalg.norm(ops.L @ u - rhs)

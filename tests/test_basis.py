@@ -6,13 +6,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypoco.basis import (BASIS_CACHE_SIZE, TWO_PI, BasisSet, BasisSpec, Potential, build_basis,
+from hypoco.basis import (BASIS_CACHE_SIZE, TWO_PI, BasisSpec, Potential, build_basis,
                           fourier_deriv_1d, fourier_mult, fourier_value_table,
-                          gauss_hermite_rule, hermite_value_table, mean_zero_map,
+                          gauss_hermite_rule, mean_zero_map, position_axis,
                           sqrt_rho_coeffs)
 from hypoco.errors import ConfigError, NumericalFailure
 
 from conftest import COS_Q
+from quadrature import Quadrature, expand_function, hermite_value_table
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +123,8 @@ def test_mode_order_does_not_change_a_potential():
 def test_cached_basis_is_read_only():
     basis = build_basis(BasisSpec(d=1, n_q=4, n_p=4, has_xi=True, n_xi=2),
                         Potential.from_string(COS_Q, d=1))
-    for array in (basis.phi, basis.p_degree, basis.U.data, basis.herm.mult,
-                  basis.xi.anti, basis.gh_p[1]):
+    for array in (basis.c_pos, basis.p_degree, basis.U.data, basis.herm.mult,
+                  basis.xi.anti, basis.T.data):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
 
@@ -136,26 +137,6 @@ def test_max_dim_guard_holds_on_a_cache_hit(monkeypatch):
     monkeypatch.setenv("HYPOCO_MAX_DIM", "10")
     with pytest.raises(NumericalFailure, match="problem too large"):
         build_basis(spec)
-
-
-def test_loose_tolerance_basis_is_not_served_to_a_stricter_request(cos_potential,
-                                                                   monkeypatch):
-    spec = BasisSpec(d=1, n_q=4, n_p=4)
-    loose = build_basis(spec, cos_potential, tol_identity=1e-10)
-    assert loose.gram_residual > 0
-    built = []
-    init = BasisSet.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(args[0])
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(BasisSet, "__init__", counting)
-    for _ in range(2):  # a failed Gram check is not kept either
-        with pytest.raises(NumericalFailure, match="Gram residual"):
-            build_basis(spec, cos_potential, tol_identity=0.5 * loose.gram_residual)
-    assert len(built) == 2
-    assert build_basis(spec, cos_potential, tol_identity=1e-10) is loose
 
 
 def test_basis_cache_drops_the_least_recently_used_basis():
@@ -207,28 +188,72 @@ def test_fourier_table_and_derivative():
 # ---------------------------------------------------------------------------
 
 
-def test_gram_residual_small(cos_basis):
-    assert cos_basis.gram_residual < 1e-10
-
-
 def test_constant_offset_leaves_the_quadrature_unchanged(cos_basis):
     # exp(-beta V) of V = cos q - 1000 overflows unless V is shifted by its minimum
     offset = build_basis(cos_basis.spec, Potential.from_string("0:-1000,0;1:0.5,0", d=1))
-    assert offset.gram_residual <= offset.tol_identity
+    assert np.max(np.abs(offset.c_pos - cos_basis.c_pos)) <= 1e-14
     fn = lambda q, p, xi: np.cos(q[:, 0]) * p[:, 0]
-    gap = offset.expand_function(fn)[0] - cos_basis.expand_function(fn)[0]
+    gap = expand_function(offset, fn)[0] - expand_function(cos_basis, fn)[0]
     assert np.max(np.abs(gap)) <= 1e-12
 
 
 def test_underflowing_density_is_a_quadrature_failure():
-    # even shifted, exp(-beta V) of V = 800 cos q underflows to 0: the Gram is NaN
-    with pytest.raises(NumericalFailure, match="quadrature failure"):
+    # even shifted, exp(-beta V) of V = 800 cos q underflows to 0 on the grid
+    with pytest.raises(NumericalFailure, match="quadrature failure: the density"):
         build_basis(BasisSpec(d=1, n_q=8, n_p=8), Potential.from_string("1:400,0", d=1))
+
+
+@pytest.mark.parametrize("d, amplitude, fails", [
+    (1, 186.25, False), (1, 186.5, True),
+    (2, 93.0, False), (2, 93.25, True),
+])
+def test_density_refused_exactly_where_it_underflows(d, amplitude, fails):
+    # beta (max V - min V) = 4 * amplitude (d = 1) or 8 * amplitude (d = 2,
+    # separable cos): exp(-745) is the last positive double, exp(-746) is 0
+    text = "1:{0},0" if d == 1 else "1 0:{0},0;0 1:{0},0"
+    pot = Potential.from_string(text.format(amplitude), d=d)
+    spec = BasisSpec(d=d, n_q=8, n_p=1)
+    if fails:
+        with pytest.raises(NumericalFailure, match="quadrature failure"):
+            build_basis(spec, pot)
+    else:
+        assert build_basis(spec, pot).spec is spec
+
+
+def test_momentum_cutoff_has_no_quadrature_ceiling():
+    # the Hermite operators are exact recurrences at any degree, while a
+    # 2n + 4 node Gauss-Hermite rule overflows, with RuntimeWarnings, from n = 184
+    for ops in (build_basis(BasisSpec(d=1, n_q=1, n_p=200)).herm,
+                build_basis(BasisSpec(d=1, n_q=1, n_p=1, has_xi=True, n_xi=200)).xi):
+        assert np.all(np.isfinite(ops.mult)) and np.all(np.isfinite(ops.anti))
+        assert ops.mult[200, 199] == math.sqrt(200 * ops.variance)
+
+
+def test_basis_holds_nothing_on_the_grid():
+    # d = 3, (3, 3): the n_grid^3 x n_pos table phi would be 686 MB
+    pot = Potential.from_string("1 0 0:0.5,0;0 1 0:0.5,0;0 0 1:0.5,0", d=3)
+    spec = BasisSpec(d=3, n_q=3, n_p=3)
+    basis = build_basis(spec, pot, max_dim=30_000)
+    n_rows = position_axis(3, pot).size ** 3
+    held = [*vars(basis).values(), *vars(basis.herm).values()]
+    assert any(sp.issparse(value) for value in held)
+    assert all(getattr(value, "shape", (0,))[0] != n_rows for value in held)
+
+
+def test_phi_is_the_kronecker_product_of_the_1d_tables():
+    pot = Potential.from_string("1 0:0.5,0;0 1:0.3,0.1", d=2)
+    basis = build_basis(BasisSpec(d=2, n_q=3, n_p=1), pot)
+    axis = position_axis(3, pot)
+    table = fourier_value_table(axis, 3, TWO_PI)
+    phi = basis.phi
+    assert phi.shape == (axis.size**2, 49)
+    assert np.array_equal(phi, np.kron(table, table))
+    assert basis.phi is not phi, "built on each access, never stored"
 
 
 def test_mean_zero_columns(cos_basis):
     # every working function must integrate to zero against mu
-    coeff, residual = cos_basis.expand_function(lambda q, p, xi: np.ones(q.shape[0]))
+    coeff, residual = expand_function(cos_basis, lambda q, p, xi: np.ones(q.shape[0]))
     assert np.linalg.norm(coeff) < 1e-12, "constants must project out"
     assert abs(residual - 1.0) < 1e-12, "the constant carries unit mass"
 
@@ -242,13 +267,12 @@ def test_householder_map_is_isometry(cos_basis):
 def test_momentum_second_moment(cos_basis):
     # <p^2, 1>_mu = m / beta, realized through the quadrature expansion
     beta, mass = cos_basis.spec.beta, cos_basis.spec.mass
-    coeff, _ = cos_basis.expand_function(lambda q, p, xi: p[:, 0] ** 2)
-    one_like, res = cos_basis.expand_function(
-        lambda q, p, xi: np.ones(q.shape[0]))
+    coeff, _ = expand_function(cos_basis, lambda q, p, xi: p[:, 0] ** 2)
+    one_like, res = expand_function(cos_basis, lambda q, p, xi: np.ones(q.shape[0]))
     # mean of p^2 sits in the removed constant: compare against the residual
     # decomposition instead: expand p^2 - m/beta, which must be mean-free
-    coeff2, residual2 = cos_basis.expand_function(
-        lambda q, p, xi: p[:, 0] ** 2 - mass / beta)
+    coeff2, residual2 = expand_function(cos_basis,
+                                        lambda q, p, xi: p[:, 0] ** 2 - mass / beta)
     # the residual is sqrt(norm^2 - |coeff|^2); cancellation leaves ~1e-7
     assert residual2 < 1e-6, "p^2 - m/beta is entirely inside the working space"
     assert np.allclose(coeff, coeff2, atol=1e-10)
@@ -256,7 +280,7 @@ def test_momentum_second_moment(cos_basis):
 
 def test_hermite_expansion_of_p_cubed(cos_basis):
     # p^3 = sigma^3 (sqrt(6) h_3 + 3 h_1) for sigma^2 = m/beta = 1
-    coeff, residual = cos_basis.expand_function(lambda q, p, xi: p[:, 0] ** 3)
+    coeff, residual = expand_function(cos_basis, lambda q, p, xi: p[:, 0] ** 3)
     assert residual < 1e-6
     degree = cos_basis.p_degree
     sub1 = coeff[degree == 1]
@@ -271,8 +295,8 @@ def test_parseval_for_smooth_function(cos_basis):
     def fn(q, p, xi):
         return np.sin(q[:, 0]) * p[:, 0] + 0.3 * np.cos(2 * q[:, 0])
 
-    coeff, residual = cos_basis.expand_function(fn)
-    (qpts, wq), (ppts, wp), (yx, wx) = cos_basis.quadrature_points()
+    coeff, residual = expand_function(cos_basis, fn)
+    (qpts, wq), (ppts, wp), (yx, wx) = Quadrature(cos_basis).points()
     qq = np.repeat(qpts, ppts.shape[0], axis=0)
     pp = np.tile(ppts, (qpts.shape[0], 1))
     vals = fn(qq, pp, None).reshape(qpts.shape[0], ppts.shape[0])
@@ -293,7 +317,7 @@ def test_quadrature_doubling_stability(cos_potential):
     for n_q in (6, 12):
         basis = build_basis(BasisSpec(d=1, n_q=n_q, n_p=6),
                             potential=cos_potential)
-        coeff, residual = basis.expand_function(fn)
+        coeff, residual = expand_function(basis, fn)
         norms.append(coeff @ coeff + residual**2)
     assert abs(norms[0] - norms[1]) < 1e-10 * max(norms)
 
@@ -326,13 +350,13 @@ def test_fourier_mult_matches_quadrature(d, text):
     # the quadrature's rounding noise sits exactly on the structural zeros
     pot = Potential.from_string(text, d=d)
     n_q = 5
-    basis = build_basis(BasisSpec(d=d, n_q=n_q, n_p=0), potential=pot)
-    axes = [basis.pos_axis] * d
+    quadrature = Quadrature(build_basis(BasisSpec(d=d, n_q=n_q, n_p=0), potential=pot))
+    phi, axes = quadrature.phi, [quadrature.pos_axis] * d
     cases = [(pot.coeffs, pot.value_grid(axes))]
     cases += [(pot.deriv_coeffs(i), pot.grad_grid(axes)[i]) for i in range(d)]
     for coeffs, grid in cases:
         f = grid.reshape(-1)
-        quad = basis.phi.T @ (f[:, None] * basis.phi) / basis.n_grid**d
+        quad = phi.T @ (f[:, None] * phi) / quadrature.n_grid**d
         exact = fourier_mult(coeffs, d, n_q).toarray()
         assert np.max(np.abs(exact - quad)) < 1e-13
         assert np.array_equal(exact != 0.0, np.abs(quad) > 1e-13)
@@ -341,7 +365,8 @@ def test_fourier_mult_matches_quadrature(d, text):
 def test_sqrt_rho_coefficients_match_quadrature():
     pot = Potential.from_string("1 1:0.2,0.1;1 0:0.5,0", d=2)
     basis = build_basis(BasisSpec(d=2, n_q=5, n_p=0), potential=pot)
-    quad = basis.phi.T @ basis.sqrt_rho / basis.n_grid**2
+    quadrature = Quadrature(basis)
+    quad = quadrature.phi.T @ quadrature.sqrt_rho / quadrature.n_grid**2
     assert np.max(np.abs(basis.c_pos - quad / np.linalg.norm(quad))) < 1e-14
 
 
@@ -358,7 +383,8 @@ def test_sqrt_rho_cutoff_drops_only_rounding():
     # in q1); every coefficient above the rounding is kept
     pot = Potential.from_string("1 1:0.2,0.1;1 0:0.5,0", d=2)
     basis = build_basis(BasisSpec(d=2, n_q=4, n_p=0), potential=pot)
-    quad = basis.phi.T @ basis.sqrt_rho / basis.n_grid**2
+    quadrature = Quadrature(basis)
+    quad = quadrature.phi.T @ quadrature.sqrt_rho / quadrature.n_grid**2
     quad /= np.linalg.norm(quad)
     zero = basis.c_pos == 0.0
     assert np.count_nonzero(zero) == 4

@@ -328,6 +328,15 @@ def test_static_inequality_detects_false_constants(langevin_ops):
         check_static_inequality(langevin_ops, 1e-6, 1e-6, n_samples=5)
 
 
+@pytest.mark.parametrize("c1, c2", [(1.0, float("nan")), (float("nan"), 1.0),
+                                    (float("inf"), 1.0), (1.0, 0.0), (-1.0, 1.0)])
+def test_static_inequality_refuses_constants_that_are_not_positive_and_finite(
+        langevin_ops, c1, c2):
+    # max(worst, nan) keeps worst: a NaN constant used to return 0.0, a pass
+    with pytest.raises(ConfigError, match="must be positive and finite"):
+        check_static_inequality(langevin_ops, c1, c2, n_samples=5)
+
+
 def test_alpha_t_frozen_value_and_shape():
     assert abs(alpha_T(1.0, 1.0, 1.0, 1.0, 1.0) - 2.0 / 3.0) < 1e-15
     # contraction factor lies in (0, 1) and improves with longer periods

@@ -16,6 +16,7 @@ from hypoco.operators import (MODELS, ModelSpec, assemble_boltzmann_collision,
                               _hamiltonian_span, _nosehoover_span)
 
 from conftest import COS_Q
+from quadrature import expand_function
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +60,8 @@ def test_model_basis_mismatch(cos_basis, adl_basis):
 
 def _apply_and_expand(basis, operator, fn_in, fn_out, atol):
     """Expand fn_in, apply the operator, compare with the expansion of fn_out."""
-    c_in, res_in = basis.expand_function(fn_in)
-    c_out, res_out = basis.expand_function(fn_out)
+    c_in, res_in = expand_function(basis, fn_in)
+    c_out, res_out = expand_function(basis, fn_out)
     assert res_in < atol and res_out < atol, "oracle functions must be resolved"
     gap = np.max(np.abs(operator @ c_in - c_out))
     assert gap < atol, f"operator application disagrees with calculus: {gap:.3e}"
@@ -96,13 +97,12 @@ def test_hamiltonian_ladder_coefficient():
     beta, mass = 2.0, 1.5
     basis = build_basis(BasisSpec(d=1, n_q=3, n_p=3, beta=beta, mass=mass))
     a = assemble_hamiltonian(basis)
-    c_in, _ = basis.expand_function(
-        lambda q, p, xi: math.sqrt(2.0) * np.cos(q[:, 0]))
+    c_in, _ = expand_function(basis, lambda q, p, xi: math.sqrt(2.0) * np.cos(q[:, 0]))
     out = a @ c_in
     # A cos-mode = -sqrt(2) sin(q) p/m, whose h_1 coefficient is
     # sigma/m = 1/sqrt(m beta)
-    c_ref, _ = basis.expand_function(
-        lambda q, p, xi: -math.sqrt(2.0) * np.sin(q[:, 0]) * p[:, 0] / mass)
+    c_ref, _ = expand_function(
+        basis, lambda q, p, xi: -math.sqrt(2.0) * np.sin(q[:, 0]) * p[:, 0] / mass)
     assert np.max(np.abs(out - c_ref)) < 1e-12
     assert abs(np.linalg.norm(out) - 1.0 / math.sqrt(mass * beta)) < 1e-12
 

@@ -444,6 +444,17 @@ def test_block_resolvent_rejects_a_wrong_length_vector(langevin_dec):
         block_resolvent(langevin_dec, np.zeros(langevin_dec.dim + 1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_block_resolvent_rejects_a_non_finite_vector(langevin_dec, bad):
+    # NaN makes the residual check's comparison False, so it used to pass
+    rhs = np.ones(langevin_dec.dim)
+    rhs[3] = bad
+    with pytest.raises(ConfigError, match="right-hand side must be finite"):
+        block_resolvent(langevin_dec, rhs)
+    with pytest.raises(ConfigError, match="right-hand side must be finite"):
+        block_resolvent(langevin_dec, np.full(langevin_dec.dim, bad))
+
+
 def test_block_resolvent_factors_nothing_after_the_schur_complement(langevin_ops,
                                                                      monkeypatch):
     # block elimination is the substitution of the decomposition's H0-last LU
