@@ -276,27 +276,28 @@ class BasisSpec:
     beta: float = 1.0
     mass: float = 1.0
     torus_length: float = TWO_PI
-    has_xi: bool = False
+    #: cutoff of the thermostat coordinate xi; the basis has no xi at 0
     n_xi: int = 0
 
     def __post_init__(self):
         problems = []
         if self.d < 1:
             problems.append("d must be >= 1")
-        if self.n_q < 0 or self.n_p < 0:
-            problems.append("n_q and n_p must be >= 0")
-        if self.beta <= 0:
-            problems.append("beta must be > 0")
-        if self.mass <= 0:
-            problems.append("mass must be > 0")
-        if self.torus_length <= 0:
-            problems.append("torus_length must be > 0")
-        if self.has_xi and self.n_xi < 1:
-            problems.append("n_xi must be >= 1 when the xi coordinate is enabled")
-        if not self.has_xi and self.n_xi != 0:
-            problems.append("n_xi must be 0 without the xi coordinate")
+        if self.n_q < 0 or self.n_p < 0 or self.n_xi < 0:
+            problems.append("n_q, n_p and n_xi must be >= 0")
+        for name in ("beta", "mass", "torus_length"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                problems.append(f"{name} must be positive and finite")
         if problems:
             raise ConfigError(problems)
+        # HermiteOps divides by the standard deviation of each Gaussian
+        variances = {"mass/beta": float(self.mass) / float(self.beta)}
+        if self.n_xi:
+            variances["1/beta"] = 1.0 / float(self.beta)
+        for name, variance in variances.items():
+            if not 0.0 < variance < math.inf:
+                raise ConfigError([f"Gaussian variance {name} = {variance!r} "
+                                   "must be positive and finite"])
 
     @property
     def n_pos_1d(self) -> int:
@@ -312,7 +313,7 @@ class BasisSpec:
 
     @property
     def n_xi_tot(self) -> int:
-        return self.n_xi + 1 if self.has_xi else 1
+        return self.n_xi + 1
 
     @property
     def dim_span(self) -> int:
@@ -327,12 +328,6 @@ class BasisSpec:
 # ---------------------------------------------------------------------------
 # 1-D building blocks
 # ---------------------------------------------------------------------------
-
-
-def gauss_hermite_rule(order, variance):
-    """Nodes/probability-weights integrating exactly against N(0, variance)."""
-    y, w = np.polynomial.hermite_e.hermegauss(order)
-    return y * math.sqrt(variance), w / math.sqrt(TWO_PI)
 
 
 @dataclass
@@ -557,7 +552,7 @@ class BasisSet:
             )
 
         self.herm = HermiteOps(spec.mass / spec.beta, spec.n_p)
-        self.xi = HermiteOps(1.0 / spec.beta, spec.n_xi) if spec.has_xi else None
+        self.xi = HermiteOps(1.0 / spec.beta, spec.n_xi) if spec.n_xi else None
         self._build_mean_zero_map()
         self._build_index_arrays()
 
@@ -625,7 +620,7 @@ class BasisSet:
         for i in range(spec.d):
             m = herm_mats.get(i)
             factors.append(eye_h if m is None else sp.csr_matrix(m))
-        if spec.has_xi:
+        if spec.n_xi:
             factors.append(sp.identity(spec.n_xi + 1, format="csr") if xi_mat is None
                            else sp.csr_matrix(xi_mat))
         elif xi_mat is not None:

@@ -89,11 +89,10 @@ def _load_config(args) -> RunConfig:
 
 
 def _basis_spec(config: RunConfig) -> BasisSpec:
-    has_xi = config.model == "adaptive_langevin"
     return BasisSpec(d=config.d, n_q=config.n_q, n_p=config.n_p,
                      beta=config.beta, mass=config.mass,
                      torus_length=config.torus_length,
-                     has_xi=has_xi, n_xi=config.n_xi if has_xi else 0)
+                     n_xi=config.n_xi if config.model == "adaptive_langevin" else 0)
 
 
 def _model_spec(config: RunConfig, gamma: float, epsilon: float | None) -> ModelSpec:
@@ -131,7 +130,7 @@ def cmd_assemble(args) -> int:
                 "epsilon": ops.model.epsilon, "beta": config.beta,
                 "mass": config.mass, "d": config.d, "n_q": config.n_q,
                 "n_p": config.n_p,
-                "n_xi": config.n_xi if basis.spec.has_xi else 0,
+                "n_xi": basis.spec.n_xi,
                 "potential": config.potential_text, "dim": ops.dim}
         save_container(config.out, {
             "A": ops.A, "S": diagonal(ops.S), "L": ops.L,

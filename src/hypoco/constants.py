@@ -1,11 +1,11 @@
 """Analytic constants entering the resolvent bounds, with lemma verifiers.
 
-Spectral gaps of the position/momentum marginals, growth constants of the
-potential, and the kinetic-energy matrix are computed here, together with
-quadrature checks of the supporting inequalities (a Villani-type gradient
-bound, the Bochner identity, and the Hessian-control lemma).  All position
-quadratures use uniform periodic grids, which are spectrally accurate for
-the smooth integrands appearing here.
+Spectral gaps of the position/momentum marginals and growth constants of the
+potential are computed here, together with quadrature checks of the
+supporting inequalities (a Villani-type gradient bound, the Bochner identity,
+and the Hessian-control lemma).  All position quadratures use uniform
+periodic grids, which are spectrally accurate for the smooth integrands
+appearing here.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .basis import (TWO_PI, BasisSpec, Potential, fourier_deriv_1d,
-                    fourier_value_table, gauss_hermite_rule, mean_zero_map,
-                    sqrt_rho_coeffs, validated_potential, witten_deriv)
+                    fourier_value_table, mean_zero_map, sqrt_rho_coeffs,
+                    validated_potential, witten_deriv)
 from .errors import ConfigError, InvariantViolation, NumericalFailure
 
 #: flooring for c1 and c3 so strict positivity holds even for flat potentials
@@ -275,35 +275,6 @@ def case_constants(case: str, beta: float, d: int, params: dict) -> tuple[float,
 
 
 # ---------------------------------------------------------------------------
-# kinetic-energy matrix
-# ---------------------------------------------------------------------------
-
-
-def kinetic_matrices(mass: float, beta: float, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The averaged Hessian of the kinetic energy, by two quadratures.
-
-    For quadratic kinetic energy |p|^2/(2 mass) the Hessian average equals
-    mass^{-1} Id, and integration by parts gives the dual expression
-    beta * E[grad U (x) grad U]; both are evaluated by Gauss-Hermite rules.
-    """
-    nodes, weights = gauss_hermite_rule(40, mass / beta)
-    m_hess = np.eye(d) * float(np.sum(weights) / mass)
-    second = float(np.sum(weights * nodes**2))
-    first = float(np.sum(weights * nodes))
-    m_dual = np.full((d, d), beta * first**2 / mass**2)
-    np.fill_diagonal(m_dual, beta * second / mass**2)
-    return m_hess, m_dual
-
-
-def lambda_min_M(mass: float, beta: float = 1.0, d: int = 1) -> float:
-    m_hess, m_dual = kinetic_matrices(mass, beta, d)
-    gap = float(np.max(np.abs(m_hess - m_dual)))
-    if gap > 1e-10:
-        raise InvariantViolation(f"kinetic matrix quadratures disagree by {gap:.3e}")
-    return float(np.linalg.eigvalsh(m_hess)[0])
-
-
-# ---------------------------------------------------------------------------
 # lemma checks
 # ---------------------------------------------------------------------------
 
@@ -402,14 +373,17 @@ def constants_cutoff(n_q: int) -> int:
 def constants_summary(potential: Potential | None, beta: float, mass: float,
                       d: int, n_q: int = 32, torus_length: float = TWO_PI,
                       c2: float | None = None) -> dict:
-    """All scalar constants in one dictionary (the CLI JSON payload)."""
+    """All scalar constants in one dictionary (the CLI JSON payload).
+
+    The kinetic energy |p|^2/(2 mass) has Hessian Id/mass, so lambda_min(M) = 1/mass.
+    """
     knu = poincare_constant("position", potential=potential, beta=beta, d=d,
                             n_q=n_q, torus_length=torus_length)
     growth = estimate_growth_constants(potential, beta, d, torus_length=torus_length, c2=c2)
     return {
         "K_nu2": knu.constant,
         "K_kappa2": beta / mass,
-        "lambda_min_M": lambda_min_M(mass, beta, d),
+        "lambda_min_M": 1.0 / mass,
         "c1": growth.c1,
         "c2": growth.c2,
         "c3": growth.c3,

@@ -324,7 +324,7 @@ def model_bound_report(model: ModelSpec, spec: BasisSpec,
     details["constants"] = constants
     return BoundReport(
         model=model.model, gamma=model.gamma,
-        n_q=spec.n_q, n_p=spec.n_p, n_xi=spec.n_xi if spec.has_xi else 0,
+        n_q=spec.n_q, n_p=spec.n_p, n_xi=spec.n_xi,
         s=rep.s_numeric, a=details["a"],
         norm_S11=details["norm_S11"], norm_R22=details["norm_R22"],
         norm_L21A10inv=details["norm_L21A10inv"],

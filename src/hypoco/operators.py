@@ -96,7 +96,7 @@ def _nosehoover_span(basis: BasisSet) -> sp.csr_matrix:
     Coordinate i adds (p_i^2 - m/beta)/m^2 to w, an exact zero on degree 0.
     """
     spec = basis.spec
-    if not spec.has_xi:
+    if not spec.n_xi:
         raise ConfigError(["model/basis mismatch: thermostat coupling needs the xi coordinate"])
     m, herm = spec.mass, basis.herm
     w = (herm.mult2 - herm.variance * np.eye(herm.n + 1)) / m**2
@@ -217,9 +217,9 @@ def _check_model_basis(basis: BasisSet, model: ModelSpec):
     if abs(model.mass - spec.mass) > 1e-12 * spec.mass:
         problems.append("model/basis mismatch: model and basis disagree on mass")
     needs_xi = model.model == "adaptive_langevin"
-    if needs_xi and not spec.has_xi:
+    if needs_xi and not spec.n_xi:
         problems.append("model/basis mismatch: adaptive_langevin needs a basis with xi")
-    if not needs_xi and spec.has_xi:
+    if not needs_xi and spec.n_xi:
         problems.append("model/basis mismatch: xi coordinate present but unused by the model")
     if problems:
         raise ConfigError(problems)

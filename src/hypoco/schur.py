@@ -9,9 +9,10 @@ sign count of the reversal, never through a basis of its own.
 The module builds the decomposition and evaluates the closed-form resolvent
 bound.  Each sparse LU is unpivoted, with H+ in one nested-dissection order
 and a zero-diagonal block last, so its trailing block is a Schur complement:
-one of L itself (L++ bordered by A_{+0}, H0 last), kept for the block
-resolvent and the exact-norm oracle (ARPACK Lanczos on (L^T L)^{-1}, a dense
-SVD for small matrices and as the cross-check), and one of L++ bordered by Q1.
+one of L itself (L++ bordered by A_{+0}, H0 last), which the decomposition
+holds for the block resolvent and the exact-norm oracle (ARPACK Lanczos on
+(L^T L)^{-1}, a dense SVD for small matrices and as the cross-check), and one
+of L++ bordered by Q1.
 """
 
 from __future__ import annotations
@@ -62,15 +63,15 @@ def operator_norm(mat) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Decomposition:
-    """Orthonormal H0/H1 bases and the generator blocks the bound reads.
+    """Orthonormal H0/H1 bases, the generator blocks the bound reads, and L's LU.
 
     H0 is the coordinate block ``ops.idx0``; Q1 holds the H1 basis in H+
     coordinates.  H2 is never formed: it is reached through the projector
     P2 = 1 - Q1 Q1^T, as |Q2^T Y| = |P2 Y|, so P2 L++ Q1 = L++ Q1 - Q1 L11
     stands in for L21.  A10 is square (dim0 = dim1) and invertible whenever
-    the build succeeded.
+    the build succeeded.  ``factor`` is the unpivoted H0-last LU of L.
     """
 
     ops: ModelOperators
@@ -81,11 +82,7 @@ class Decomposition:
     pi1_idempotency_residual: float
     pi1_range_residual: float
     l11_symmetry_residual: float
-    #: route one's H0-last LU of L, the factor the exact-norm oracle builds
-    #: itself and :func:`block_resolvent` substitutes through; set by
-    #: :func:`schur_complement`
-    factor: H0LastLU | None = field(default=None, repr=False)
-    _schur: np.ndarray | None = field(default=None, repr=False)
+    factor: H0LastLU = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -103,7 +100,7 @@ class Decomposition:
 def build_decomposition(ops: ModelOperators,
                         rank_tol: float = 1e-12,
                         tol_identity: float = DEFAULT_TOL_IDENTITY) -> Decomposition:
-    """Split H+ into H1 = ran(A_{+0}) and H2 = ran(P2) by pivoted QR.
+    """Split H+ into H1 = ran(A_{+0}) and H2 = ran(P2) by pivoted QR; factor L.
 
     A maps Hermite degree 0 only into degree 1 (degree <= 2 with the
     thermostat coupling), so the QR runs on the nonzero rows of A_{+0}.
@@ -114,6 +111,9 @@ def build_decomposition(ops: ModelOperators,
     |R22| = 1 is proved, not computed: R on H+ must be a diagonal sign
     matrix, and a sign occurring more than dim1 times has an eigenspace
     that meets H2 (of codimension dim1 in H+), so |R22| >= 1 = |R|.
+
+    The factor is the unpivoted LU of L with H+ first, in the nested-dissection
+    order the basis keeps, and H0 last, after Gershgorin proves sym L++ < 0.
     """
     dim0 = len(ops.idx0)
     rows = np.flatnonzero(ops.apl0.getnnz(axis=1))
@@ -155,11 +155,25 @@ def build_decomposition(ops: ModelOperators,
     if max(counts) <= dim0:
         raise InvariantViolation(f"build_decomposition: |R22| = 1 not proved, sign counts "
                                  f"(+1, -1) = {counts} of R on H+ not above dim H1 = {dim0}")
+
+    top = gershgorin_max(0.5 * (ops.Lpp + ops.Lpp.T))
+    if not top < 0.0:
+        raise NumericalFailure(f"dissipation failure on H2: Gershgorin bound of sym L++ "
+                               f"reaches {top:.3e}")
+    # the pattern of L++ does not depend on the friction, epsilon or model
+    order = ops.basis.derived("h0_last_order", lambda _: _h0_last_order(ops.L))
+    if not np.array_equal(order[len(ops.idx_plus):], ops.idx0):
+        raise InvariantViolation("H0-last order: the zero diagonal of L is not ker S")
+    factor = H0LastLU(_h0_last_lu(ops.L[order][:, order]), order)
+    # both Schur routes eliminate L++ in this order: their agreement cannot vouch for it
+    b = np.random.default_rng(0).standard_normal(ops.dim)
+    y = factor.solve(b)
+    _check_backward_error([(ops.L @ y - b, y)], operator_norm_upper(ops.L), "Schur complement")
     return Decomposition(
         ops=ops, Q1=q1, A10=q_rows.T @ block,
         L11=l11, S11=s11,
         pi1_idempotency_residual=pi1_idem, pi1_range_residual=pi1_range,
-        l11_symmetry_residual=l11_sym,
+        l11_symmetry_residual=l11_sym, factor=factor,
     )
 
 
@@ -195,44 +209,23 @@ def macroscopic_coercivity(dec: Decomposition) -> float:
 
 def schur_complement(dec: Decomposition,
                      tol_identity: float = DEFAULT_TOL_IDENTITY) -> np.ndarray:
-    """The Schur complement on H0, computed once, through two routes.
+    """The Schur complement on H0, through two routes.
 
-    Route one is the trailing block of an unpivoted LU of L with H+ first,
-    in the nested-dissection order the basis keeps, and H0 last; that LU is
-    kept as ``dec.factor`` for the exact-norm oracle and the block resolvent.
+    Route one is the trailing block of ``dec.factor``, the H0-last LU of L.
     Route two, through the square invertible A10, is the trailing block of an
     LU of L++ bordered by Q1.  Both are algebraically equal, so disagreement
     flags a conditioning problem or a wrong H1 split rather than a modelling
-    one; a seeded solve through the kept LU is checked against L as well.
-    Symmetry and negative definiteness are asserted except for the
-    thermostated model, whose extended reversal fixes ker S only up to a
-    sign; these checks run at the caller's ``tol_identity`` on every call,
-    only the routes are cached.
+    one.  Symmetry and negative definiteness are asserted at ``tol_identity``
+    except for the thermostated model, whose extended reversal fixes ker S
+    only up to a sign.  Nothing is stored.
     """
-    ops = dec.ops
-    if dec._schur is None:
-        top = gershgorin_max(0.5 * (ops.Lpp + ops.Lpp.T))
-        if not top < 0.0:
-            raise NumericalFailure(f"dissipation failure on H2: Gershgorin bound of sym L++ "
-                                   f"reaches {top:.3e}")
-        n = len(ops.idx_plus)
-        # the pattern of L++ does not depend on the friction, epsilon or model
-        order = ops.basis.derived("h0_last_order", lambda _: _h0_last_order(ops.L))
-        if not np.array_equal(order[n:], ops.idx0):
-            raise InvariantViolation("H0-last order: the zero diagonal of L is not ker S")
-        route2 = _schur_route2(dec, order)
-        lu = _h0_last_lu(ops.L[order][:, order])
-        route1 = (lu.L[n:, n:] @ lu.U[n:, n:]).toarray()
-        denom = max(float(np.linalg.norm(route1)), np.finfo(float).tiny)
-        rel = float(np.linalg.norm(route1 - route2)) / denom
-        if not rel <= ROUTE_RTOL:
-            raise NumericalFailure(f"Schur complement routes disagree: relative gap {rel:.3e}")
-        # both routes eliminate L++ in one order: their agreement cannot vouch for it
-        factor, b = H0LastLU(lu, order), np.random.default_rng(0).standard_normal(ops.dim)
-        y = factor.solve(b)
-        _check_backward_error([(ops.L @ y - b, y)], operator_norm_upper(ops.L), "Schur complement")
-        dec.factor, dec._schur = factor, route1
-    s0 = dec._schur
+    ops, lu, n = dec.ops, dec.factor.lu, len(dec.ops.idx_plus)
+    s0 = (lu.L[n:, n:] @ lu.U[n:, n:]).toarray()
+    route2 = _schur_route2(dec)
+    denom = max(float(np.linalg.norm(s0)), np.finfo(float).tiny)
+    rel = float(np.linalg.norm(s0 - route2)) / denom
+    if not rel <= ROUTE_RTOL:
+        raise NumericalFailure(f"Schur complement routes disagree: relative gap {rel:.3e}")
     if ops.model.model != "adaptive_langevin":
         sym_res = float(np.max(np.abs(s0 - s0.T)))
         scale = max(float(np.max(np.abs(s0))), 1.0)
@@ -328,21 +321,21 @@ class H0LastLU:
         return x
 
 
-def _schur_route2(dec: Decomposition, order: np.ndarray) -> np.ndarray:
+def _schur_route2(dec: Decomposition) -> np.ndarray:
     """A10^T s1^{-1} A10 with s1 = L11 - L12 L22^{-1} L21, H2 never formed,
     read off the trailing block of an unpivoted LU of L++ bordered by Q1.
 
     s1 is the Schur complement of L22 in L++ in H1/H2 coordinates (L22 is
     nonsingular: lambda_max(sym L22) <= lambda_max(sym L++) < 0 by Cauchy
-    interlacing), so s1^{-1} = Q1^T L++^{-1} Q1.  Eliminating H+, in route
-    one's ``order``, from K = [[L++, Q1], [Q1^T, 0]] leaves T = -s1^{-1}.
+    interlacing), so s1^{-1} = Q1^T L++^{-1} Q1.  Eliminating H+, in the
+    order of ``dec.factor``, from K = [[L++, Q1], [Q1^T, 0]] leaves T = -s1^{-1}.
     Route one borders L++ by A_{+0} = Q1 A10 instead, so the routes agree
     only if the H1 split (Q1, A10) the bound reads does.
     """
     ops = dec.ops
     n, lpp, q1 = len(ops.idx_plus), ops.Lpp.tocoo(), sp.coo_matrix(dec.Q1)
-    pos = np.empty(n, dtype=np.intp)  # where each H+ coordinate sits in ``order``
-    pos[np.searchsorted(ops.idx_plus, order[:n])] = np.arange(n)
+    pos = np.empty(n, dtype=np.intp)  # where each H+ coordinate sits in the order
+    pos[np.searchsorted(ops.idx_plus, dec.factor.order[:n])] = np.arange(n)
     k = sp.csc_matrix((np.concatenate([lpp.data, q1.data, q1.data]),
                        (np.concatenate([pos[lpp.row], pos[q1.row], n + q1.col]),
                         np.concatenate([pos[lpp.col], n + q1.col, pos[q1.row]]))),
@@ -356,7 +349,7 @@ def block_resolvent(dec: Decomposition, rhs) -> tuple[np.ndarray, np.ndarray]:
 
     Block elimination with the Schur complement on H0 as the last pivot is
     the forward and back substitution of ``dec.factor``, the unpivoted LU of
-    L with H+ first and H0 last that :func:`schur_complement` keeps.
+    L with H+ first and H0 last that :func:`build_decomposition` made.
     ``rhs`` is a full working-space vector.  Returns (u0, u_plus) in H0 / H+
     coordinates; the solution is validated against the original system to
     1e-8 relative.
@@ -367,7 +360,6 @@ def block_resolvent(dec: Decomposition, rhs) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError([f"right-hand side has shape {rhs.shape}, expected ({dec.dim},)"])
     if not np.all(np.isfinite(rhs)):  # a NaN residual would pass the check below
         raise ConfigError(["right-hand side must be finite"])
-    schur_complement(dec)  # builds dec.factor, refusing a singular or pivoted LU
     u = dec.factor.solve(rhs)
     res = np.linalg.norm(ops.L @ u - rhs)
     if res > 1e-8 * max(np.linalg.norm(rhs), np.finfo(float).tiny):

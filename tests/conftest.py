@@ -37,7 +37,7 @@ def rhmc_ops(cos_basis):
 
 @pytest.fixture(scope="session")
 def adl_basis(cos_potential):
-    return build_basis(BasisSpec(d=1, n_q=6, n_p=6, has_xi=True, n_xi=6),
+    return build_basis(BasisSpec(d=1, n_q=6, n_p=6, n_xi=6),
                        potential=cos_potential)
 
 

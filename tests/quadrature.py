@@ -13,7 +13,13 @@ import math
 
 import numpy as np
 
-from hypoco.basis import fourier_value_table, gauss_hermite_rule, position_axis
+from hypoco.basis import TWO_PI, fourier_value_table, position_axis
+
+
+def gauss_hermite_rule(order, variance):
+    """Nodes/probability-weights integrating exactly against N(0, variance)."""
+    y, w = np.polynomial.hermite_e.hermegauss(order)
+    return y * math.sqrt(variance), w / math.sqrt(TWO_PI)
 
 
 def hermite_value_table(y, n_max):
@@ -55,7 +61,7 @@ class Quadrature:
         self.phi = functools.reduce(np.kron, [table] * spec.d)
         self.gh_p = gauss_hermite_rule(2 * spec.n_p + 4, spec.mass / spec.beta)
         self.gh_xi = (gauss_hermite_rule(2 * spec.n_xi + 4, 1.0 / spec.beta)
-                      if spec.has_xi else None)
+                      if spec.n_xi else None)
 
     def points(self):
         """Flattened tensor quadrature nodes (q, p[, xi]) and mu-weights."""
@@ -71,7 +77,7 @@ class Quadrature:
         for m in np.meshgrid(*([wp] * spec.d), indexing="ij"):
             wp_full *= m.reshape(-1)
 
-        yx, wx = self.gh_xi if spec.has_xi else (np.zeros(1), np.ones(1))
+        yx, wx = self.gh_xi if spec.n_xi else (np.zeros(1), np.ones(1))
         return (q, wq), (p, wp_full), (yx, wx)
 
     def expand(self, fn):
@@ -95,7 +101,7 @@ class Quadrature:
         norm2 = float(np.einsum("qpx,q,p,x->", raw**2, wq, wp, wx))
 
         # contract xi
-        if spec.has_xi:
+        if spec.n_xi:
             table_x = hermite_value_table(yx / math.sqrt(basis.xi.variance), spec.n_xi)
             vals = np.einsum("qpx,nx,x->qpn", raw, table_x, wx)
         else:

@@ -118,7 +118,7 @@ def test_criterion_01_structural_identities(capsys):
         for model, has_xi in (("langevin", False), ("boltzmann_rhmc", False),
                               ("adaptive_langevin", True)):
             spec = BasisSpec(d=1, n_q=12, n_p=12, beta=1.0, mass=1.0,
-                             has_xi=has_xi, n_xi=12 if has_xi else 0)
+                             n_xi=12 if has_xi else 0)
             basis = build_basis(spec, potential=Potential.from_string(COS_Q, d=1))
             ops = assemble_model(basis, ModelSpec(
                 model=model, gamma=1.0, beta=1.0, mass=1.0, d=1,
@@ -140,7 +140,7 @@ def test_criterion_02_block_resolvent_matches_dense(capsys):
                                    ("boltzmann_rhmc", False, 8),
                                    ("adaptive_langevin", True, 6)):
             spec = BasisSpec(d=1, n_q=cut, n_p=cut, beta=1.0, mass=1.0,
-                             has_xi=has_xi, n_xi=cut if has_xi else 0)
+                             n_xi=cut if has_xi else 0)
             basis = build_basis(spec, potential=pot)
             ops = assemble_model(basis, ModelSpec(
                 model=model, gamma=1.0, beta=1.0, mass=1.0, d=1,
@@ -276,7 +276,7 @@ def test_criterion_08_thermostat_identity_and_envelope(capsys):
     def body():
         pot = Potential.from_string(COS_Q, d=1)
         spec = BasisSpec(d=1, n_q=8, n_p=8, beta=1.0, mass=1.0,
-                         has_xi=True, n_xi=8)
+                         n_xi=8)
         basis = build_basis(spec, potential=pot)
         worst_res = 0.0
         points = []

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from hypoco.basis import (BASIS_CACHE_SIZE, TWO_PI, BasisSpec, Potential, build_basis,
                           fourier_deriv_1d, fourier_mult, fourier_value_table,
-                          gauss_hermite_rule, mean_zero_map, position_axis,
-                          sqrt_rho_coeffs)
+                          mean_zero_map, position_axis, sqrt_rho_coeffs)
 from hypoco.errors import ConfigError, NumericalFailure
 
 from conftest import COS_Q
-from quadrature import Quadrature, expand_function, hermite_value_table
+from quadrature import Quadrature, expand_function, gauss_hermite_rule, hermite_value_table
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +32,7 @@ def test_spec_dimensions():
     assert spec2.n_herm == 16
     assert spec2.dim_span == 400
 
-    spec3 = BasisSpec(d=1, n_q=1, n_p=1, has_xi=True, n_xi=2)
+    spec3 = BasisSpec(d=1, n_q=1, n_p=1, n_xi=2)
     assert spec3.n_xi_tot == 3
     assert spec3.dim_span == 3 * 2 * 3
 
@@ -45,6 +44,27 @@ def test_spec_validation_collects_all_problems():
     assert "d must be" in message
     assert "n_q" in message
     assert "beta" in message
+
+
+@pytest.mark.parametrize("field", ["beta", "mass", "torus_length"])
+def test_spec_refuses_a_non_finite_parameter(field):
+    # nan <= 0 is False, so NaN used to reach the Hermite matrices
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match=f"^{field} must be positive and finite$"):
+            BasisSpec(d=1, n_q=1, n_p=1, **{field: bad})
+
+
+@pytest.mark.parametrize("kwargs, variance", [
+    (dict(beta=1e300, mass=1e-30), "mass/beta = 0.0"),
+    (dict(beta=1e-309), "mass/beta = inf"),
+    (dict(beta=1e-309, mass=1e-300, n_xi=2), "1/beta = inf"),
+])
+def test_spec_refuses_a_gaussian_variance_that_is_not_positive_and_finite(kwargs, variance):
+    # each parameter is positive and finite, but the variance HermiteOps
+    # divides by underflows to 0 or overflows
+    with pytest.raises(ConfigError) as err:
+        BasisSpec(d=1, n_q=1, n_p=1, **kwargs)
+    assert err.value.problems == [f"Gaussian variance {variance} must be positive and finite"]
 
 
 def test_potential_from_string_cos():
@@ -121,7 +141,7 @@ def test_mode_order_does_not_change_a_potential():
 
 
 def test_cached_basis_is_read_only():
-    basis = build_basis(BasisSpec(d=1, n_q=4, n_p=4, has_xi=True, n_xi=2),
+    basis = build_basis(BasisSpec(d=1, n_q=4, n_p=4, n_xi=2),
                         Potential.from_string(COS_Q, d=1))
     for array in (basis.c_pos, basis.p_degree, basis.U.data, basis.herm.mult,
                   basis.xi.anti, basis.T.data):
@@ -224,7 +244,7 @@ def test_momentum_cutoff_has_no_quadrature_ceiling():
     # the Hermite operators are exact recurrences at any degree, while a
     # 2n + 4 node Gauss-Hermite rule overflows, with RuntimeWarnings, from n = 184
     for ops in (build_basis(BasisSpec(d=1, n_q=1, n_p=200)).herm,
-                build_basis(BasisSpec(d=1, n_q=1, n_p=1, has_xi=True, n_xi=200)).xi):
+                build_basis(BasisSpec(d=1, n_q=1, n_p=1, n_xi=200)).xi):
         assert np.all(np.isfinite(ops.mult)) and np.all(np.isfinite(ops.anti))
         assert ops.mult[200, 199] == math.sqrt(200 * ops.variance)
 

@@ -236,6 +236,29 @@ def test_cli_underflowing_density_is_one_error_line(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("NumericalFailure: quadrature failure")
 
 
+@pytest.mark.parametrize("text, variance", [
+    ("beta = 1e300\nmass = 1e-30\n", "mass/beta = 0.0"),
+    ("beta = 1e-309\n", "mass/beta = inf"),
+])
+def test_cli_unusable_gaussian_variance_is_one_error_line(tmp_path, capsys, text, variance):
+    # every value is positive and finite; the Hermite basis cannot take the ratio
+    path = tmp_path / "variance.cfg"
+    path.write_text("model = langevin\nn_q = 4\nn_p = 4\n" + text)
+    code, err = _main_without_warnings(["verify", "--config", str(path)], capsys)
+    assert code == 2
+    assert err == [f"ConfigError: Gaussian variance {variance} must be positive and finite"]
+
+
+def test_cli_small_mass_bound_exits_zero(tmp_path, capsys):
+    # lambda_min(M) = 1/m; two quadratures of it used to disagree by 3.5e-10
+    # at m = 1e-6, above an absolute 1e-10, and exit 1
+    path = tmp_path / "light.cfg"
+    path.write_text(SMALL_CFGS["langevin"].replace("mass = 1.0", "mass = 1e-6"))
+    assert main(["bound", "--config", str(path)]) == 0
+    assert main(["constants", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["lambda_min_M"] == 1e6
+
+
 def test_cli_unknown_model_override(cfg_path, capsys):
     assert main(["verify", "--config", cfg_path, "--model", "bogus"]) == 2
     assert ("--model: model must be one of langevin, boltzmann_rhmc, adaptive_langevin, "

@@ -9,8 +9,7 @@ from hypoco.basis import BasisSpec, Potential, build_basis
 from hypoco.constants import (case_constants, check_bochner, check_controlH2,
                               check_villani_lemma, constants_summary,
                               estimate_growth_constants, estimate_hessian_K,
-                              growth_case_iii_cprime, kinetic_matrices,
-                              lambda_min_M, poincare_constant)
+                              growth_case_iii_cprime, poincare_constant)
 from hypoco.errors import ConfigError, InvariantViolation, NumericalFailure
 
 from conftest import COS_COS2, COS_Q
@@ -179,14 +178,9 @@ def test_case_constants_missing_params():
 
 
 def test_lambda_min_quadratic():
-    assert abs(lambda_min_M(mass=1.0) - 1.0) < 1e-10
-    assert abs(lambda_min_M(mass=2.0) - 0.5) < 1e-10
-
-
-def test_kinetic_matrices_dual_agreement():
-    hess_avg, dual = kinetic_matrices(mass=1.5, beta=2.0, d=2)
-    assert np.max(np.abs(hess_avg - dual)) < 1e-10
-    assert np.max(np.abs(hess_avg - np.eye(2) / 1.5)) < 1e-10
+    # the kinetic energy |p|^2/(2m) has Hessian Id/m at every mass and dimension
+    for mass, d in ((1.0, 1), (2.0, 1), (1.5, 2), (1e-6, 1)):
+        assert constants_summary(None, 2.0, mass, d, n_q=4)["lambda_min_M"] == 1.0 / mass
 
 
 # ---------------------------------------------------------------------------

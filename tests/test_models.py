@@ -267,7 +267,7 @@ SKEW_POTENTIAL = "1:0.5,0.3;3:0.7,0"
 
 
 def test_adl_gap_floor_is_taken_at_the_operators_cutoff():
-    spec = BasisSpec(d=1, n_q=8, n_p=6, has_xi=True, n_xi=6)
+    spec = BasisSpec(d=1, n_q=8, n_p=6, n_xi=6)
     model = ModelSpec(model="adaptive_langevin", gamma=1.0, epsilon=1.0)
     report = model_bound_report(model, spec, Potential.from_string(SKEW_POTENTIAL, d=1),
                                 check_convergence=False)
@@ -276,7 +276,7 @@ def test_adl_gap_floor_is_taken_at_the_operators_cutoff():
 
 def test_adl_gap_below_the_cutoff_floor_fails(monkeypatch):
     pot = Potential.from_string(SKEW_POTENTIAL, d=1)
-    basis = build_basis(BasisSpec(d=1, n_q=8, n_p=6, has_xi=True, n_xi=6), potential=pot)
+    basis = build_basis(BasisSpec(d=1, n_q=8, n_p=6, n_xi=6), potential=pot)
     dec = build_decomposition(assemble_model(
         basis, ModelSpec(model="adaptive_langevin", gamma=1.0, epsilon=1.0)))
     k2 = poincare_constant("nu", potential=pot, n_q=8).constant
@@ -308,11 +308,13 @@ def test_static_poincare_constants_definition(langevin_ops):
 
 
 def test_static_poincare_constants_reject_indefinite_one_minus_s(langevin_ops):
+    # S > 0 also fails the decomposition's dissipation check, so the healthy
+    # decomposition is handed the faulty operators
     s = langevin_ops.S.copy()
     s[langevin_ops.idx_plus[-1]] = 2.0
     fake = replace(langevin_ops, S=s)
     with pytest.raises(NumericalFailure, match="1 - S is not positive definite on H"):
-        static_poincare_constants(build_decomposition(fake))
+        static_poincare_constants(replace(build_decomposition(langevin_ops), ops=fake))
 
 
 def test_static_inequality_holds_on_random_suite(langevin_ops):
@@ -438,7 +440,7 @@ def test_model_bound_report_non_separable_d2(which):
     thermostat = which == "adaptive_langevin"
     report = model_bound_report(
         ModelSpec(model=which, gamma=1.0, d=2, epsilon=1.0 if thermostat else None),
-        BasisSpec(d=2, n_q=3, n_p=3, has_xi=thermostat, n_xi=2 if thermostat else 0),
+        BasisSpec(d=2, n_q=3, n_p=3, n_xi=2 if thermostat else 0),
         Potential.from_string("1 1:0.2,0;1 -1:0.2,0", d=2), check_convergence=False)
     assert report.assumptions.passed
     if not thermostat:
@@ -450,7 +452,7 @@ _MODEL_SPECS = {
     "boltzmann_rhmc": (ModelSpec(model="boltzmann_rhmc", gamma=1.0),
                        BasisSpec(d=1, n_q=4, n_p=4)),
     "adaptive_langevin": (ModelSpec(model="adaptive_langevin", gamma=1.0, epsilon=1.0),
-                          BasisSpec(d=1, n_q=4, n_p=4, has_xi=True, n_xi=4)),
+                          BasisSpec(d=1, n_q=4, n_p=4, n_xi=4)),
 }
 
 

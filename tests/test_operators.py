@@ -111,7 +111,7 @@ def test_hamiltonian_ladder_coefficient():
 def graded_bases(cos_basis):
     """One d = 1 basis and one d = 2 basis with xi."""
     pot = Potential.from_string("1 0:0.5,0;0 1:0.3,0.1;1 1:0.2,0", d=2)
-    return cos_basis, build_basis(BasisSpec(d=2, n_q=2, n_p=3, has_xi=True, n_xi=2),
+    return cos_basis, build_basis(BasisSpec(d=2, n_q=2, n_p=3, n_xi=2),
                                   potential=pot)
 
 
@@ -146,7 +146,7 @@ def test_reversal_parities(graded_bases):
     for basis in graded_bases:
         spec = basis.spec
         sign = np.diag((-1.0) ** np.arange(spec.n_p + 1))
-        xi_sign = np.diag((-1.0) ** np.arange(spec.n_xi + 1)) if spec.has_xi else None
+        xi_sign = np.diag((-1.0) ** np.arange(spec.n_xi + 1)) if spec.n_xi else None
         reference = _kron_reference(basis, sign, xi_sign)
         assert abs(sp.diags(assemble_reversal(basis)) - reference).max() <= 1e-14
 
@@ -177,7 +177,7 @@ def test_collision_stores_nothing_on_ker_s(rhmc_ops):
 def test_thermostat_coupling_stores_nothing_on_ker_s(d, potential):
     # |p|^2/m^2 - d/(m beta) vanishes on Hermite degree 0 exactly, not up to
     # rounding, at a mass and temperature other than 1
-    spec = BasisSpec(d=d, n_q=4 // d, n_p=4, beta=0.6, mass=1.7, has_xi=True, n_xi=4)
+    spec = BasisSpec(d=d, n_q=4 // d, n_p=4, beta=0.6, mass=1.7, n_xi=4)
     basis = build_basis(spec, potential=Potential.from_string(potential, d=d))
     ops = assemble_model(basis, ModelSpec(model="adaptive_langevin", gamma=1.0, beta=0.6,
                                           mass=1.7, d=d, epsilon=0.3))
@@ -198,7 +198,7 @@ def test_nosehoover_frozen_column():
     # L_NH applied to the first xi mode g_1 equals (sqrt(2)/(m sqrt(beta))) h_2 g_0
     beta, mass = 1.0, 1.0
     basis = build_basis(BasisSpec(d=1, n_q=2, n_p=4, beta=beta, mass=mass,
-                                  has_xi=True, n_xi=4))
+                                  n_xi=4))
     nh = assemble_nosehoover(basis)
     col = np.asarray(nh[:, basis.spec.n_pos - 1].todense()).ravel()
     nonzero = np.nonzero(np.abs(col) > 1e-14)[0]
@@ -211,7 +211,7 @@ def test_nosehoover_frozen_column():
 def test_nosehoover_general_mass_column():
     beta, mass = 2.0, 1.5
     basis = build_basis(BasisSpec(d=1, n_q=2, n_p=4, beta=beta, mass=mass,
-                                  has_xi=True, n_xi=4))
+                                  n_xi=4))
     nh = assemble_nosehoover(basis)
     col = np.asarray(nh[:, basis.spec.n_pos - 1].todense()).ravel()
     idx = np.argmax(np.abs(col))
@@ -347,7 +347,7 @@ def test_symmetry_residual_reporting(langevin_ops):
 def test_assumptions_hold_for_random_parameters(model, gamma, beta, mass):
     has_xi = model == "adaptive_langevin"
     spec = BasisSpec(d=1, n_q=2, n_p=3, beta=beta, mass=mass,
-                     has_xi=has_xi, n_xi=3 if has_xi else 0)
+                     n_xi=3 if has_xi else 0)
     basis = build_basis(spec, potential=Potential.from_string(COS_Q, d=1))
     mspec = ModelSpec(model=model, gamma=gamma, beta=beta, mass=mass,
                       epsilon=0.8 if has_xi else None)

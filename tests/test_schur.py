@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 from types import SimpleNamespace
 from unittest import mock
@@ -166,32 +167,24 @@ def test_schur_routes_agree_adl(adl_dec):
     assert s0.shape == (adl_dec.dim0, adl_dec.dim0)
 
 
-def test_schur_route2_does_not_reuse_route1_lu(langevin_ops, monkeypatch):
+def test_schur_route2_does_not_reuse_route1_lu(langevin_ops):
     # route one through the H0-last LU of a perturbed L++ must disagree with
     # route two, which factors L++ bordered by Q1 itself
-    real = schur._h0_last_lu
+    dec = build_decomposition(langevin_ops)
+    order = dec.factor.order
     # route one's matrix comes in H0-last order, H+ first
     shift = sp.diags(1e-3 * (np.arange(langevin_ops.dim) < len(langevin_ops.idx_plus)))
-
-    def perturbed(mat, *what):
-        # route two names its LU; route one's takes the default name
-        return real(mat if what else mat + shift, *what)
-
-    monkeypatch.setattr(schur, "_h0_last_lu", perturbed)
+    perturbed = schur._h0_last_lu(langevin_ops.L[order][:, order] + shift)
     with pytest.raises(NumericalFailure, match="routes disagree"):
-        schur_complement(build_decomposition(langevin_ops))
+        schur_complement(dataclasses.replace(dec, factor=schur.H0LastLU(perturbed, order)))
 
 
-def test_non_finite_route_one_is_a_disagreement(langevin_ops, monkeypatch):
-    real = schur._h0_last_lu
-
-    def nan_factor(mat, *what):
-        lu = real(mat, *what)
-        return lu if what else SimpleNamespace(L=lu.L, U=lu.U * np.nan)
-
-    monkeypatch.setattr(schur, "_h0_last_lu", nan_factor)
+def test_non_finite_route_one_is_a_disagreement(langevin_dec):
+    lu = langevin_dec.factor.lu
+    nan_lu = SimpleNamespace(L=lu.L, U=lu.U * np.nan)
+    factor = schur.H0LastLU(nan_lu, langevin_dec.factor.order)
     with pytest.raises(NumericalFailure, match="routes disagree"):
-        schur_complement(build_decomposition(langevin_ops))
+        schur_complement(dataclasses.replace(langevin_dec, factor=factor))
 
 
 def test_failed_bordered_factorization_is_reported(langevin_ops, monkeypatch):
@@ -209,7 +202,7 @@ def test_failed_bordered_factorization_is_reported(langevin_ops, monkeypatch):
 def test_pivoted_h0_last_lu_is_refused(langevin_ops, monkeypatch):
     # partial pivoting swaps rows of either factor; the trailing block of a
     # pivoted factor need not be the Schur complement, so it is refused.
-    # Route two's LU comes first, then route one's.
+    # Route one's LU comes first, in build_decomposition, then route two's.
     real, calls = spla.splu, []
 
     def pivoting(mat, **kwargs):
@@ -219,8 +212,8 @@ def test_pivoted_h0_last_lu_is_refused(langevin_ops, monkeypatch):
         return real(mat, **kwargs)
 
     monkeypatch.setattr(spla, "splu", pivoting)
-    for first, message in ((1, r"dissipation failure on H2: Q1-bordered LU of L\+\+ pivoted"),
-                           (2, "H0-last LU of L pivoted")):
+    for first, message in ((1, "H0-last LU of L pivoted"),
+                           (2, r"dissipation failure on H2: Q1-bordered LU of L\+\+ pivoted")):
         calls.clear()
         with pytest.raises(NumericalFailure, match=message):
             schur_complement(build_decomposition(langevin_ops))
@@ -245,7 +238,7 @@ def test_route2_s1_read_off_the_solve_is_the_h2_schur_complement(which, langevin
     assert np.linalg.norm(trailing + inverse) <= 1e-12 * np.linalg.norm(inverse)
     q2 = sla.null_space(dec.Q1.T)
     s1 = dec.L11 - dec.Q1.T @ lpp @ q2 @ np.linalg.solve(q2.T @ lpp @ q2, q2.T @ lpp @ dec.Q1)
-    route2 = schur._schur_route2(dec, order)
+    route2 = schur._schur_route2(dec)
     expected = dec.A10.T @ np.linalg.solve(s1, dec.A10)
     assert np.linalg.norm(route2 - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -455,6 +448,28 @@ def test_block_resolvent_rejects_a_non_finite_vector(langevin_dec, bad):
         block_resolvent(langevin_dec, np.full(langevin_dec.dim, bad))
 
 
+def test_fresh_decomposition_holds_the_factor_every_solve_uses(langevin_ops, monkeypatch):
+    # build_decomposition returns L's H0-last LU, frozen: the block resolvent
+    # and the exact-norm oracle substitute through it and factor nothing
+    dec = build_decomposition(langevin_ops)
+    L, b = dec.ops.L, np.random.default_rng(3).standard_normal(dec.dim)
+    y = dec.factor.solve(b)
+    assert np.linalg.norm(L @ y - b) <= schur.BACKWARD_RTOL * operator_norm_upper(L) * \
+        np.linalg.norm(y)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dec.factor = None
+    real, calls = spla.splu, []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("permc_spec"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    block_resolvent(dec, b)
+    exact_resolvent_norm(L, factor=dec.factor)
+    assert calls == []
+
+
 def test_block_resolvent_factors_nothing_after_the_schur_complement(langevin_ops,
                                                                      monkeypatch):
     # block elimination is the substitution of the decomposition's H0-last LU
@@ -515,7 +530,7 @@ def test_exact_resolvent_norm_iterative_reports_nonconvergence():
 
 @pytest.fixture(scope="module")
 def adl_ops_nq12(cos_potential):
-    basis = build_basis(BasisSpec(d=1, n_q=12, n_p=6, has_xi=True, n_xi=6),
+    basis = build_basis(BasisSpec(d=1, n_q=12, n_p=6, n_xi=6),
                         potential=cos_potential)
     return assemble_model(basis, ModelSpec(model="adaptive_langevin",
                                            gamma=1.0, epsilon=1.0))
@@ -559,7 +574,7 @@ def test_exact_resolvent_norm_through_its_own_lu_is_bitwise_the_default(ops_name
         models = [ModelSpec(model=m, gamma=g) for m, g in
                   (("langevin", 1.0), ("boltzmann_rhmc", 0.3), ("langevin", 4.0))]
     else:
-        spec = BasisSpec(d=1, n_q=6, n_p=8, has_xi=True, n_xi=6)
+        spec = BasisSpec(d=1, n_q=6, n_p=8, n_xi=6)
         models = [ModelSpec(model="adaptive_langevin", gamma=1.0, epsilon=eps)
                   for eps in (1.0, 0.25)]
     basis = build_basis(spec, potential=cos_potential)
@@ -576,7 +591,7 @@ def test_one_evaluation_makes_two_sparse_lus(model, cos_potential, monkeypatch):
     # serves route one and that the exact-norm oracle reuses (dim >=
     # DENSE_THRESHOLD, so it takes its LU path): both unpivoted, in order
     xi = model == "adaptive_langevin"
-    spec = BasisSpec(d=1, n_q=8, n_p=8, has_xi=xi, n_xi=6 if xi else 0)
+    spec = BasisSpec(d=1, n_q=8, n_p=8, n_xi=6 if xi else 0)
     model_spec = ModelSpec(model=model, gamma=1.0, epsilon=1.0 if xi else None)
     constants = constants_summary(cos_potential, 1.0, 1.0, 1, n_q=32)
     real, calls = spla.splu, []
@@ -702,7 +717,7 @@ def test_rank_check_implies_reversal_sign_count(model, n_p, n_xi, cos_potential)
     # check fails
     for d, n_q in ((1, 1), (1, 2), (1, 4), (2, 1), (2, 2)):
         pot = cos_potential if d == 1 else Potential.from_string("1 0:0.5,0;0 1:0.5,0", d=2)
-        spec = BasisSpec(d=d, n_q=n_q, n_p=n_p, has_xi=n_xi > 0, n_xi=n_xi)
+        spec = BasisSpec(d=d, n_q=n_q, n_p=n_p, n_xi=n_xi)
         ops = assemble_model(build_basis(spec, potential=pot), ModelSpec(
             model=model, gamma=1.0, d=d, epsilon=1.0 if n_xi else None))
         dim0 = len(ops.idx0)
