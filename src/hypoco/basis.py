@@ -495,8 +495,7 @@ def mean_zero_map(c) -> sp.csr_matrix:
     return (sp.identity(n, format="csr") - vvt)[:, 1:]
 
 
-def validated_potential(spec: BasisSpec, potential: Potential | None = None,
-                        max_dim: int | None = None) -> Potential:
+def validated_potential(spec: BasisSpec, potential: Potential | None = None) -> Potential:
     """The potential (flat when None) after the checks every position problem
     shares: matching dimension and torus, and the dimension guard on spec."""
     if potential is None:
@@ -505,7 +504,7 @@ def validated_potential(spec: BasisSpec, potential: Potential | None = None,
         raise ConfigError([f"potential dimension {potential.d} != basis dimension {spec.d}"])
     if abs(potential.torus_length - spec.torus_length) > 1e-12 * spec.torus_length:
         raise ConfigError(["potential and basis disagree on the torus length"])
-    limit = max_dim if max_dim is not None else max_dim_default()
+    limit = max_dim_default()
     if spec.dim_span > limit:
         raise NumericalFailure(
             f"problem too large: basis dimension {spec.dim_span} exceeds max_dim={limit}"
@@ -536,9 +535,8 @@ class BasisSet:
     not defined, and the basis is refused as a quadrature failure.
     """
 
-    def __init__(self, spec: BasisSpec, potential: Potential | None = None,
-                 max_dim: int | None = None):
-        potential = validated_potential(spec, potential, max_dim)
+    def __init__(self, spec: BasisSpec, potential: Potential | None = None):
+        potential = validated_potential(spec, potential)
         self.spec = spec
         self.potential = potential
         self._derived: dict = {}
@@ -666,19 +664,18 @@ def _read_only(value):
 _BASES: OrderedDict = OrderedDict()
 
 
-def build_basis(spec: BasisSpec, potential: Potential | None = None,
-                max_dim: int | None = None) -> BasisSet:
+def build_basis(spec: BasisSpec, potential: Potential | None = None) -> BasisSet:
     """Validate, check the density, and build the mean-zero map and index maps.
 
     The basis is shared per process: one read-only :class:`BasisSet` per
     (spec, potential), at most BASIS_CACHE_SIZE of them.  The dimension guard
     runs on every call, and a refused basis is never kept.
     """
-    potential = validated_potential(spec, potential, max_dim)
+    potential = validated_potential(spec, potential)
     key = (spec, potential)
     basis = _BASES.get(key)
     if basis is None:
-        basis = BasisSet(spec, potential, max_dim=max_dim)
+        basis = BasisSet(spec, potential)
         _read_only(list(vars(basis).values()))
         _BASES[key] = basis
         if len(_BASES) > BASIS_CACHE_SIZE:

@@ -177,7 +177,7 @@ def cmd_bound(args) -> int:
     config = _load_config(args)
     gamma, epsilon = _first_point(config)
     report = _bound_report(config, gamma, epsilon, _config_constants(config))
-    _emit_json(report.to_json() + "\n", args.json)
+    _emit_json(_json_dumps(report.to_json_dict()), args.json)
     return _verdict([_csv_row(config, gamma, epsilon, report)])
 
 

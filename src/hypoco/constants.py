@@ -137,8 +137,8 @@ def poincare_constant(measure: str, *, potential: Potential | None = None,
     The Gaussian momentum marginal's gap beta/mass is written by
     :func:`constants_summary` as ``K_kappa2``.
     """
-    if measure not in ("position", "nu"):
-        raise ConfigError([f"unknown measure {measure!r}; expected position or nu"])
+    if measure != "nu":
+        raise ConfigError([f"unknown measure {measure!r}; expected nu"])
     if n_q < 1:
         raise ConfigError(["the position Poincare constant needs n_q >= 1"])
     potential = validated_potential(
@@ -174,7 +174,7 @@ def poincare_constant(measure: str, *, potential: Potential | None = None,
 
 def growth_case_iii_cprime(c1: float, c3: float, beta: float, d: int) -> float:
     """The general-case Hessian-control constant 2c3[sqrt(d)+2max(8c3/b^2, sqrt(c1 d/b))]."""
-    return 2.0 * c3 * (np.sqrt(d) + 2.0 * max(8.0 * c3 / beta**2,
+    return 2.0 * c3 * (np.sqrt(d) + 2.0 * max(8.0 * c3 / (beta * beta),
                                               np.sqrt(c1 * d / beta)))
 
 
@@ -325,12 +325,12 @@ def _second_derivative_norms(grid: PositionGrid, u) -> tuple[float, float, float
 
 
 def check_bochner(u, potential: Potential | None, beta: float, d: int = 1,
-                  torus_length: float = TWO_PI, tol: float = 1e-8) -> float:
+                  torus_length: float = TWO_PI) -> float:
     """Residual of sum|d2u|^2 = |grad*grad u|^2 - int grad u . hess V grad u."""
     grid = _grid_for(u, potential, beta, d, torus_length)
     lhs, witten2, cross, _ = _second_derivative_norms(grid, u)
     residual = abs(lhs - (witten2 - cross))
-    if residual > tol * max(lhs, 1.0):
+    if residual > 1e-8 * max(lhs, 1.0):
         raise NumericalFailure(f"Bochner identity failure: residual {residual:.3e}")
     return float(residual)
 
@@ -376,14 +376,19 @@ def constants_summary(potential: Potential | None, beta: float, mass: float,
     """All scalar constants in one dictionary (the CLI JSON payload).
 
     The kinetic energy |p|^2/(2 mass) has Hessian Id/mass, so lambda_min(M) = 1/mass.
+    The momentum constants K_kappa2 = beta/mass and 1/mass must be finite.
     """
-    knu = poincare_constant("position", potential=potential, beta=beta, d=d,
+    momentum = {"K_kappa2": beta / mass, "lambda_min_M": 1.0 / mass}
+    problems = [f"{name} = {value!r} must be finite, with beta = {beta!r} and mass = {mass!r}"
+                for name, value in momentum.items() if not value < np.inf]
+    if problems:
+        raise ConfigError(problems)
+    knu = poincare_constant("nu", potential=potential, beta=beta, d=d,
                             n_q=n_q, torus_length=torus_length)
     growth = estimate_growth_constants(potential, beta, d, torus_length=torus_length, c2=c2)
     return {
         "K_nu2": knu.constant,
-        "K_kappa2": beta / mass,
-        "lambda_min_M": 1.0 / mass,
+        **momentum,
         "c1": growth.c1,
         "c2": growth.c2,
         "c3": growth.c3,

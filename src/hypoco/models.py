@@ -9,12 +9,12 @@ decomposition plus a constants dictionary as produced by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .basis import DEFAULT_TOL_IDENTITY, BasisSpec, Potential, build_basis
-from .constants import case_constants, constants_cutoff, constants_summary
+from .constants import constants_cutoff, constants_summary
 from .errors import ConfigError, InvariantViolation, NumericalFailure
 from .operators import ModelOperators, ModelSpec, assemble_model, verify_structural_assumptions
 from .schur import (ASTAR_A_RTOL, CONVERGENCE_RTOL, BoundReport, Decomposition,
@@ -24,43 +24,15 @@ from .schur import (ASTAR_A_RTOL, CONVERGENCE_RTOL, BoundReport, Decomposition,
 
 
 # ---------------------------------------------------------------------------
-# Hessian-control proposition
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PropositionCase:
-    """A declared potential regime with the parameters its constants need."""
-
-    case: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        # validate eagerly so malformed cases fail at construction
-        case_constants(self.case, beta=self.params.get("beta", 1.0),
-                       d=self.params.get("d", 1), params=self.params)
-
-
-def prop_CCprime(case: PropositionCase) -> tuple[float, float]:
-    """(C, C') constants of the Hessian-control proposition for the case."""
-    return case_constants(case.case, beta=case.params.get("beta", 1.0),
-                          d=case.params.get("d", 1), params=case.params)
-
-
-# ---------------------------------------------------------------------------
 # operator-norm ingredients
 # ---------------------------------------------------------------------------
 
 
-def norm_X_hamiltonian_squared(ops: ModelOperators, check_case: PropositionCase | None = None,
-                               K_nu2: float | None = None,
-                               conv_tol: float = 1e-8) -> float:
+def norm_X_hamiltonian_squared(ops: ModelOperators) -> float:
     """Squared norm of (1-Pi0) A^2 Pi0 (A_{+0}* A_{+0})^{-1}.
 
     Needs only the assembled antisymmetric part, so it also runs on problem
-    sizes where the full H1/H2 split is never built.  When a potential regime
-    is declared, the proposition inequality X^2 <= 2(C + C'/K_nu^2) is
-    asserted.
+    sizes where the full H1/H2 split is never built.
     """
     # from Hermite degree 0, A^2 reaches degree <= 2 only: solve on its nonzero rows
     a2 = (ops.A @ ops.A[:, ops.idx0].tocsc())[ops.idx_plus]
@@ -69,18 +41,7 @@ def norm_X_hamiltonian_squared(ops: ModelOperators, check_case: PropositionCase 
         x_mat = np.linalg.solve(ops.apl0_gram, a2[rows].toarray().T).T
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"macroscopic coercivity failure: {exc}") from exc
-    x2 = operator_norm(x_mat) ** 2
-    if check_case is not None:
-        if K_nu2 is None:
-            raise ConfigError(["K_nu2 is required to check the proposition bound"])
-        c, cprime = prop_CCprime(check_case)
-        limit = 2.0 * (c + cprime / K_nu2)
-        if x2 > limit + conv_tol:
-            raise InvariantViolation(
-                f"proposition violation: X^2 = {x2:.6f} exceeds 2(C + C'/K_nu^2) "
-                f"= {limit:.6f} for case {check_case.case}"
-            )
-    return float(x2)
+    return float(operator_norm(x_mat) ** 2)
 
 
 def _model_norms(dec: Decomposition) -> dict:

@@ -39,17 +39,14 @@ class ModelSpec:
         problems = []
         if self.model not in MODELS:
             problems.append(f"unknown model {self.model!r}; expected one of {MODELS}")
-        if not self.gamma > 0:
-            problems.append("gamma must be > 0")
-        if not self.beta > 0:
-            problems.append("beta must be > 0")
-        if not self.mass > 0:
-            problems.append("mass must be > 0")
+        for name in ("gamma", "beta", "mass"):
+            if not 0.0 < getattr(self, name) < np.inf:  # NaN fails too
+                problems.append(f"{name} must be positive and finite")
         if self.d < 1:
             problems.append("d must be >= 1")
         if self.model == "adaptive_langevin":
-            if self.epsilon is None or not self.epsilon > 0:
-                problems.append("adaptive_langevin requires epsilon > 0")
+            if self.epsilon is None or not 0.0 < self.epsilon < np.inf:
+                problems.append("adaptive_langevin requires a positive and finite epsilon")
         elif self.epsilon is not None:
             problems.append("epsilon is only meaningful for adaptive_langevin")
         if problems:

@@ -17,7 +17,6 @@ of L++ bordered by Q1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +33,12 @@ from .operators import AssumptionReport, ModelOperators
 #: it on; the two take equal time at dim ~150 on one BLAS thread
 DENSE_THRESHOLD = 150
 
+#: ARPACK's relative accuracy on the eigenvalue of (L^T L)^{-1}
+LANCZOS_TOL = 1e-12
+
+#: applications of (L^T L)^{-1} allowed per exact norm
+LANCZOS_MAX_APPS = 20000
+
 #: largest relative Ritz residual |(L^T L)^{-1} x - lam x| / lam accepted
 RITZ_RTOL = 1e-8
 
@@ -48,6 +53,12 @@ BACKWARD_RTOL = 1e-10
 
 #: relative change under cutoff doubling below which a value counts as converged
 CONVERGENCE_RTOL = 0.01
+
+
+def _nrm2(vec) -> float:
+    """Euclidean norm by BLAS nrm2, which scales, so it reaches inf only when the
+    norm itself overflows (numpy's squared sum does past 1e154); NaN stays NaN."""
+    return float(sla.norm(vec, check_finite=False))
 
 
 def operator_norm(mat) -> float:
@@ -70,7 +81,7 @@ class Decomposition:
     H0 is the coordinate block ``ops.idx0``; Q1 holds the H1 basis in H+
     coordinates.  H2 is never formed: it is reached through the projector
     P2 = 1 - Q1 Q1^T, as |Q2^T Y| = |P2 Y|, so P2 L++ Q1 = L++ Q1 - Q1 L11
-    stands in for L21.  A10 is square (dim0 = dim1) and invertible whenever
+    stands in for L21.  A10 is square (dim H1 = dim0) and invertible whenever
     the build succeeded.  ``factor`` is the unpivoted H0-last LU of L.
     """
 
@@ -91,10 +102,6 @@ class Decomposition:
     @property
     def dim0(self) -> int:
         return len(self.ops.idx0)
-
-    @property
-    def dim1(self) -> int:
-        return self.Q1.shape[1]
 
 
 def build_decomposition(ops: ModelOperators,
@@ -141,9 +148,12 @@ def build_decomposition(ops: ModelOperators,
     l11 = q1.T @ (ops.Lpp @ q1)
     s11 = q1.T @ (ops.Spp[:, None] * q1)
     l11_sym = float(np.max(np.abs(l11 - l11.T)))
-    if ops.model.model != "adaptive_langevin" and l11_sym > tol_identity:
+    # L11's entries scale like 1/mass, so its asymmetry is judged against them
+    l11_scale = max(float(np.max(np.abs(l11))), 1.0)
+    if ops.model.model != "adaptive_langevin" and l11_sym > tol_identity * l11_scale:
         raise InvariantViolation(
-            f"L11 symmetry residual {l11_sym:.3e} exceeds tolerance {tol_identity:g}"
+            f"L11 symmetry residual {l11_sym:.3e} exceeds tolerance {tol_identity:g} "
+            f"relative to max|L11| = {l11_scale:.3e}"
         )
 
     signs = ops.reversal[ops.idx_plus]
@@ -339,7 +349,7 @@ def _schur_route2(dec: Decomposition) -> np.ndarray:
     k = sp.csc_matrix((np.concatenate([lpp.data, q1.data, q1.data]),
                        (np.concatenate([pos[lpp.row], pos[q1.row], n + q1.col]),
                         np.concatenate([pos[lpp.col], n + q1.col, pos[q1.row]]))),
-                      shape=(n + dec.dim1,) * 2)
+                      shape=(n + dec.dim0,) * 2)
     lu = _h0_last_lu(k, "dissipation failure on H2: Q1-bordered LU of L++")
     return -dec.A10.T @ (lu.L[n:, n:] @ lu.U[n:, n:]).toarray() @ dec.A10
 
@@ -358,11 +368,11 @@ def block_resolvent(dec: Decomposition, rhs) -> tuple[np.ndarray, np.ndarray]:
     rhs = np.asarray(rhs, float)
     if rhs.shape != (dec.dim,):
         raise ConfigError([f"right-hand side has shape {rhs.shape}, expected ({dec.dim},)"])
-    if not np.all(np.isfinite(rhs)):  # a NaN residual would pass the check below
+    if not np.all(np.isfinite(rhs)):  # bad input, not a numerical failure
         raise ConfigError(["right-hand side must be finite"])
     u = dec.factor.solve(rhs)
-    res = np.linalg.norm(ops.L @ u - rhs)
-    if res > 1e-8 * max(np.linalg.norm(rhs), np.finfo(float).tiny):
+    res = _nrm2(ops.L @ u - rhs)
+    if not res <= 1e-8 * max(_nrm2(rhs), np.finfo(float).tiny):
         raise NumericalFailure(f"block resolvent residual too large: {res:.3e}")
     return u[ops.idx0], u[ops.idx_plus]
 
@@ -374,7 +384,6 @@ def block_resolvent(dec: Decomposition, rhs) -> tuple[np.ndarray, np.ndarray]:
 
 def exact_resolvent_norm(L, method: str = "auto",
                          dense_threshold: int = DENSE_THRESHOLD,
-                         tol: float = 1e-12, max_iter: int = 20000,
                          factor: H0LastLU | None = None) -> float:
     """Operator norm of L^{-1}, i.e. 1/sigma_min(L).
 
@@ -385,13 +394,12 @@ def exact_resolvent_norm(L, method: str = "auto",
     nonzero diagonal in nested-dissection order first and its zero diagonal
     last: for a generator, route one's LU.  ``factor``, anything whose
     ``solve(b, trans)`` solves with L and L^T such as ``Decomposition.factor``,
-    replaces it.  ``tol`` is ARPACK's relative accuracy and ``max_iter`` the
-    number of applications allowed.
-    NumericalFailure is raised when that LU fails or pivots, the budget runs
-    out, ARPACK does not converge, the Ritz residual or the backward error of
-    the final solves exceeds RITZ_RTOL or BACKWARD_RTOL, or sigma_min <= 64 n
-    eps sigma_max (on the LU path the upper bound sqrt(|L|_1 |L|_inf) >=
-    sigma_max takes its place).
+    replaces it.  ARPACK runs to LANCZOS_TOL.
+    NumericalFailure is raised when that LU fails or pivots, LANCZOS_MAX_APPS
+    applications do not suffice, ARPACK does not converge, the Ritz residual or
+    the backward error of the final solves exceeds RITZ_RTOL or BACKWARD_RTOL,
+    or sigma_min <= 64 n eps sigma_max (on the LU path the upper bound
+    sqrt(|L|_1 |L|_inf) >= sigma_max takes its place).
     """
     if method not in ("auto", "dense", "iterative"):
         raise ConfigError([f"unknown method {method!r}"])
@@ -404,7 +412,7 @@ def exact_resolvent_norm(L, method: str = "auto",
         smin, smax = float(sv[-1]), float(sv[0])
     else:
         smax = operator_norm_upper(mat)
-        smin = _lanczos_sigma_min(mat, factor, smax, tol, max_iter)
+        smin = _lanczos_sigma_min(mat, factor, smax)
     if not smin > 64 * n * np.finfo(float).eps * smax:
         ratio = smin / smax if smax > 0 else 0.0
         raise NumericalFailure(f"exact_resolvent_norm: L numerically singular, "
@@ -412,8 +420,7 @@ def exact_resolvent_norm(L, method: str = "auto",
     return 1.0 / smin
 
 
-def _lanczos_sigma_min(mat: sp.csc_matrix, factor: H0LastLU | None, smax: float,
-                       tol: float, max_iter: int) -> float:
+def _lanczos_sigma_min(mat: sp.csc_matrix, factor: H0LastLU | None, smax: float) -> float:
     """sigma_min of a sparse square matrix from ARPACK on (L^T L)^{-1}."""
     if factor is None:
         order = _h0_last_order(mat)
@@ -427,11 +434,11 @@ def _lanczos_sigma_min(mat: sp.csc_matrix, factor: H0LastLU | None, smax: float,
 
     def matvec(x):
         nonlocal apps, best, change
-        if apps == max_iter:
+        if apps == LANCZOS_MAX_APPS:
             raise NumericalFailure(
                 f"exact_resolvent_norm: Lanczos inverse iteration not converged after "
-                f"{max_iter} applications of (L^T L)^-1, last relative change of the "
-                f"largest Rayleigh quotient {change:.3e} (tol {tol:.1e})"
+                f"{LANCZOS_MAX_APPS} applications of (L^T L)^-1, last relative change of "
+                f"the largest Rayleigh quotient {change:.3e} (tol {LANCZOS_TOL:.1e})"
             )
         x = np.ravel(x)
         z = solve(solve(x, trans="T"))
@@ -445,12 +452,12 @@ def _lanczos_sigma_min(mat: sp.csc_matrix, factor: H0LastLU | None, smax: float,
 
     op = spla.LinearOperator(mat.shape, matvec=matvec, dtype=float)
     try:
-        lam, vec = spla.eigsh(op, k=1, which="LM", tol=tol,
+        lam, vec = spla.eigsh(op, k=1, which="LM", tol=LANCZOS_TOL,
                               v0=np.random.default_rng(0).standard_normal(mat.shape[0]))
     except spla.ArpackNoConvergence as exc:
         raise NumericalFailure(
             f"exact_resolvent_norm: ARPACK eigenvalue of (L^T L)^-1 not converged "
-            f"to tol {tol:.1e} after {apps} applications"
+            f"to tol {LANCZOS_TOL:.1e} after {apps} applications"
         ) from exc
     lam, x = float(lam[0]), vec[:, 0]
     u = solve(x, trans="T")
@@ -467,8 +474,7 @@ def _lanczos_sigma_min(mat: sp.csc_matrix, factor: H0LastLU | None, smax: float,
 def _check_backward_error(solves, scale: float, where: str) -> None:
     """Refuse LU solves that miss L: each (residual L y - b or L^T y - b, y) in
     ``solves`` must have |residual| <= BACKWARD_RTOL scale |y|, scale >= |L|."""
-    backward = max(float(np.linalg.norm(res)) / (scale * float(np.linalg.norm(y)))
-                   for res, y in solves)
+    backward = float(np.max([_nrm2(res) / (scale * _nrm2(y)) for res, y in solves]))
     if not backward <= BACKWARD_RTOL:
         raise NumericalFailure(f"{where}: backward error {backward:.3e} of the LU solves "
                                f"against L exceeds {BACKWARD_RTOL:.0e}")
@@ -559,7 +565,3 @@ class BoundReport:
 
     def to_json_dict(self) -> dict:
         return {key: getattr(self, key) for key in BOUND_JSON_KEYS}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True,
-                          separators=(",", ":"))

@@ -15,6 +15,7 @@ import pytest
 from hypoco.basis import BasisSpec, Potential, build_basis
 from hypoco.cli import main
 from hypoco.constants import (
+    case_constants,
     check_bochner,
     check_controlH2,
     check_villani_lemma,
@@ -24,7 +25,6 @@ from hypoco.constants import (
     poincare_constant,
 )
 from hypoco.models import (
-    PropositionCase,
     adl_AstarA_residual,
     adl_envelope,
     adl_envelope_fit,
@@ -34,7 +34,6 @@ from hypoco.models import (
     fit_loglog_slope,
     model_bound_report,
     norm_X_hamiltonian_squared,
-    prop_CCprime,
     static_poincare_constants,
 )
 from hypoco.operators import ModelSpec, assemble_model, verify_structural_assumptions
@@ -200,24 +199,20 @@ def test_criterion_05_hessian_control_cases(capsys):
         cos = Potential.from_string(COS_Q, d=1)
         growth = estimate_growth_constants(cos, 1.0, 1)
         cases = [
-            ("flat/convex", Potential.zero(1), PropositionCase("convex")),
-            ("cos/hessian", cos,
-             PropositionCase("hessian_lower_bound", {"K": 1.0})),
-            ("cos/general", cos,
-             PropositionCase("general", {"c1": growth.c1, "c3": growth.c3,
-                                         "beta": 1.0, "d": 1})),
+            ("flat/convex", Potential.zero(1), "convex", {}),
+            ("cos/hessian", cos, "hessian_lower_bound", {"K": 1.0}),
+            ("cos/general", cos, "general", {"c1": growth.c1, "c3": growth.c3}),
         ]
         x_values = []
-        for name, pot, case in cases:
+        for name, pot, case, params in cases:
             basis = build_basis(spec, potential=pot)
             ops = assemble_model(basis, ModelSpec(
                 model="langevin", gamma=1.0, beta=1.0, mass=1.0, d=1))
             k2 = poincare_constant("nu", potential=pot, beta=1.0, d=1,
                                    n_q=32).constant
-            # raises on violation; slack 1e-6 per the criterion
-            x2 = norm_X_hamiltonian_squared(ops, check_case=case, K_nu2=k2,
-                                            conv_tol=1e-6)
-            c, cprime = prop_CCprime(case)
+            x2 = norm_X_hamiltonian_squared(ops)
+            c, cprime = case_constants(case, beta=1.0, d=1, params=params)
+            # slack 1e-6 per the criterion
             limit = 2.0 * (c + cprime / k2)
             assert x2 <= limit + 1e-6, (name, x2, limit)
             x_values.append(x2)

@@ -111,9 +111,10 @@ def test_potential_dimension_mismatch():
         build_basis(BasisSpec(d=2, n_q=2, n_p=2), potential=pot)
 
 
-def test_max_dim_guard():
+def test_max_dim_guard(monkeypatch):
+    monkeypatch.setenv("HYPOCO_MAX_DIM", "10")
     with pytest.raises(NumericalFailure) as err:
-        build_basis(BasisSpec(d=1, n_q=4, n_p=4), max_dim=10)
+        build_basis(BasisSpec(d=1, n_q=4, n_p=4))
     assert "problem too large" in str(err.value)
 
 
@@ -152,8 +153,6 @@ def test_cached_basis_is_read_only():
 def test_max_dim_guard_holds_on_a_cache_hit(monkeypatch):
     spec = BasisSpec(d=1, n_q=4, n_p=4)
     build_basis(spec)
-    with pytest.raises(NumericalFailure, match="problem too large"):
-        build_basis(spec, max_dim=10)
     monkeypatch.setenv("HYPOCO_MAX_DIM", "10")
     with pytest.raises(NumericalFailure, match="problem too large"):
         build_basis(spec)
@@ -249,11 +248,12 @@ def test_momentum_cutoff_has_no_quadrature_ceiling():
         assert ops.mult[200, 199] == math.sqrt(200 * ops.variance)
 
 
-def test_basis_holds_nothing_on_the_grid():
+def test_basis_holds_nothing_on_the_grid(monkeypatch):
     # d = 3, (3, 3): the n_grid^3 x n_pos table phi would be 686 MB
     pot = Potential.from_string("1 0 0:0.5,0;0 1 0:0.5,0;0 0 1:0.5,0", d=3)
     spec = BasisSpec(d=3, n_q=3, n_p=3)
-    basis = build_basis(spec, pot, max_dim=30_000)
+    monkeypatch.setenv("HYPOCO_MAX_DIM", "30000")
+    basis = build_basis(spec, pot)
     n_rows = position_axis(3, pot).size ** 3
     held = [*vars(basis).values(), *vars(basis.herm).values()]
     assert any(sp.issparse(value) for value in held)

@@ -259,6 +259,31 @@ def test_cli_small_mass_bound_exits_zero(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["lambda_min_M"] == 1e6
 
 
+def test_cli_tiny_mass_bound_exits_zero(tmp_path, capsys):
+    # L11 ~ 1/m: its symmetry was judged against an absolute 1e-10 and exited 1
+    path = tmp_path / "light.cfg"
+    path.write_text(SMALL_CFGS["langevin"].replace("mass = 1.0", "mass = 1e-9"))
+    code, err = _main_without_warnings(["bound", "--config", str(path)], capsys)
+    assert (code, err) == (0, [])
+
+
+def test_cli_huge_beta_constants(tmp_path, capsys):
+    # beta^2 overflowed a Python float; beta/mass = inf is refused as input
+    path = tmp_path / "hot.cfg"
+    path.write_text("model = langevin\nbeta = 1e300\nn_q = 4\nn_p = 4\n")
+    code, err = _main_without_warnings(["constants", "--config", str(path)], capsys)
+    assert (code, err) == (0, [])
+    # A ~ 1e-150 against S ~ 1: L is singular to working precision, with no overflow warning
+    code, err = _main_without_warnings(["bound", "--config", str(path)], capsys)
+    assert code == 3 and err == ["NumericalFailure: exact_resolvent_norm: L numerically "
+                                 "singular, sigma_min/sigma_max = 0.000e+00"]
+    path.write_text(path.read_text() + "mass = 1e-30\n")
+    code, err = _main_without_warnings(["constants", "--config", str(path)], capsys)
+    assert code == 2
+    assert err == ["ConfigError: K_kappa2 = inf must be finite, with beta = 1e+300 and "
+                   "mass = 1e-30"]
+
+
 def test_cli_unknown_model_override(cfg_path, capsys):
     assert main(["verify", "--config", cfg_path, "--model", "bogus"]) == 2
     assert ("--model: model must be one of langevin, boltzmann_rhmc, adaptive_langevin, "

@@ -129,6 +129,21 @@ def test_growth_case_iii_frozen():
     assert growth_case_iii_cprime(1.0, 1.0, 1.0, 1) == pytest.approx(34.0)
 
 
+def test_growth_case_iii_takes_a_beta_whose_square_overflows():
+    # 8 c3 / beta^2 reads 0 once beta^2 is past the float range; no OverflowError
+    assert growth_case_iii_cprime(1.0, 1.0, 1e300, 1) == 2.0 * (1.0 + 2.0 * 1e-150)
+
+
+def test_constants_summary_refuses_non_finite_momentum_constants():
+    assert constants_summary(None, 1e300, 1.0, 1, n_q=4)["K_kappa2"] == 1e300
+    with pytest.raises(ConfigError) as err:
+        constants_summary(None, 1e300, 1e-30, 1, n_q=4)
+    assert err.value.problems == ["K_kappa2 = inf must be finite, with beta = 1e+300 and "
+                                  "mass = 1e-30"]
+    with pytest.raises(ConfigError, match="^lambda_min_M = inf must be finite"):
+        constants_summary(None, 1e-10, 1e-310, 1, n_q=4)
+
+
 def test_hessian_K():
     pot = Potential.from_string(COS_Q, d=1)
     assert abs(estimate_hessian_K(pot, d=1) - 1.0) < 1e-12

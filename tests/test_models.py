@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 
 import hypoco.models
 from hypoco.basis import BasisSpec, Potential, build_basis
-from hypoco.constants import constants_summary, poincare_constant
+from hypoco.constants import case_constants, constants_summary, poincare_constant
 from hypoco.errors import ConfigError, InvariantViolation, NumericalFailure
 from hypoco.models import (
-    PropositionCase,
     adl_AstarA_residual,
     adl_a_squared,
     adl_bound,
@@ -29,7 +28,6 @@ from hypoco.models import (
     langevin_bound_general,
     model_bound_report,
     norm_X_hamiltonian_squared,
-    prop_CCprime,
     rhmc_bound,
     rhmc_bound_formula,
     static_poincare_constants,
@@ -39,30 +37,6 @@ from hypoco.operators import (ModelOperators, ModelSpec, assemble_model,
 from hypoco.schur import build_decomposition, intermediate_norms
 
 from conftest import COS_Q
-
-
-# ---------------------------------------------------------------------------
-# proposition cases and Gaussian moments
-# ---------------------------------------------------------------------------
-
-
-def test_proposition_case_constants_frozen():
-    assert prop_CCprime(PropositionCase("convex")) == (1.0, 0.0)
-    general = PropositionCase(
-        "general", {"c1": 1.0, "c3": 1.0, "beta": 1.0, "d": 1})
-    c, cprime = prop_CCprime(general)
-    assert c == 2.0 and cprime == 34.0, (c, cprime)
-    lsi = PropositionCase(
-        "lsi", {"c3": 1.0, "C_lsi": 1.0, "exp_moments": math.e})
-    c, cprime = prop_CCprime(lsi)
-    assert c == 2.0 and cprime == 3.0, (c, cprime)
-
-
-def test_proposition_case_validates_eagerly():
-    with pytest.raises(ConfigError, match="case parameters incomplete"):
-        PropositionCase("general", {"c1": 1.0})
-    with pytest.raises(ConfigError):
-        PropositionCase("no_such_case")
 
 
 # ---------------------------------------------------------------------------
@@ -77,13 +51,8 @@ def test_x_norm_flat_potential_is_two():
     ops = assemble_model(basis, ModelSpec(model="langevin", gamma=1.0,
                                           beta=1.0, mass=1.0, d=1))
     x2 = norm_X_hamiltonian_squared(ops)
+    # equality case of the convex bound X^2 <= 2(C + C'/K^2) with C=1, C'=0
     assert abs(x2 - 2.0) < 1e-10, x2
-    # equality case of the convex bound: X^2 = 2(C + C'/K^2) with C=1, C'=0,
-    # so the declared check passes with zero slack to spare
-    k2 = poincare_constant("nu", potential=None, beta=1.0, d=1, n_q=32).constant
-    checked = norm_X_hamiltonian_squared(
-        ops, check_case=PropositionCase("convex"), K_nu2=k2)
-    assert abs(checked - 2.0) < 1e-10
 
 
 def test_x_norm_solves_only_the_rows_reached_from_degree_zero():
@@ -96,31 +65,20 @@ def test_x_norm_solves_only_the_rows_reached_from_degree_zero():
     assert abs(norm_X_hamiltonian_squared(ops) - dense) <= 1e-13 * dense
 
 
-def test_x_norm_case_check_requires_k(langevin_ops):
-    with pytest.raises(ConfigError, match="K_nu2"):
-        norm_X_hamiltonian_squared(langevin_ops,
-                                   check_case=PropositionCase("convex"))
-
-
 def test_x_norm_proposition_violation(langevin_ops):
     # declaring the cosine potential convex understates the limit:
     # X^2(cos q) > 2 = 2(C + C'/K^2) for the convex case
     k2 = poincare_constant("nu", potential=langevin_ops.basis.potential,
                            beta=1.0, d=1, n_q=32).constant
-    with pytest.raises(InvariantViolation, match="proposition violation"):
-        norm_X_hamiltonian_squared(langevin_ops,
-                                   check_case=PropositionCase("convex"),
-                                   K_nu2=k2)
+    c, cprime = case_constants("convex", beta=1.0, d=1, params={})
+    assert norm_X_hamiltonian_squared(langevin_ops) > 2.0 * (c + cprime / k2) + 1e-8
 
 
 def test_x_norm_within_general_case_limit(langevin_ops):
     pot = langevin_ops.basis.potential
     k2 = poincare_constant("nu", potential=pot, beta=1.0, d=1, n_q=32).constant
-    case = PropositionCase("general",
-                           {"c1": 1.0, "c3": 1.0, "beta": 1.0, "d": 1})
-    x2 = norm_X_hamiltonian_squared(langevin_ops, check_case=case, K_nu2=k2)
-    c, cprime = prop_CCprime(case)
-    assert x2 <= 2.0 * (c + cprime / k2) + 1e-8
+    c, cprime = case_constants("general", beta=1.0, d=1, params={"c1": 1.0, "c3": 1.0})
+    assert norm_X_hamiltonian_squared(langevin_ops) <= 2.0 * (c + cprime / k2) + 1e-8
 
 
 def test_x_norm_dimension_two_close_to_one_dimensional(langevin_ops):

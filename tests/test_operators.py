@@ -35,6 +35,16 @@ def test_model_spec_validation():
         ModelSpec(model="langevin", gamma=1.0, epsilon=0.5)  # must not have it
 
 
+@pytest.mark.parametrize("field", ["gamma", "beta", "mass", "epsilon"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_model_spec_refuses_non_finite_parameters(field, value):
+    # as BasisSpec does: bad input is a ConfigError, not a failed structural check later
+    fields = {"model": "adaptive_langevin", "gamma": 1.0, "epsilon": 1.0, field: value}
+    with pytest.raises(ConfigError, match=f"{field} must be positive and finite|positive and "
+                                          f"finite {field}"):
+        ModelSpec(**fields)
+
+
 def test_s_analytic_values():
     assert ModelSpec(model="langevin", gamma=3.0, mass=2.0).s_analytic == 1.5
     assert ModelSpec(model="boltzmann_rhmc", gamma=3.0, mass=2.0).s_analytic == 3.0

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from hypoco import schur
 from hypoco.basis import DEFAULT_TOL_IDENTITY, BasisSpec, Potential, build_basis
+from hypoco.cli import _json_dumps
 from hypoco.constants import constants_summary, poincare_constant
 from hypoco.errors import ConfigError, InvariantViolation, NumericalFailure
 from hypoco.models import _evaluate, model_bound_report
@@ -55,7 +56,7 @@ def adl_dec(adl_ops):
 def test_h0_h1_dimensions(langevin_dec):
     # the transfer operator is injective on H0, so dim H1 = dim H0 = 2 n_q
     assert langevin_dec.dim0 == 16
-    assert langevin_dec.dim1 == 16
+    assert langevin_dec.Q1.shape[1] == 16
 
 
 def test_pi1_matches_normal_equation_projector(langevin_dec):
@@ -127,6 +128,24 @@ def test_asymmetric_l11_detected(langevin_ops):
                               S=langevin_ops.S,
                               pi0=langevin_ops.pi0, reversal=langevin_ops.reversal)
     with pytest.raises(InvariantViolation, match="L11 symmetry residual"):
+        build_decomposition(fake)
+
+
+def test_l11_symmetry_is_judged_relative_to_its_scale(cos_potential):
+    # L11 scales like 1/mass: at mass 1e-9 its rounding-level asymmetry is
+    # above 1e-10 in absolute terms and far below it relative to max|L11|
+    spec = BasisSpec(d=1, n_q=4, n_p=4, mass=1e-9)
+    ops = assemble_model(build_basis(spec, cos_potential),
+                         ModelSpec(model="langevin", gamma=1.0, mass=1e-9))
+    dec = build_decomposition(ops)
+    assert dec.l11_symmetry_residual > DEFAULT_TOL_IDENTITY  # reported absolute
+    # an asymmetry at the scale of the entries is still refused
+    a = ops.A.tolil()
+    i, j = np.flatnonzero(ops.basis.p_degree == 1)[:2]
+    a[i, j] += 0.5 / spec.mass
+    fake = type(ops)(model=ops.model, basis=ops.basis, A=sp.csr_matrix(a), S=ops.S,
+                     pi0=ops.pi0, reversal=ops.reversal)
+    with pytest.raises(InvariantViolation, match="L11 symmetry residual .* relative to"):
         build_decomposition(fake)
 
 
@@ -232,7 +251,7 @@ def test_route2_s1_read_off_the_solve_is_the_h2_schur_complement(which, langevin
     inverse = dec.Q1.T @ np.linalg.solve(lpp, dec.Q1)
     pos = np.searchsorted(ops.idx_plus, order[:n])
     bordered = np.block([[lpp[np.ix_(pos, pos)], dec.Q1[pos]], [dec.Q1[pos].T,
-                                                              np.zeros((dec.dim1,) * 2)]])
+                                                              np.zeros((dec.dim0,) * 2)]])
     lu = schur._h0_last_lu(bordered)
     trailing = (lu.L[n:, n:] @ lu.U[n:, n:]).toarray()
     assert np.linalg.norm(trailing + inverse) <= 1e-12 * np.linalg.norm(inverse)
@@ -521,11 +540,12 @@ def test_exact_resolvent_norm_methods_agree():
     assert abs(direct - iterative) < 1e-6 * direct
 
 
-def test_exact_resolvent_norm_iterative_reports_nonconvergence():
+def test_exact_resolvent_norm_iterative_reports_nonconvergence(monkeypatch):
     rng = np.random.default_rng(5)
     mat = sp.csr_matrix(rng.standard_normal((40, 40)) - 5.0 * np.eye(40))
+    monkeypatch.setattr(schur, "LANCZOS_MAX_APPS", 1)
     with pytest.raises(NumericalFailure, match="inverse iteration not converged.*relative change"):
-        exact_resolvent_norm(mat, method="iterative", max_iter=1)
+        exact_resolvent_norm(mat, method="iterative")
 
 
 @pytest.fixture(scope="module")
@@ -637,13 +657,22 @@ def test_exact_resolvent_norm_default_rejects_singular(tiny):
         exact_resolvent_norm(mat)
 
 
+def test_backward_error_check_does_not_overflow():
+    # |y|^2 = 4e320 overflows a squared sum, which would make the ratio 0
+    y = np.full(4, 1e160)
+    with pytest.raises(NumericalFailure, match=r"test: backward error 1\.000e-05"):
+        schur._check_backward_error([(np.full(4, 1e150), y)], 1e-5, "test")
+
+
 def test_exact_resolvent_norm_default_rejects_unconverged_ritz_pairs(monkeypatch):
     n = 2000
     off = 0.3 * np.ones(n - 1)
     mat = sp.diags([np.linspace(-1.0, -2.0, n), off, off], [0, 1, -1], format="csr")
     # a loose ARPACK tolerance leaves a Ritz residual above RITZ_RTOL
-    with pytest.raises(NumericalFailure, match="exact_resolvent_norm: Ritz residual"):
-        exact_resolvent_norm(mat, tol=1e-3)
+    with monkeypatch.context() as patch:
+        patch.setattr(schur, "LANCZOS_TOL", 1e-3)
+        with pytest.raises(NumericalFailure, match="exact_resolvent_norm: Ritz residual"):
+            exact_resolvent_norm(mat)
 
     def no_convergence(*args, **kwargs):
         raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((n, 0)))
@@ -764,7 +793,7 @@ def test_bound_report_json_keys(cos_potential):
     data = report.to_json_dict()
     assert set(data) == {"s", "a", "norm_S11", "norm_R22", "norm_L21A10inv",
                          "bound", "exact", "margin", "converged"}
-    text = report.to_json()
+    text = _json_dumps(report.to_json_dict())
     assert text.startswith('{"a":')
 
 
