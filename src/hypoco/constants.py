@@ -298,7 +298,7 @@ def check_villani_lemma(phi, potential: Potential | None, beta: float, d: int,
     phi_g = grid.evaluate(phi)
     lhs = grid.nu_mean(phi_g**2 * np.sum(grid.grad_v**2, axis=0))
     grad_sq = sum(grid.nu_norm2(grid.evaluate(phi, derivs=(i,))) for i in range(d))
-    rhs = (16.0 / beta**2) * grad_sq + (4.0 * d * c1 / beta) * grid.nu_norm2(phi_g)
+    rhs = (16.0 / (beta * beta)) * grad_sq + (4.0 * d * c1 / beta) * grid.nu_norm2(phi_g)
     if lhs == 0.0:
         return 0.0
     ratio = lhs / rhs

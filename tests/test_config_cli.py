@@ -284,6 +284,27 @@ def test_cli_huge_beta_constants(tmp_path, capsys):
                    "mass = 1e-30"]
 
 
+def test_cli_huge_beta_lemmas(tmp_path, capsys):
+    # 16 / beta**2 in the Villani lemma overflowed a Python float at beta = 1e300
+    path = tmp_path / "hot.cfg"
+    path.write_text("model = langevin\nbeta = 1e300\nn_q = 4\nn_p = 4\n")
+    code, err = _main_without_warnings(["lemmas", "--config", str(path), "--suite", "2"],
+                                       capsys)
+    assert (code, err) == (0, [])
+
+
+def test_cli_rhmc_large_friction_bound_exits_zero(cfg_path, tmp_path, capsys):
+    # the rounding of |S21| grows like gamma and used to fail an absolute 1e-10 at
+    # gamma = 2e5; S = -gamma on H1 makes S21 vanish exactly
+    out = tmp_path / "bound.json"
+    argv = ["bound", "--config", cfg_path, "--model", "boltzmann_rhmc", "--gamma", "2e5",
+            "--json", str(out)]
+    code, err = _main_without_warnings(argv, capsys)
+    assert (code, err) == (0, [])
+    payload = json.loads(out.read_text())
+    assert payload["converged"] is True and payload["margin"] >= 1.0
+
+
 def test_cli_unknown_model_override(cfg_path, capsys):
     assert main(["verify", "--config", cfg_path, "--model", "bogus"]) == 2
     assert ("--model: model must be one of langevin, boltzmann_rhmc, adaptive_langevin, "

@@ -107,6 +107,8 @@ def test_bound_formula_unit_substitutions():
     # lambda_min = 1, K_kappa^2 = beta) matches the corollary
     assert abs(langevin_bound_formula(2.0, 1.0, 1.0, 1.0, 1.5, 1.0, 0.3)
                - corollary_bound(2.0, 1.0, 1.0, 1.5, 0.3)) < 1e-14
+    # no gamma^2 X_S^2 term to overflow a Python float at gamma = 1e200
+    assert langevin_bound_formula(1e200, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5) == 2e200
 
 
 def test_langevin_general_matches_corollary(langevin_ops):
@@ -118,8 +120,23 @@ def test_langevin_general_matches_corollary(langevin_ops):
     constants = constants_summary(pot, 1.0, 1.0, 1, n_q=32)
     bound, norms = langevin_bound_general(dec, constants)
     assert abs(norms["norm_pi1_lfd_pi1"] - 1.0) < 1e-12
-    assert norms["norm_XS"] < 1e-12, norms["norm_XS"]
+    assert norms["norm_S21"] == norms["norm_XS"] == 0.0
     assert abs(bound - norms["bound_corollary"]) < 1e-10 * bound
+
+
+@pytest.mark.parametrize("which", ["langevin", "boltzmann_rhmc"])
+def test_s21_check_rejects_s_with_two_values_on_h1(which, langevin_ops, rhmc_ops):
+    # S21 = 0 is checked, not computed: S must take one value on Q1's rows
+    ops = langevin_ops if which == "langevin" else rhmc_ops
+    row = ops.idx_plus[np.argmax(np.abs(build_decomposition(ops).Q1[:, 0]))]
+    bad_s = ops.S.copy()
+    bad_s[row] *= 2.0
+    dec = build_decomposition(replace(ops, S=bad_s))
+    constants = constants_summary(ops.basis.potential, 1.0, 1.0, 1, n_q=32)
+    bound_fn = langevin_bound_general if which == "langevin" else rhmc_bound
+    with pytest.raises(InvariantViolation,
+                       match="^S21 need not vanish: S takes 2 values on H1$"):
+        bound_fn(dec, constants)
 
 
 def test_langevin_general_rejects_other_models(rhmc_ops):
@@ -134,7 +151,7 @@ def test_rhmc_bound_structural_facts(rhmc_ops):
     constants = constants_summary(pot, 1.0, 1.0, 1, n_q=32)
     bound, norms = rhmc_bound(dec, constants)
     assert abs(norms["norm_S11"] - 1.0) < 1e-10
-    assert norms["norm_S21"] < 1e-10
+    assert norms["norm_S21"] == 0.0
     expected = rhmc_bound_formula(1.0, 1.0, constants["lambda_min_M"],
                                   constants["K_nu2"], norms["X2"])
     assert bound == expected
@@ -361,6 +378,31 @@ def test_model_bound_report_convergence_flags():
     pot = Potential.from_string(COS_Q, d=1)
     report = model_bound_report(model, spec, pot, rel_tol=1e-12)
     assert not report.converged
+
+
+@pytest.mark.parametrize("moved", ["n_q", "n_p"])
+@pytest.mark.parametrize("field", ["bound", "exact"])
+def test_model_bound_report_ladder_reads_both_cutoffs_and_values(monkeypatch, moved,
+                                                                 field):
+    # each doubled cutoff reproduces the base point, except one value at one cutoff:
+    # the report must come back unconverged, on that coordinate only
+    spec, model = BasisSpec(d=1, n_q=4, n_p=4), ModelSpec(model="langevin", gamma=1.0)
+    pot = Potential.from_string(COS_Q, d=1)
+    constants = constants_summary(pot, 1.0, 1.0, 1, n_q=32)
+    rep, bound, details, exact = hypoco.models._evaluate(model, spec, pot, constants,
+                                                         1e-10, 1e-12)
+    doubled = {"bound": bound, "exact": exact}
+    doubled[field] *= 1.1
+
+    def evaluate(_model, s, *args):
+        if getattr(s, moved) == 2 * getattr(spec, moved):
+            return rep, doubled["bound"], details, doubled["exact"]
+        return rep, bound, details, exact
+
+    monkeypatch.setattr(hypoco.models, "_evaluate", evaluate)
+    report = model_bound_report(model, spec, pot, constants=constants)
+    assert (report.converged_q, report.converged_p) == (moved != "n_q", moved != "n_p")
+    assert report.converged is False
 
 
 @pytest.mark.parametrize("which", ["langevin", "boltzmann_rhmc"])

@@ -76,6 +76,20 @@ def test_fd_acts_as_minus_one_over_m_on_h1(langevin_ops, langevin_dec):
     assert gap < 1e-13
 
 
+@pytest.mark.parametrize("name", ["langevin_dec", "rhmc_dec", "adl_dec"])
+def test_norm_x21_matches_dense_generator(request, name):
+    # X21 = P2 L++ A_{+0} (A*A)^{-1}, formed densely from the full L with the
+    # projector of the normal equations, never from Q1 or A10
+    dec = request.getfixturevalue(name)
+    ops = dec.ops
+    L = ops.L.toarray()
+    lpp, apl0 = L[np.ix_(ops.idx_plus, ops.idx_plus)], L[np.ix_(ops.idx_plus, ops.idx0)]
+    x = np.linalg.solve(apl0.T @ apl0, apl0.T).T  # A_{+0} (A*A)^{-1}
+    p2 = np.eye(len(ops.idx_plus)) - x @ apl0.T
+    dense = np.linalg.norm(p2 @ lpp @ x, 2)
+    assert abs(intermediate_norms(dec)["norm_L21A10inv"] - dense) <= 1e-10 * dense
+
+
 def test_s21_vanishes_for_quadratic_kinetic_energy(langevin_dec, rhmc_dec):
     for dec in (langevin_dec, rhmc_dec):
         # |Q2^T S Q1| = |P2 S Q1| = |S Q1 - Q1 S11|: H2 is reached through its projector
