@@ -49,10 +49,10 @@ def _model_norms(dec: Decomposition) -> dict:
 
     The kinetic energy is quadratic, so S is one scalar on H1 (-gamma/m for Langevin,
     -gamma for RHMC) and S21 = P2 S Q1 and norm_XS = |P2 L_FD Q1 A10^{-T}| are zero:
-    checked exactly on Q1's nonzero rows, not computed.  |Pi1 L_FD Pi1| = |S11| / gamma.
+    checked exactly on Q1's rows ``dec.h1_rows``, not computed.  |Pi1 L_FD Pi1| = |S11| / gamma.
     """
     ops, gamma = dec.ops, dec.ops.model.gamma
-    count = np.unique(ops.Spp[np.any(dec.Q1, axis=1)]).size
+    count = np.unique(ops.Spp[dec.h1_rows]).size
     if count > 1:
         raise InvariantViolation(f"S21 need not vanish: S takes {count} values on H1")
     out = intermediate_norms(dec)

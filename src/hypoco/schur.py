@@ -1,18 +1,18 @@
 """Saddle-point decomposition of the generator and resolvent bounds.
 
-The working space splits as H0 (ker S) plus its orthogonal complement H+,
-and H+ splits further into H1 = ran(A from H0) and H2.  In these coordinates
-the generator has a saddle-point block structure whose Schur complement on H0
-yields an explicit inverse.  Only dim0-wide blocks are formed: H2 is reached
-through the projector P2 = 1 - Q1 Q1^T, an LU of L++ bordered by Q1 and a
-sign count of the reversal, never through a basis of its own.
-The module builds the decomposition and evaluates the closed-form resolvent
-bound.  Each sparse LU is unpivoted, with H+ in one nested-dissection order
-and a zero-diagonal block last, so its trailing block is a Schur complement:
-one of L itself (L++ bordered by A_{+0}, H0 last), which the decomposition
-holds for the block resolvent and the exact-norm oracle (ARPACK Lanczos on
-(L^T L)^{-1}, a dense SVD for small matrices and as the cross-check), and one
-of L++ bordered by Q1.
+The working space splits as H0 (ker S) plus its orthogonal complement H+, and
+H+ splits further into H1 = ran(A from H0) and H2.  In these coordinates the
+generator has a saddle-point block structure whose Schur complement on H0
+yields an explicit inverse.  Only dim0-wide blocks are formed, each on the rows
+where it can be nonzero (Q1 on those of A_{+0}), so none is dim H+ tall.  H2 is
+reached through the projector P2 = 1 - Q1 Q1^T, an LU of L++ bordered by Q1 and
+a sign count of the reversal, never through a basis of its own.  The module
+builds the decomposition and evaluates the closed-form resolvent bound.  Each
+sparse LU is unpivoted, with H+ in one nested-dissection order and a
+zero-diagonal block last, so its trailing block is a Schur complement: one of L
+itself (L++ bordered by A_{+0}, H0 last), which the decomposition holds for the
+block resolvent and the exact-norm oracle (ARPACK Lanczos on (L^T L)^{-1}, a
+dense SVD for small matrices and as the cross-check), and one of L++ bordered by Q1.
 """
 
 from __future__ import annotations
@@ -78,14 +78,16 @@ def operator_norm(mat) -> float:
 class Decomposition:
     """Orthonormal H0/H1 bases, the generator blocks the bound reads, and L's LU.
 
-    H0 is the coordinate block ``ops.idx0``; Q1 holds the H1 basis in H+
-    coordinates.  H2 is never formed: it is reached through the projector
-    P2 = 1 - Q1 Q1^T, as |Q2^T Y| = |P2 Y|, so P2 L++ Q1 = L++ Q1 - Q1 L11
-    stands in for L21.  A10 is square (dim H1 = dim0) and invertible whenever
-    the build succeeded.  ``factor`` is the unpivoted H0-last LU of L.
+    H0 is the coordinate block ``ops.idx0``; Q1 holds the H1 basis on its rows
+    ``h1_rows``, the H+ coordinates where A_{+0} is nonzero, and nothing dim H+ tall
+    is stored.  H2 is never formed: it is reached through the projector P2 =
+    1 - Q1 Q1^T, as |Q2^T Y| = |P2 Y|, so P2 L++ Q1 = L++ Q1 - Q1 L11 stands in
+    for L21.  A10 is square (dim H1 = dim0) and invertible whenever the build
+    succeeded.  ``factor`` is the unpivoted H0-last LU of L.
     """
 
     ops: ModelOperators
+    h1_rows: np.ndarray
     Q1: np.ndarray
     A10: np.ndarray
     L11: np.ndarray
@@ -125,28 +127,25 @@ def build_decomposition(ops: ModelOperators,
     dim0 = len(ops.idx0)
     rows = np.flatnonzero(ops.apl0.getnnz(axis=1))
     block = ops.apl0[rows].toarray()
-    q_rows, r, _piv = sla.qr(block, mode="economic", pivoting=True)
+    q1, r, _piv = sla.qr(block, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > rank_tol * diag[0])) if diag.size else 0
     if rank < dim0:
         raise InvariantViolation(
             f"macroscopic coercivity failure: rank(A10) = {rank} < dim H0 = {dim0}"
         )
-    q_rows = q_rows[:, :dim0]
-    q1 = np.zeros((len(ops.idx_plus), dim0))
-    q1[rows] = q_rows
 
     scale = max(operator_norm_upper(block), 1.0)
-    pi1_range = float(np.max(np.abs(q_rows @ (q_rows.T @ block) - block))) / scale
-    pi1_idem = float(np.max(np.abs(q_rows.T @ q_rows - np.eye(dim0))))
+    pi1_range = float(np.max(np.abs(q1 @ (q1.T @ block) - block))) / scale
+    pi1_idem = float(np.max(np.abs(q1.T @ q1 - np.eye(dim0))))
     if max(pi1_range, pi1_idem) > tol_identity:
         raise InvariantViolation(
             f"H1 projector residuals exceed tolerance: range {pi1_range:.3e}, "
             f"idempotency {pi1_idem:.3e}"
         )
 
-    l11 = q1.T @ (ops.Lpp @ q1)
-    s11 = q1.T @ (ops.Spp[:, None] * q1)
+    l11 = q1.T @ (ops.Lpp[rows][:, rows] @ q1)
+    s11 = q1.T @ (ops.Spp[rows, None] * q1)
     l11_sym = float(np.max(np.abs(l11 - l11.T)))
     # L11's entries scale like 1/mass, so its asymmetry is judged against them
     l11_scale = max(float(np.max(np.abs(l11))), 1.0)
@@ -180,7 +179,7 @@ def build_decomposition(ops: ModelOperators,
     y = factor.solve(b)
     _check_backward_error([(ops.L @ y - b, y)], operator_norm_upper(ops.L), "Schur complement")
     return Decomposition(
-        ops=ops, Q1=q1, A10=q_rows.T @ block,
+        ops=ops, h1_rows=rows, Q1=q1, A10=q1.T @ block,
         L11=l11, S11=s11,
         pi1_idempotency_residual=pi1_idem, pi1_range_residual=pi1_range,
         l11_symmetry_residual=l11_sym, factor=factor,
@@ -199,7 +198,7 @@ def operator_norm_upper(mat) -> float:
     if mat.size == 0:
         return 0.0
     a = abs(mat)
-    return float(np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()))
+    return float(np.sqrt(a.sum(axis=0).max()) * np.sqrt(a.sum(axis=1).max()))
 
 
 def macroscopic_coercivity(dec: Decomposition) -> float:
@@ -347,8 +346,8 @@ def _schur_route2(dec: Decomposition) -> np.ndarray:
     pos = np.empty(n, dtype=np.intp)  # where each H+ coordinate sits in the order
     pos[np.searchsorted(ops.idx_plus, dec.factor.order[:n])] = np.arange(n)
     k = sp.csc_matrix((np.concatenate([lpp.data, q1.data, q1.data]),
-                       (np.concatenate([pos[lpp.row], pos[q1.row], n + q1.col]),
-                        np.concatenate([pos[lpp.col], n + q1.col, pos[q1.row]]))),
+                       (np.concatenate([pos[lpp.row], pos[dec.h1_rows[q1.row]], n + q1.col]),
+                        np.concatenate([pos[lpp.col], n + q1.col, pos[dec.h1_rows[q1.row]]]))),
                       shape=(n + dec.dim0,) * 2)
     lu = _h0_last_lu(k, "dissipation failure on H2: Q1-bordered LU of L++")
     return -dec.A10.T @ (lu.L[n:, n:] @ lu.U[n:, n:]).toarray() @ dec.A10
@@ -507,9 +506,13 @@ def norm_X21(dec: Decomposition) -> float:
 
     Evaluated as |P2 L++ Q1 A10^{-T}| = |L21 A10^{-T}|, using that A10 is
     square: A10 (A10^T A10)^{-1} = A10^{-T}.  A10 is not symmetric in general, so
-    this differs from |L21 A10^{-1}|.
+    this differs from |L21 A10^{-1}|.  P2 L++ Q1 is formed only on ``h1_rows``
+    and the rows L++ reaches from them: it vanishes on every other row.
     """
-    p2lq1 = dec.ops.Lpp @ dec.Q1 - dec.Q1 @ dec.L11
+    lpp_h1 = dec.ops.Lpp[:, dec.h1_rows]
+    rows = np.union1d(dec.h1_rows, np.flatnonzero(lpp_h1.getnnz(axis=1)))
+    p2lq1 = lpp_h1[rows] @ dec.Q1
+    p2lq1[np.searchsorted(rows, dec.h1_rows)] -= dec.Q1 @ dec.L11
     return operator_norm(np.linalg.solve(dec.A10, p2lq1.T).T)
 
 

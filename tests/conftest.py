@@ -49,3 +49,11 @@ def adl_ops(adl_basis):
 
 def random_working_vector(basis, rng):
     return rng.standard_normal(basis.spec.dimension)
+
+
+def dense_q1(dec):
+    """The decomposition's H1 basis scattered into H+ coordinates, dim H+ x dim0:
+    the reference the tests compare against, which the decomposition never forms."""
+    q1 = np.zeros((len(dec.ops.idx_plus), dec.dim0))
+    q1[dec.h1_rows] = dec.Q1
+    return q1

@@ -284,6 +284,27 @@ def test_cli_huge_beta_constants(tmp_path, capsys):
                    "mass = 1e-30"]
 
 
+@pytest.mark.parametrize("mass", ["3", "7"])
+def test_cli_large_friction_verify_passes(tmp_path, capsys, mass):
+    # s = gamma/m ~ 1e6 carries its own rounding: gamma*(1/m) and gamma/m differ by
+    # 4.7e-10 at mass 3, which an absolute 1e-10 used to fail with every residual 0
+    path = tmp_path / "heavy.cfg"
+    path.write_text(f"model = langevin\npotential = {COS_Q}\nmass = {mass}\n"
+                    "n_q = 4\nn_p = 4\n")
+    code = main(["verify", "--config", str(path), "--gamma", "1e7"])
+    assert code == 0 and "passed: True" in capsys.readouterr().out
+
+
+def test_cli_huge_friction_bound_is_one_numerical_failure(capsys):
+    # sqrt(|L|_1 |L|_inf) multiplied the two norms first, which overflowed at
+    # gamma = 1e200 and raised under the suite's error::RuntimeWarning
+    cfg = os.path.join(CONFIGS, "langevin_1d.cfg")
+    assert main(["bound", "--config", cfg, "--gamma", "1e200"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "NumericalFailure: exact_resolvent_norm: (L^T L)^-1 x is not finite, "
+        "L numerically singular"]
+
+
 def test_cli_huge_beta_lemmas(tmp_path, capsys):
     # 16 / beta**2 in the Villani lemma overflowed a Python float at beta = 1e300
     path = tmp_path / "hot.cfg"

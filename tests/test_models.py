@@ -128,7 +128,8 @@ def test_langevin_general_matches_corollary(langevin_ops):
 def test_s21_check_rejects_s_with_two_values_on_h1(which, langevin_ops, rhmc_ops):
     # S21 = 0 is checked, not computed: S must take one value on Q1's rows
     ops = langevin_ops if which == "langevin" else rhmc_ops
-    row = ops.idx_plus[np.argmax(np.abs(build_decomposition(ops).Q1[:, 0]))]
+    dec = build_decomposition(ops)
+    row = ops.idx_plus[dec.h1_rows[np.argmax(np.abs(dec.Q1[:, 0]))]]
     bad_s = ops.S.copy()
     bad_s[row] *= 2.0
     dec = build_decomposition(replace(ops, S=bad_s))

@@ -24,7 +24,7 @@ from hypoco.schur import (DENSE_THRESHOLD, Decomposition, block_resolvent,
                           operator_norm, operator_norm_upper,
                           schur_complement, theorem_bound)
 
-from conftest import COS_Q
+from conftest import COS_Q, dense_q1
 
 
 @pytest.fixture(scope="module")
@@ -59,20 +59,35 @@ def test_h0_h1_dimensions(langevin_dec):
     assert langevin_dec.Q1.shape[1] == 16
 
 
+@pytest.mark.parametrize("name", ["langevin_dec", "rhmc_dec", "adl_dec"])
+def test_h1_split_is_held_on_its_support_rows(request, name):
+    # Q1 vanishes off the nonzero rows of A_{+0}, and only those rows are stored:
+    # no array of the decomposition is dim H+ tall
+    dec = request.getfixturevalue(name)
+    ops, n_plus = dec.ops, len(dec.ops.idx_plus)
+    assert np.array_equal(dec.h1_rows, np.flatnonzero(ops.apl0.getnnz(axis=1)))
+    assert len(dec.h1_rows) < n_plus
+    assert dec.Q1.shape == (len(dec.h1_rows), dec.dim0)
+    arrays = [getattr(dec, f.name) for f in dataclasses.fields(dec)]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert len(arrays) == 5
+    assert all(a.shape[0] != n_plus for a in arrays)
+
+
 def test_pi1_matches_normal_equation_projector(langevin_dec):
     # Q1 Q1^T must equal A_{+0} (A*A)^{-1} A_{+0}^T
     apl0 = langevin_dec.ops.apl0.toarray()
     gram = apl0.T @ apl0
     projector = apl0 @ np.linalg.solve(gram, apl0.T)
-    qr_projector = langevin_dec.Q1 @ langevin_dec.Q1.T
+    q1 = dense_q1(langevin_dec)
+    qr_projector = q1 @ q1.T
     assert np.max(np.abs(projector - qr_projector)) < 1e-10
 
 
 def test_fd_acts_as_minus_one_over_m_on_h1(langevin_ops, langevin_dec):
     # columns of A_{+0} are pure Hermite-degree-1, so L_FD Pi1 = -Pi1/m
-    lfd_pp = langevin_ops.Spp / langevin_ops.model.gamma
-    gap = np.max(np.abs(lfd_pp[:, None] * langevin_dec.Q1 + langevin_dec.Q1
-                        / langevin_ops.model.mass))
+    lfd_pp, q1 = langevin_ops.Spp / langevin_ops.model.gamma, dense_q1(langevin_dec)
+    gap = np.max(np.abs(lfd_pp[:, None] * q1 + q1 / langevin_ops.model.mass))
     assert gap < 1e-13
 
 
@@ -93,7 +108,8 @@ def test_norm_x21_matches_dense_generator(request, name):
 def test_s21_vanishes_for_quadratic_kinetic_energy(langevin_dec, rhmc_dec):
     for dec in (langevin_dec, rhmc_dec):
         # |Q2^T S Q1| = |P2 S Q1| = |S Q1 - Q1 S11|: H2 is reached through its projector
-        s21 = sp.diags(dec.ops.S[dec.ops.idx_plus]) @ dec.Q1 - dec.Q1 @ dec.S11
+        q1 = dense_q1(dec)
+        s21 = sp.diags(dec.ops.S[dec.ops.idx_plus]) @ q1 - q1 @ dec.S11
         assert np.max(np.abs(s21)) < 1e-13
 
 
@@ -259,18 +275,18 @@ def test_route2_s1_read_off_the_solve_is_the_h2_schur_complement(which, langevin
     # s1 = L11 - L12 L22^{-1} L21 the Schur complement of L22 in L++, so route
     # two is A10^T s1^{-1} A10; the reference forms H2 densely
     dec = {"langevin": langevin_dec, "rhmc": rhmc_dec, "adl": adl_dec}[which]
-    ops, n = dec.ops, len(dec.ops.idx_plus)
+    ops, n, q1 = dec.ops, len(dec.ops.idx_plus), dense_q1(dec)
     order = schur._h0_last_order(ops.L)
     lpp = ops.Lpp.toarray()
-    inverse = dec.Q1.T @ np.linalg.solve(lpp, dec.Q1)
+    inverse = q1.T @ np.linalg.solve(lpp, q1)
     pos = np.searchsorted(ops.idx_plus, order[:n])
-    bordered = np.block([[lpp[np.ix_(pos, pos)], dec.Q1[pos]], [dec.Q1[pos].T,
-                                                              np.zeros((dec.dim0,) * 2)]])
+    bordered = np.block([[lpp[np.ix_(pos, pos)], q1[pos]], [q1[pos].T,
+                                                          np.zeros((dec.dim0,) * 2)]])
     lu = schur._h0_last_lu(bordered)
     trailing = (lu.L[n:, n:] @ lu.U[n:, n:]).toarray()
     assert np.linalg.norm(trailing + inverse) <= 1e-12 * np.linalg.norm(inverse)
-    q2 = sla.null_space(dec.Q1.T)
-    s1 = dec.L11 - dec.Q1.T @ lpp @ q2 @ np.linalg.solve(q2.T @ lpp @ q2, q2.T @ lpp @ dec.Q1)
+    q2 = sla.null_space(q1.T)
+    s1 = dec.L11 - q1.T @ lpp @ q2 @ np.linalg.solve(q2.T @ lpp @ q2, q2.T @ lpp @ q1)
     route2 = schur._schur_route2(dec)
     expected = dec.A10.T @ np.linalg.solve(s1, dec.A10)
     assert np.linalg.norm(route2 - expected) <= 1e-12 * np.linalg.norm(expected)
