@@ -495,6 +495,20 @@ def mean_zero_map(c) -> sp.csr_matrix:
     return (sp.identity(n, format="csr") - vvt)[:, 1:]
 
 
+def positive_density(potential: Potential, beta, axes) -> np.ndarray:
+    """exp(-beta (V - min V)) on the tensor grid ``axes``, refused as a quadrature
+    failure where it is 0 or NaN: a density that underflows there weights nothing."""
+    v = potential.value_grid(axes)
+    w = np.exp(-beta * (v - v.min()))
+    zeros = np.count_nonzero(~(w > 0.0))  # NaN too
+    if zeros:
+        raise NumericalFailure(
+            f"quadrature failure: the density exp(-beta (V - min V)) is 0 or NaN "
+            f"at {zeros} of {v.size} grid points"
+        )
+    return w
+
+
 def validated_potential(spec: BasisSpec, potential: Potential | None = None) -> Potential:
     """The potential (flat when None) after the checks every position problem
     shares: matching dimension and torus, and the dimension guard on spec."""
@@ -541,14 +555,7 @@ class BasisSet:
         self.potential = potential
         self._derived: dict = {}
 
-        v = potential.value_grid([position_axis(spec.n_q, potential)] * spec.d)
-        zeros = np.count_nonzero(~(np.exp(-spec.beta * (v - v.min())) > 0.0))  # NaN too
-        if zeros:
-            raise NumericalFailure(
-                f"quadrature failure: the density exp(-beta (V - min V)) is 0 or NaN "
-                f"at {zeros} of {v.size} grid points"
-            )
-
+        positive_density(potential, spec.beta, [position_axis(spec.n_q, potential)] * spec.d)
         self.herm = HermiteOps(spec.mass / spec.beta, spec.n_p)
         self.xi = HermiteOps(1.0 / spec.beta, spec.n_xi) if spec.n_xi else None
         self._build_mean_zero_map()

@@ -17,8 +17,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .basis import (TWO_PI, BasisSpec, Potential, fourier_deriv_1d,
-                    fourier_value_table, mean_zero_map, sqrt_rho_coeffs,
-                    validated_potential, witten_deriv)
+                    fourier_value_table, mean_zero_map, positive_density,
+                    sqrt_rho_coeffs, validated_potential, witten_deriv)
 from .errors import ConfigError, InvariantViolation, NumericalFailure
 
 #: flooring for c1 and c3 so strict positivity holds even for flat potentials
@@ -70,8 +70,7 @@ class PositionGrid:
                           torus_length)
         self.table = fourier_value_table(self.axes[0], n_q, torus_length)
         self.deriv = fourier_deriv_1d(n_q, torus_length)
-        v = potential.value_grid(self.axes)
-        w = np.exp(-self.beta * (v - v.min()))
+        w = positive_density(potential, self.beta, self.axes)
         self.rho = w / w.mean()
         self.grad_v = potential.grad_grid(self.axes)
         self.hess_v = potential.hessian_grid(self.axes)
@@ -174,7 +173,7 @@ def poincare_constant(measure: str, *, potential: Potential | None = None,
 
 def growth_case_iii_cprime(c1: float, c3: float, beta: float, d: int) -> float:
     """The general-case Hessian-control constant 2c3[sqrt(d)+2max(8c3/b^2, sqrt(c1 d/b))]."""
-    return 2.0 * c3 * (np.sqrt(d) + 2.0 * max(8.0 * c3 / (beta * beta),
+    return 2.0 * c3 * (np.sqrt(d) + 2.0 * max(8.0 * c3 / beta / beta,
                                               np.sqrt(c1 * d / beta)))
 
 
@@ -298,7 +297,7 @@ def check_villani_lemma(phi, potential: Potential | None, beta: float, d: int,
     phi_g = grid.evaluate(phi)
     lhs = grid.nu_mean(phi_g**2 * np.sum(grid.grad_v**2, axis=0))
     grad_sq = sum(grid.nu_norm2(grid.evaluate(phi, derivs=(i,))) for i in range(d))
-    rhs = (16.0 / (beta * beta)) * grad_sq + (4.0 * d * c1 / beta) * grid.nu_norm2(phi_g)
+    rhs = (16.0 / beta / beta) * grad_sq + (4.0 * d * c1 / beta) * grid.nu_norm2(phi_g)
     if lhs == 0.0:
         return 0.0
     ratio = lhs / rhs
@@ -308,7 +307,7 @@ def check_villani_lemma(phi, potential: Potential | None, beta: float, d: int,
 
 
 def _second_derivative_norms(grid: PositionGrid, u) -> tuple[float, float, float, np.ndarray]:
-    """(sum |d2u|^2, |grad*grad u|^2, hessian-quadratic-form term, grad fields)."""
+    """(sum |d2u|^2, |grad*grad u|^2, beta times the hessian quadratic form, grad fields)."""
     d = grid.d
     grads = np.stack([grid.evaluate(u, derivs=(i,)) for i in range(d)])
     lhs = 0.0
@@ -320,13 +319,15 @@ def _second_derivative_norms(grid: PositionGrid, u) -> tuple[float, float, float
             if i == j:
                 lap += dij
     witten = -lap + grid.beta * np.sum(grid.grad_v * grads, axis=0)
-    cross = grid.nu_mean(np.einsum("i...,ij...,j...->...", grads, grid.hess_v, grads))
+    cross = grid.beta * grid.nu_mean(np.einsum("i...,ij...,j...->...",
+                                               grads, grid.hess_v, grads))
     return lhs, grid.nu_norm2(witten), cross, grads
 
 
 def check_bochner(u, potential: Potential | None, beta: float, d: int = 1,
                   torus_length: float = TWO_PI) -> float:
-    """Residual of sum|d2u|^2 = |grad*grad u|^2 - int grad u . hess V grad u."""
+    """Residual of sum|d2u|^2 = |grad*grad u|^2 - beta int grad u . hess V grad u
+    in L^2(nu), nu ~ exp(-beta V)."""
     grid = _grid_for(u, potential, beta, d, torus_length)
     lhs, witten2, cross, _ = _second_derivative_norms(grid, u)
     residual = abs(lhs - (witten2 - cross))

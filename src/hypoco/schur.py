@@ -11,8 +11,8 @@ builds the decomposition and evaluates the closed-form resolvent bound.  Each
 sparse LU is unpivoted, with H+ in one nested-dissection order and a
 zero-diagonal block last, so its trailing block is a Schur complement: one of L
 itself (L++ bordered by A_{+0}, H0 last), which the decomposition holds for the
-block resolvent and the exact-norm oracle (ARPACK Lanczos on (L^T L)^{-1}, a
-dense SVD for small matrices and as the cross-check), and one of L++ bordered by Q1.
+exact-norm oracle (ARPACK Lanczos on (L^T L)^{-1}, a dense SVD for small
+matrices and as the cross-check), and one of L++ bordered by Q1.
 """
 
 from __future__ import annotations
@@ -96,10 +96,6 @@ class Decomposition:
     pi1_range_residual: float
     l11_symmetry_residual: float
     factor: H0LastLU = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.ops.dim
 
     @property
     def dim0(self) -> int:
@@ -212,7 +208,7 @@ def macroscopic_coercivity(dec: Decomposition) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Schur complement and block resolvent
+# Schur complement
 # ---------------------------------------------------------------------------
 
 
@@ -353,29 +349,6 @@ def _schur_route2(dec: Decomposition) -> np.ndarray:
     return -dec.A10.T @ (lu.L[n:, n:] @ lu.U[n:, n:]).toarray() @ dec.A10
 
 
-def block_resolvent(dec: Decomposition, rhs) -> tuple[np.ndarray, np.ndarray]:
-    """Solve L u = phi through the explicit block inverse.
-
-    Block elimination with the Schur complement on H0 as the last pivot is
-    the forward and back substitution of ``dec.factor``, the unpivoted LU of
-    L with H+ first and H0 last that :func:`build_decomposition` made.
-    ``rhs`` is a full working-space vector.  Returns (u0, u_plus) in H0 / H+
-    coordinates; the solution is validated against the original system to
-    1e-8 relative.
-    """
-    ops = dec.ops
-    rhs = np.asarray(rhs, float)
-    if rhs.shape != (dec.dim,):
-        raise ConfigError([f"right-hand side has shape {rhs.shape}, expected ({dec.dim},)"])
-    if not np.all(np.isfinite(rhs)):  # bad input, not a numerical failure
-        raise ConfigError(["right-hand side must be finite"])
-    u = dec.factor.solve(rhs)
-    res = _nrm2(ops.L @ u - rhs)
-    if not res <= 1e-8 * max(_nrm2(rhs), np.finfo(float).tiny):
-        raise NumericalFailure(f"block resolvent residual too large: {res:.3e}")
-    return u[ops.idx0], u[ops.idx_plus]
-
-
 # ---------------------------------------------------------------------------
 # exact resolvent norm
 # ---------------------------------------------------------------------------
@@ -498,7 +471,8 @@ def theorem_bound(s: float, a: float, norm_S11: float,
             problems.append(f"{name} = {val!r} must be finite and nonnegative")
     if problems:
         raise ConfigError(["assumption constants invalid: " + p for p in problems])
-    return 2.0 * (norm_S11 / a**2 + norm_R22 * norm_X21**2 / s) + 3.0 / s
+    # products, not **: a Python float's ** raises OverflowError where * gives inf
+    return 2.0 * (norm_S11 / (a * a) + norm_R22 * (norm_X21 * norm_X21) / s) + 3.0 / s
 
 
 def norm_X21(dec: Decomposition) -> float:

@@ -27,19 +27,16 @@ from hypoco.constants import (
 from hypoco.models import (
     adl_AstarA_residual,
     adl_envelope,
-    adl_envelope_fit,
-    alpha_T,
-    check_static_inequality,
     corollary_bound,
-    fit_loglog_slope,
     model_bound_report,
     norm_X_hamiltonian_squared,
-    static_poincare_constants,
 )
 from hypoco.operators import ModelSpec, assemble_model, verify_structural_assumptions
-from hypoco.schur import block_resolvent, build_decomposition, exact_resolvent_norm
+from hypoco.schur import build_decomposition, exact_resolvent_norm
 
 from conftest import COS_COS2, COS_Q
+from criteria import (adl_envelope_fit, alpha_T, block_resolvent, check_static_inequality,
+                      fit_loglog_slope, static_poincare_constants)
 
 GAMMAS = (0.01, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
 STRUCTURAL_KEYS = ("pi0_A_pi0", "S_pi0", "pi0_S", "R_squared",

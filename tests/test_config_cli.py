@@ -18,10 +18,10 @@ from hypoco.cli import CSV_COLUMNS, build_parser, main
 from hypoco.config import RunConfig, parse_config, parse_config_text, parse_range
 from hypoco.container import load_container
 from hypoco.errors import ConfigError
-from hypoco.models import adl_envelope_fit
 from hypoco.operators import assemble_model
 
 from conftest import COS_Q
+from criteria import adl_envelope_fit
 
 BASE_CFG = f"""
 # 1d langevin at moderate truncation, kept small for test speed
@@ -312,6 +312,39 @@ def test_cli_huge_beta_lemmas(tmp_path, capsys):
     code, err = _main_without_warnings(["lemmas", "--config", str(path), "--suite", "2"],
                                        capsys)
     assert (code, err) == (0, [])
+
+
+def test_cli_huge_beta_lemmas_on_a_potential_is_a_quadrature_failure(tmp_path, capsys):
+    # the lemma grid's density underflowed to 0 at 127 of 128 points and the
+    # Villani ratio read 3.7e+250, an exit 1
+    path = tmp_path / "hot.cfg"
+    path.write_text(f"model = langevin\npotential = {COS_Q}\nbeta = 1e300\nn_q = 4\nn_p = 4\n")
+    code, err = _main_without_warnings(["lemmas", "--config", str(path), "--suite", "2"],
+                                       capsys)
+    assert (code, err) == (3, ["NumericalFailure: quadrature failure: the density "
+                               "exp(-beta (V - min V)) is 0 or NaN at 127 of 128 grid points"])
+
+
+def test_cli_tiny_beta_closed_forms_do_not_raise(tmp_path, capsys):
+    # beta * beta underflows to 0 at beta = 1e-300, and the closed forms divided by it
+    path = tmp_path / "cold.cfg"
+    path.write_text(f"model = langevin\npotential = {COS_Q}\nbeta = 1e-300\nn_q = 4\nn_p = 4\n")
+    code, err = _main_without_warnings(["constants", "--config", str(path)], capsys)
+    assert (code, err) == (0, [])
+    code, err = _main_without_warnings(["lemmas", "--config", str(path), "--suite", "2"],
+                                       capsys)
+    assert (code, err) == (0, [])
+    code, err = _main_without_warnings(["bound", "--config", str(path)], capsys)
+    assert code == 3 and len(err) == 1
+    assert err[0].startswith("NumericalFailure: dissipation failure on H2: Q1-bordered LU")
+
+
+def test_cli_adl_huge_friction_bound_is_one_numerical_failure(capsys):
+    # |X21|^2 overflowed a Python float's ** in the theorem bound at gamma = 1e200
+    cfg = os.path.join(CONFIGS, "adl_1d.cfg")
+    code, err = _main_without_warnings(["bound", "--config", cfg, "--gamma", "1e200"], capsys)
+    assert (code, err) == (3, ["NumericalFailure: exact_resolvent_norm: (L^T L)^-1 x is not "
+                               "finite, L numerically singular"])
 
 
 def test_cli_rhmc_large_friction_bound_exits_zero(cfg_path, tmp_path, capsys):

@@ -134,6 +134,13 @@ def test_growth_case_iii_takes_a_beta_whose_square_overflows():
     assert growth_case_iii_cprime(1.0, 1.0, 1e300, 1) == 2.0 * (1.0 + 2.0 * 1e-150)
 
 
+def test_closed_forms_take_a_beta_whose_square_underflows():
+    # beta * beta reads 0 at beta = 1e-300: dividing by it raised ZeroDivisionError
+    assert growth_case_iii_cprime(1.0, 1.0, 1e-300, 1) == np.inf
+    phi = np.random.default_rng(0).standard_normal(9)
+    assert check_villani_lemma(phi, Potential.from_string(COS_Q, d=1), 1e-300, 1, 1.0) == 0.0
+
+
 def test_constants_summary_refuses_non_finite_momentum_constants():
     assert constants_summary(None, 1e300, 1.0, 1, n_q=4)["K_kappa2"] == 1e300
     with pytest.raises(ConfigError) as err:
@@ -305,10 +312,11 @@ def test_kappa_poincare_scaling_property(beta, mass):
     assert abs(k2 - beta / mass) < 1e-12
 
 
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 1000))
-def test_bochner_holds_for_random_functions(seed):
+def test_bochner_holds_for_random_functions(seed, beta):
     pot = Potential.from_string(COS_Q, d=1)
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(9)
-    assert check_bochner(u, pot, beta=1.0, d=1) < 1e-8
+    assert check_bochner(u, pot, beta=beta, d=1) < 1e-8

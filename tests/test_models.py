@@ -19,24 +19,21 @@ from hypoco.models import (
     adl_a_squared,
     adl_bound,
     adl_envelope,
-    adl_envelope_fit,
-    alpha_T,
-    check_static_inequality,
     corollary_bound,
-    fit_loglog_slope,
     langevin_bound_formula,
     langevin_bound_general,
     model_bound_report,
     norm_X_hamiltonian_squared,
     rhmc_bound,
     rhmc_bound_formula,
-    static_poincare_constants,
 )
 from hypoco.operators import (ModelOperators, ModelSpec, assemble_model,
                               verify_structural_assumptions)
 from hypoco.schur import build_decomposition, intermediate_norms
 
 from conftest import COS_Q
+from criteria import (adl_envelope_fit, alpha_T, check_static_inequality, fit_loglog_slope,
+                      static_poincare_constants)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +259,17 @@ def test_adl_gap_below_the_cutoff_floor_fails(monkeypatch):
                         lambda dec: {**norms, "a": math.sqrt(floor - 1e-7)})
     with pytest.raises(InvariantViolation, match="numerical gap"):
         adl_bound(dec, {"K_nu2": k2})
+
+
+def test_adl_gap_floor_is_judged_relative_to_its_size():
+    # at m = 1e-9 the floor K_nu^2/m is ~1.2e9: a gap equal to it up to rounding
+    # missed an absolute 1e-8 and exited 1
+    spec = BasisSpec(d=1, n_q=4, n_p=4, n_xi=4, mass=1e-9)
+    model = ModelSpec(model="adaptive_langevin", gamma=1.0, epsilon=1.0, mass=1e-9)
+    report = model_bound_report(model, spec, Potential.from_string(COS_Q, d=1),
+                                check_convergence=False)
+    assert report.a**2 == pytest.approx(report.details["a2_analytic"], rel=1e-6)
+    assert report.margin > 1.0
 
 
 # ---------------------------------------------------------------------------

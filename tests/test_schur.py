@@ -18,13 +18,13 @@ from hypoco.constants import constants_summary, poincare_constant
 from hypoco.errors import ConfigError, InvariantViolation, NumericalFailure
 from hypoco.models import _evaluate, model_bound_report
 from hypoco.operators import ModelSpec, assemble_model, verify_structural_assumptions
-from hypoco.schur import (DENSE_THRESHOLD, Decomposition, block_resolvent,
-                          build_decomposition, exact_resolvent_norm,
-                          intermediate_norms, macroscopic_coercivity,
+from hypoco.schur import (DENSE_THRESHOLD, Decomposition, build_decomposition,
+                          exact_resolvent_norm, intermediate_norms, macroscopic_coercivity,
                           operator_norm, operator_norm_upper,
                           schur_complement, theorem_bound)
 
 from conftest import COS_Q, dense_q1
+from criteria import block_resolvent
 
 
 @pytest.fixture(scope="module")
@@ -473,9 +473,9 @@ def test_block_resolvent_matches_dense_lu(which, langevin_dec, rhmc_dec, adl_dec
     dense = dec.ops.L.toarray()
     rng = np.random.default_rng(11)
     for _ in range(20):
-        phi = rng.standard_normal(dec.dim)
+        phi = rng.standard_normal(dec.ops.dim)
         u0, uplus = block_resolvent(dec, phi)
-        u = np.zeros(dec.dim)
+        u = np.zeros(dec.ops.dim)
         u[dec.ops.idx0], u[dec.ops.idx_plus] = u0, uplus
         reference = np.linalg.solve(dense, phi)
         assert np.linalg.norm(u - reference) < 1e-8 * np.linalg.norm(reference)
@@ -483,25 +483,25 @@ def test_block_resolvent_matches_dense_lu(which, langevin_dec, rhmc_dec, adl_dec
 
 def test_block_resolvent_rejects_a_wrong_length_vector(langevin_dec):
     with pytest.raises(ConfigError, match="right-hand side has shape"):
-        block_resolvent(langevin_dec, np.zeros(langevin_dec.dim + 1))
+        block_resolvent(langevin_dec, np.zeros(langevin_dec.ops.dim + 1))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_block_resolvent_rejects_a_non_finite_vector(langevin_dec, bad):
     # NaN makes the residual check's comparison False, so it used to pass
-    rhs = np.ones(langevin_dec.dim)
+    rhs = np.ones(langevin_dec.ops.dim)
     rhs[3] = bad
     with pytest.raises(ConfigError, match="right-hand side must be finite"):
         block_resolvent(langevin_dec, rhs)
     with pytest.raises(ConfigError, match="right-hand side must be finite"):
-        block_resolvent(langevin_dec, np.full(langevin_dec.dim, bad))
+        block_resolvent(langevin_dec, np.full(langevin_dec.ops.dim, bad))
 
 
 def test_fresh_decomposition_holds_the_factor_every_solve_uses(langevin_ops, monkeypatch):
     # build_decomposition returns L's H0-last LU, frozen: the block resolvent
     # and the exact-norm oracle substitute through it and factor nothing
     dec = build_decomposition(langevin_ops)
-    L, b = dec.ops.L, np.random.default_rng(3).standard_normal(dec.dim)
+    L, b = dec.ops.L, np.random.default_rng(3).standard_normal(dec.ops.dim)
     y = dec.factor.solve(b)
     assert np.linalg.norm(L @ y - b) <= schur.BACKWARD_RTOL * operator_norm_upper(L) * \
         np.linalg.norm(y)
@@ -533,7 +533,7 @@ def test_block_resolvent_factors_nothing_after_the_schur_complement(langevin_ops
     monkeypatch.setattr(spla, "splu", counting)
     rng = np.random.default_rng(5)
     for _ in range(3):
-        block_resolvent(dec, rng.standard_normal(dec.dim))
+        block_resolvent(dec, rng.standard_normal(dec.ops.dim))
     assert calls == []
 
 
@@ -845,9 +845,9 @@ def test_block_solve_on_synthetic_generators(seed):
     ops = assemble_model(basis, ModelSpec(model="langevin", gamma=gamma))
     dec = build_decomposition(ops)
     schur_complement(dec)
-    phi = rng.standard_normal(dec.dim)
+    phi = rng.standard_normal(dec.ops.dim)
     u0, uplus = block_resolvent(dec, phi)
-    u = np.zeros(dec.dim)
+    u = np.zeros(dec.ops.dim)
     u[ops.idx0], u[ops.idx_plus] = u0, uplus
     assert np.linalg.norm(ops.L @ u - phi) < 1e-9 * np.linalg.norm(phi)
 
