@@ -5,14 +5,15 @@ H+ splits further into H1 = ran(A from H0) and H2.  In these coordinates the
 generator has a saddle-point block structure whose Schur complement on H0
 yields an explicit inverse.  Only dim0-wide blocks are formed, each on the rows
 where it can be nonzero (Q1 on those of A_{+0}), so none is dim H+ tall.  H2 is
-reached through the projector P2 = 1 - Q1 Q1^T, an LU of L++ bordered by Q1 and
-a sign count of the reversal, never through a basis of its own.  The module
-builds the decomposition and evaluates the closed-form resolvent bound.  Each
-sparse LU is unpivoted, with H+ in one nested-dissection order and a
-zero-diagonal block last, so its trailing block is a Schur complement: one of L
-itself (L++ bordered by A_{+0}, H0 last), which the decomposition holds for the
+reached through the projector P2 = 1 - Q1 Q1^T and a sign count of the
+reversal, never through a basis of its own.  The module builds the
+decomposition and evaluates the closed-form resolvent bound.  One evaluation
+makes one sparse LU, of L itself, unpivoted, with H+ in a nested-dissection
+order and H0, its zero diagonal, last: its trailing block is the Schur
+complement (L++ bordered by A_{+0}), and the decomposition holds it for the
 exact-norm oracle (ARPACK Lanczos on (L^T L)^{-1}, a dense SVD for small
-matrices and as the cross-check), and one of L++ bordered by Q1.
+matrices and as the cross-check).  The second route through the H1 split is
+proved to agree with it, not computed.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ LANCZOS_MAX_APPS = 20000
 #: largest relative Ritz residual |(L^T L)^{-1} x - lam x| / lam accepted
 RITZ_RTOL = 1e-8
 
-#: largest relative gap accepted between the two routes of the Schur complement
+#: largest relative gap of the Schur complement's two routes the certificate must prove
 ROUTE_RTOL = 1e-8
 
 #: largest residual of the thermostat's A*A identity, relative to its scale
@@ -83,7 +84,9 @@ class Decomposition:
     is stored.  H2 is never formed: it is reached through the projector P2 =
     1 - Q1 Q1^T, as |Q2^T Y| = |P2 Y|, so P2 L++ Q1 = L++ Q1 - Q1 L11 stands in
     for L21.  A10 is square (dim H1 = dim0) and invertible whenever the build
-    succeeded.  ``factor`` is the unpivoted H0-last LU of L.
+    succeeded.  ``top`` is the Gershgorin bound on lambda_max(sym L++), proved
+    below rounding level, so |L++^{-1}| <= 1/|top|.  ``factor`` is the unpivoted
+    H0-last LU of L.
     """
 
     ops: ModelOperators
@@ -95,6 +98,7 @@ class Decomposition:
     pi1_idempotency_residual: float
     pi1_range_residual: float
     l11_symmetry_residual: float
+    top: float
     factor: H0LastLU = field(repr=False)
 
     @property
@@ -118,7 +122,8 @@ def build_decomposition(ops: ModelOperators,
     that meets H2 (of codimension dim1 in H+), so |R22| >= 1 = |R|.
 
     The factor is the unpivoted LU of L with H+ first, in the nested-dissection
-    order the basis keeps, and H0 last, after Gershgorin proves sym L++ < 0.
+    order the basis keeps, and H0 last, after Gershgorin proves sym L++ < 0
+    by more than 64 dim H+ eps |L++|: a dissipation at rounding level is refused.
     """
     dim0 = len(ops.idx0)
     rows = np.flatnonzero(ops.apl0.getnnz(axis=1))
@@ -162,9 +167,12 @@ def build_decomposition(ops: ModelOperators,
                                  f"(+1, -1) = {counts} of R on H+ not above dim H1 = {dim0}")
 
     top = gershgorin_max(0.5 * (ops.Lpp + ops.Lpp.T))
-    if not top < 0.0:
+    # the floor of exact_resolvent_norm's singularity verdict, with |L++| bounded above
+    floor = 64 * len(ops.idx_plus) * np.finfo(float).eps * operator_norm_upper(ops.Lpp)
+    if not top < -floor:
         raise NumericalFailure(f"dissipation failure on H2: Gershgorin bound of sym L++ "
-                               f"reaches {top:.3e}")
+                               f"reaches {top:.3e}, not below -64 dim_+ eps |L++| = "
+                               f"{-floor:.3e}")
     # the pattern of L++ does not depend on the friction, epsilon or model
     order = ops.basis.derived("h0_last_order", lambda _: _h0_last_order(ops.L))
     if not np.array_equal(order[len(ops.idx_plus):], ops.idx0):
@@ -178,7 +186,7 @@ def build_decomposition(ops: ModelOperators,
         ops=ops, h1_rows=rows, Q1=q1, A10=q1.T @ block,
         L11=l11, S11=s11,
         pi1_idempotency_residual=pi1_idem, pi1_range_residual=pi1_range,
-        l11_symmetry_residual=l11_sym, factor=factor,
+        l11_symmetry_residual=l11_sym, top=top, factor=factor,
     )
 
 
@@ -214,23 +222,27 @@ def macroscopic_coercivity(dec: Decomposition) -> float:
 
 def schur_complement(dec: Decomposition,
                      tol_identity: float = DEFAULT_TOL_IDENTITY) -> np.ndarray:
-    """The Schur complement on H0, through two routes.
+    """The Schur complement on H0, route one, proved equal to route two.
 
-    Route one is the trailing block of ``dec.factor``, the H0-last LU of L.
-    Route two, through the square invertible A10, is the trailing block of an
-    LU of L++ bordered by Q1.  Both are algebraically equal, so disagreement
-    flags a conditioning problem or a wrong H1 split rather than a modelling
-    one.  Symmetry and negative definiteness are asserted at ``tol_identity``
-    except for the thermostated model, whose extended reversal fixes ker S
-    only up to a sign.  Nothing is stored.
+    Route one, the trailing block of ``dec.factor``, is A_{+0}^T M A_{+0} with
+    M = L++^{-1}; route two, through the stored H1 split, is B^T M B with
+    B = Q1 A10.  With E = A_{+0} - B on ``h1_rows`` and |M| <= 1/|top| they
+    differ by at most (2|B||E| + |E|^2)/|top|, which must be within ROUTE_RTOL
+    of route one's largest entry.  Symmetry and negative definiteness are
+    asserted at ``tol_identity`` except for the thermostated model, whose
+    extended reversal fixes ker S only up to a sign.  Nothing is stored.
     """
     ops, lu, n = dec.ops, dec.factor.lu, len(dec.ops.idx_plus)
     s0 = (lu.L[n:, n:] @ lu.U[n:, n:]).toarray()
-    route2 = _schur_route2(dec)
-    denom = max(float(np.linalg.norm(s0)), np.finfo(float).tiny)
-    rel = float(np.linalg.norm(s0 - route2)) / denom
+    b = dec.Q1 @ dec.A10
+    norm_b = operator_norm_upper(b)
+    norm_e = operator_norm_upper(ops.apl0[dec.h1_rows].toarray() - b)
+    gap = norm_e * (2.0 * norm_b + norm_e) / abs(dec.top)
+    rel = gap / max(float(np.max(np.abs(s0))), np.finfo(float).tiny)
     if not rel <= ROUTE_RTOL:
-        raise NumericalFailure(f"Schur complement routes disagree: relative gap {rel:.3e}")
+        raise NumericalFailure(f"Schur complement routes not proved to agree: "
+                               f"|A_+0 - Q1 A10| <= {norm_e:.3e} bounds their relative gap "
+                               f"by {rel:.3e}, above {ROUTE_RTOL:.0e}")
     if ops.model.model != "adaptive_langevin":
         sym_res = float(np.max(np.abs(s0 - s0.T)))
         scale = max(float(np.max(np.abs(s0))), 1.0)
@@ -300,7 +312,7 @@ def _h0_last_order(L) -> np.ndarray:
 def _h0_last_lu(mat, what: str = "H0-last LU of L"):
     """SuperLU of ``mat``, in elimination order, without pivoting, named ``what`` in
     failures.  The order ends in the zero-diagonal block: with sym L++ negative
-    definite and the border (A_{+0} or Q1) of full column rank, every leading block
+    definite and the border A_{+0} of full column rank, every leading block
     has a definite symmetric part, so elimination in order is stable; pivoting is refused."""
     try:
         lu = spla.splu(sp.csc_matrix(mat), permc_spec="NATURAL", diag_pivot_thresh=0.0)
@@ -326,29 +338,6 @@ class H0LastLU:
         return x
 
 
-def _schur_route2(dec: Decomposition) -> np.ndarray:
-    """A10^T s1^{-1} A10 with s1 = L11 - L12 L22^{-1} L21, H2 never formed,
-    read off the trailing block of an unpivoted LU of L++ bordered by Q1.
-
-    s1 is the Schur complement of L22 in L++ in H1/H2 coordinates (L22 is
-    nonsingular: lambda_max(sym L22) <= lambda_max(sym L++) < 0 by Cauchy
-    interlacing), so s1^{-1} = Q1^T L++^{-1} Q1.  Eliminating H+, in the
-    order of ``dec.factor``, from K = [[L++, Q1], [Q1^T, 0]] leaves T = -s1^{-1}.
-    Route one borders L++ by A_{+0} = Q1 A10 instead, so the routes agree
-    only if the H1 split (Q1, A10) the bound reads does.
-    """
-    ops = dec.ops
-    n, lpp, q1 = len(ops.idx_plus), ops.Lpp.tocoo(), sp.coo_matrix(dec.Q1)
-    pos = np.empty(n, dtype=np.intp)  # where each H+ coordinate sits in the order
-    pos[np.searchsorted(ops.idx_plus, dec.factor.order[:n])] = np.arange(n)
-    k = sp.csc_matrix((np.concatenate([lpp.data, q1.data, q1.data]),
-                       (np.concatenate([pos[lpp.row], pos[dec.h1_rows[q1.row]], n + q1.col]),
-                        np.concatenate([pos[lpp.col], n + q1.col, pos[dec.h1_rows[q1.row]]]))),
-                      shape=(n + dec.dim0,) * 2)
-    lu = _h0_last_lu(k, "dissipation failure on H2: Q1-bordered LU of L++")
-    return -dec.A10.T @ (lu.L[n:, n:] @ lu.U[n:, n:]).toarray() @ dec.A10
-
-
 # ---------------------------------------------------------------------------
 # exact resolvent norm
 # ---------------------------------------------------------------------------
@@ -371,7 +360,9 @@ def exact_resolvent_norm(L, method: str = "auto",
     applications do not suffice, ARPACK does not converge, the Ritz residual or
     the backward error of the final solves exceeds RITZ_RTOL or BACKWARD_RTOL,
     or sigma_min <= 64 n eps sigma_max (on the LU path the upper bound
-    sqrt(|L|_1 |L|_inf) >= sigma_max takes its place).
+    sqrt(|L|_1 |L|_inf) >= sigma_max takes its place), or, after that verdict,
+    |L z|/|z| >= sigma_min at the last iterate z misses sigma_min by RITZ_RTOL:
+    a matvec, whose rounding the conditioning of L does not amplify.
     """
     if method not in ("auto", "dense", "iterative"):
         raise ConfigError([f"unknown method {method!r}"])
@@ -381,19 +372,25 @@ def exact_resolvent_norm(L, method: str = "auto",
         method = "dense" if n < dense_threshold else "iterative"
     if method == "dense":
         sv = sla.svdvals(mat.toarray())
-        smin, smax = float(sv[-1]), float(sv[0])
+        smin, smax, quotient = float(sv[-1]), float(sv[0]), float(sv[-1])
     else:
         smax = operator_norm_upper(mat)
-        smin = _lanczos_sigma_min(mat, factor, smax)
+        smin, quotient = _lanczos_sigma_min(mat, factor, smax)
     if not smin > 64 * n * np.finfo(float).eps * smax:
         ratio = smin / smax if smax > 0 else 0.0
         raise NumericalFailure(f"exact_resolvent_norm: L numerically singular, "
                                f"sigma_min/sigma_max = {ratio:.3e}")
+    if not abs(quotient - smin) <= RITZ_RTOL * smin:
+        raise NumericalFailure(f"exact_resolvent_norm: sigma_min {smin:.6e} inaccurate: "
+                               f"|L z|/|z| = {quotient:.6e} at its vector z, relative gap "
+                               f"{abs(quotient - smin) / smin:.3e} above {RITZ_RTOL:.0e}")
     return 1.0 / smin
 
 
-def _lanczos_sigma_min(mat: sp.csc_matrix, factor: H0LastLU | None, smax: float) -> float:
-    """sigma_min of a sparse square matrix from ARPACK on (L^T L)^{-1}."""
+def _lanczos_sigma_min(mat: sp.csc_matrix, factor: H0LastLU | None,
+                       smax: float) -> tuple[float, float]:
+    """sigma_min of a sparse square matrix from ARPACK on (L^T L)^{-1}, and the
+    quotient |L z|/|z| at the last iterate z = (L^T L)^{-1} x."""
     if factor is None:
         order = _h0_last_order(mat)
         lu = _h0_last_lu(mat[order][:, order], "exact_resolvent_norm: H0-last LU of L")
@@ -439,8 +436,9 @@ def _lanczos_sigma_min(mat: sp.csc_matrix, factor: H0LastLU | None, smax: float)
         raise NumericalFailure(f"exact_resolvent_norm: Ritz residual {ritz:.3e} of "
                                f"(L^T L)^-1 exceeds {RITZ_RTOL:.0e}")
     # the LU must solve L itself, not only agree with its own iterates
-    _check_backward_error([(mat.T @ u - x, u), (mat @ z - u, z)], smax, "exact_resolvent_norm")
-    return float(1.0 / np.sqrt(lam))
+    lz = mat @ z
+    _check_backward_error([(mat.T @ u - x, u), (lz - u, z)], smax, "exact_resolvent_norm")
+    return float(1.0 / np.sqrt(lam)), _nrm2(lz) / _nrm2(z)
 
 
 def _check_backward_error(solves, scale: float, where: str) -> None:

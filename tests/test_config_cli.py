@@ -336,7 +336,8 @@ def test_cli_tiny_beta_closed_forms_do_not_raise(tmp_path, capsys):
     assert (code, err) == (0, [])
     code, err = _main_without_warnings(["bound", "--config", str(path)], capsys)
     assert code == 3 and len(err) == 1
-    assert err[0].startswith("NumericalFailure: dissipation failure on H2: Q1-bordered LU")
+    assert err[0].startswith("NumericalFailure: dissipation failure on H2: Gershgorin bound "
+                             "of sym L++ reaches -1.000e+00, not below -64 dim_+ eps |L++|")
 
 
 def test_cli_adl_huge_friction_bound_is_one_numerical_failure(capsys):
@@ -345,6 +346,40 @@ def test_cli_adl_huge_friction_bound_is_one_numerical_failure(capsys):
     code, err = _main_without_warnings(["bound", "--config", cfg, "--gamma", "1e200"], capsys)
     assert (code, err) == (3, ["NumericalFailure: exact_resolvent_norm: (L^T L)^-1 x is not "
                                "finite, L numerically singular"])
+
+
+@pytest.mark.parametrize("mass", ["1e100", "1e300"])
+def test_cli_huge_mass_bound_is_a_dissipation_failure(tmp_path, capsys, mass):
+    # gamma/m sits far below the rounding of a transport of size 1/sqrt(m), and
+    # the Schur complement's definiteness check failed on that rounding (exit 1)
+    path = tmp_path / "heavy.cfg"
+    path.write_text(f"model = langevin\nmass = {mass}\npotential = {COS_Q}\nn_q = 4\nn_p = 4\n")
+    code, err = _main_without_warnings(["bound", "--config", str(path)], capsys)
+    assert code == 3 and len(err) == 1
+    assert err[0].startswith(f"NumericalFailure: dissipation failure on H2: Gershgorin bound "
+                             f"of sym L++ reaches -1.000e-{mass[2:]}, not below")
+
+
+@pytest.mark.parametrize("model", ["langevin", "boltzmann_rhmc", "adaptive_langevin"])
+def test_cli_vanishing_friction_bound_is_a_dissipation_failure(capsys, model):
+    # Langevin and RHMC overflowed in the route check, the thermostat's LU pivoted
+    cfg = os.path.join(CONFIGS, "adl_1d.cfg" if model == "adaptive_langevin"
+                       else "langevin_1d.cfg")
+    argv = ["bound", "--config", cfg, "--model", model, "--gamma", "1e-300"]
+    code, err = _main_without_warnings(argv, capsys)
+    assert code == 3 and len(err) == 1
+    assert err[0].startswith("NumericalFailure: dissipation failure on H2: Gershgorin bound "
+                             "of sym L++ reaches -1.000e-300, not below")
+
+
+def test_cli_adl_small_friction_exact_norm_is_checked_by_one_matvec(capsys):
+    # at gamma = 1e-5 the Lanczos sigma_min is 3.4e-6 off a dense SVD, and
+    # |L z|/|z| at its own vector sees it
+    cfg = os.path.join(CONFIGS, "adl_1d.cfg")
+    code, err = _main_without_warnings(["bound", "--config", cfg, "--gamma", "1e-5"], capsys)
+    assert code == 3 and len(err) == 1
+    assert err[0].startswith("NumericalFailure: exact_resolvent_norm: sigma_min ")
+    assert "inaccurate: |L z|/|z| = " in err[0]
 
 
 def test_cli_rhmc_large_friction_bound_exits_zero(cfg_path, tmp_path, capsys):

@@ -216,87 +216,33 @@ def test_schur_routes_agree_adl(adl_dec):
     assert s0.shape == (adl_dec.dim0, adl_dec.dim0)
 
 
-def test_schur_route2_does_not_reuse_route1_lu(langevin_ops):
-    # route one through the H0-last LU of a perturbed L++ must disagree with
-    # route two, which factors L++ bordered by Q1 itself
-    dec = build_decomposition(langevin_ops)
-    order = dec.factor.order
-    # route one's matrix comes in H0-last order, H+ first
-    shift = sp.diags(1e-3 * (np.arange(langevin_ops.dim) < len(langevin_ops.idx_plus)))
-    perturbed = schur._h0_last_lu(langevin_ops.L[order][:, order] + shift)
-    with pytest.raises(NumericalFailure, match="routes disagree"):
-        schur_complement(dataclasses.replace(dec, factor=schur.H0LastLU(perturbed, order)))
-
-
 def test_non_finite_route_one_is_a_disagreement(langevin_dec):
     lu = langevin_dec.factor.lu
     nan_lu = SimpleNamespace(L=lu.L, U=lu.U * np.nan)
     factor = schur.H0LastLU(nan_lu, langevin_dec.factor.order)
-    with pytest.raises(NumericalFailure, match="routes disagree"):
+    with pytest.raises(NumericalFailure, match="routes not proved to agree"):
         schur_complement(dataclasses.replace(langevin_dec, factor=factor))
-
-
-def test_failed_bordered_factorization_is_reported(langevin_ops, monkeypatch):
-    dec = build_decomposition(langevin_ops)
-
-    def singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(spla, "splu", singular)
-    with pytest.raises(NumericalFailure, match=r"dissipation failure on H2: Q1-bordered LU "
-                                               r"of L\+\+ failed, numerically singular"):
-        schur_complement(dec)
 
 
 def test_pivoted_h0_last_lu_is_refused(langevin_ops, monkeypatch):
     # partial pivoting swaps rows of either factor; the trailing block of a
-    # pivoted factor need not be the Schur complement, so it is refused.
-    # Route one's LU comes first, in build_decomposition, then route two's.
-    real, calls = spla.splu, []
+    # pivoted factor need not be the Schur complement, so it is refused
+    real = spla.splu
 
     def pivoting(mat, **kwargs):
-        calls.append(mat)
-        if len(calls) >= first:
-            kwargs["diag_pivot_thresh"] = 1.0
+        kwargs["diag_pivot_thresh"] = 1.0
         return real(mat, **kwargs)
 
     monkeypatch.setattr(spla, "splu", pivoting)
-    for first, message in ((1, "H0-last LU of L pivoted"),
-                           (2, r"dissipation failure on H2: Q1-bordered LU of L\+\+ pivoted")):
-        calls.clear()
-        with pytest.raises(NumericalFailure, match=message):
-            schur_complement(build_decomposition(langevin_ops))
-
-
-@pytest.mark.parametrize("which", ["langevin", "rhmc", "adl"])
-def test_route2_s1_read_off_the_solve_is_the_h2_schur_complement(which, langevin_dec,
-                                                                  rhmc_dec, adl_dec):
-    # the trailing block of the Q1-bordered LU is -Q1^T L++^{-1} Q1 = -s1^{-1},
-    # s1 = L11 - L12 L22^{-1} L21 the Schur complement of L22 in L++, so route
-    # two is A10^T s1^{-1} A10; the reference forms H2 densely
-    dec = {"langevin": langevin_dec, "rhmc": rhmc_dec, "adl": adl_dec}[which]
-    ops, n, q1 = dec.ops, len(dec.ops.idx_plus), dense_q1(dec)
-    order = schur._h0_last_order(ops.L)
-    lpp = ops.Lpp.toarray()
-    inverse = q1.T @ np.linalg.solve(lpp, q1)
-    pos = np.searchsorted(ops.idx_plus, order[:n])
-    bordered = np.block([[lpp[np.ix_(pos, pos)], q1[pos]], [q1[pos].T,
-                                                          np.zeros((dec.dim0,) * 2)]])
-    lu = schur._h0_last_lu(bordered)
-    trailing = (lu.L[n:, n:] @ lu.U[n:, n:]).toarray()
-    assert np.linalg.norm(trailing + inverse) <= 1e-12 * np.linalg.norm(inverse)
-    q2 = sla.null_space(q1.T)
-    s1 = dec.L11 - q1.T @ lpp @ q2 @ np.linalg.solve(q2.T @ lpp @ q2, q2.T @ lpp @ q1)
-    route2 = schur._schur_route2(dec)
-    expected = dec.A10.T @ np.linalg.solve(s1, dec.A10)
-    assert np.linalg.norm(route2 - expected) <= 1e-12 * np.linalg.norm(expected)
+    with pytest.raises(NumericalFailure, match="H0-last LU of L pivoted"):
+        build_decomposition(langevin_ops)
 
 
 @pytest.mark.parametrize("n_q", [4, 8])
 def test_shared_elimination_fault_fails_the_run(n_q, cos_potential, monkeypatch):
-    # both routes eliminate L++ in one order, so a fault there scales both
-    # alike and the routes agree; the seeded solve against L must catch it,
-    # also below DENSE_THRESHOLD, where the oracle never solves through the LU
+    # a fault in the elimination of L++ scales route one's trailing block, which
+    # the route certificate does not read; the seeded solve against L must catch
+    # it, also below DENSE_THRESHOLD, where the oracle never solves through the LU
     spec = BasisSpec(d=1, n_q=n_q, n_p=8)
     assert (spec.dimension < DENSE_THRESHOLD) == (n_q == 4)  # dim 80 and 152
     real = schur._h0_last_lu
@@ -314,7 +260,7 @@ def test_shared_elimination_fault_fails_the_run(n_q, cos_potential, monkeypatch)
 
 
 def test_schur_complement_makes_no_multi_column_solve(langevin_ops, monkeypatch):
-    # every solve during the two routes takes one right-hand side
+    # every solve behind the Schur complement takes one right-hand side
     real, shapes = spla.splu, []
 
     class Recording:
@@ -340,13 +286,36 @@ def test_schur_complement_makes_no_multi_column_solve(langevin_ops, monkeypatch)
 
 @pytest.mark.parametrize("ops_name", ["langevin_ops", "rhmc_ops", "adl_ops"])
 def test_route_check_covers_the_stored_h1_split(ops_name, request):
-    # the bound and X21 read the stored Q1 and A10, and so does route two,
-    # which borders L++ by Q1: a corrupted block must make the routes disagree
+    # the bound and X21 read the stored Q1 and A10, and so does the route
+    # certificate: scaling either by 1 + 1e-6 leaves E = A_{+0} - Q1 A10 at
+    # 1e-6 A_{+0}, which no longer proves the routes agree
     for block in ("Q1", "A10"):
         dec = build_decomposition(request.getfixturevalue(ops_name))
+        expected = 1e-6 * operator_norm_upper(dec.ops.apl0[dec.h1_rows].toarray())
         getattr(dec, block)[...] *= 1.0 + 1e-6
-        with pytest.raises(NumericalFailure, match="routes disagree: relative gap 2.000e-06"):
+        with pytest.raises(NumericalFailure, match=r"routes not proved to agree: "
+                                                   r"\|A_\+0 - Q1 A10\| <= (\S+) ") as info:
             schur_complement(dec)
+        norm_e = float(str(info.value).split("<= ")[1].split()[0])
+        assert abs(norm_e - expected) <= 1e-3 * expected
+
+
+_CORRUPTIONS = {
+    "q1_column_0": lambda dec: {"Q1": dec.Q1 + 1e-6 * (np.arange(dec.dim0) == 0)},
+    "a10_scaled": lambda dec: {"A10": (1.0 + 1e-7) * dec.A10},
+    "a10_transposed": lambda dec: {"A10": dec.A10.T.copy()},
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+@pytest.mark.parametrize("which", ["langevin", "rhmc", "adl"])
+def test_corrupted_h1_split_fails_the_route_certificate(which, corruption, langevin_dec,
+                                                        rhmc_dec, adl_dec):
+    # route two is never factored: the certificate alone must see each fault
+    dec = {"langevin": langevin_dec, "rhmc": rhmc_dec, "adl": adl_dec}[which]
+    corrupt = dataclasses.replace(dec, **_CORRUPTIONS[corruption](dec))
+    with pytest.raises(NumericalFailure, match="routes not proved to agree"):
+        schur_complement(corrupt)
 
 
 def test_schur_checks_run_at_each_callers_tolerance(langevin_ops):
@@ -636,10 +605,10 @@ def test_exact_resolvent_norm_through_its_own_lu_is_bitwise_the_default(ops_name
 
 
 @pytest.mark.parametrize("model", ["langevin", "boltzmann_rhmc", "adaptive_langevin"])
-def test_one_evaluation_makes_two_sparse_lus(model, cos_potential, monkeypatch):
-    # route two's LU of L++ bordered by Q1, and the H0-last LU of L that
-    # serves route one and that the exact-norm oracle reuses (dim >=
-    # DENSE_THRESHOLD, so it takes its LU path): both unpivoted, in order
+def test_one_evaluation_makes_one_sparse_lu(model, cos_potential, monkeypatch):
+    # the unpivoted H0-last LU of L, whose trailing block is the Schur
+    # complement and which the exact-norm oracle reuses (dim >=
+    # DENSE_THRESHOLD, so it takes its LU path); route two is not factored
     xi = model == "adaptive_langevin"
     spec = BasisSpec(d=1, n_q=8, n_p=8, n_xi=6 if xi else 0)
     model_spec = ModelSpec(model=model, gamma=1.0, epsilon=1.0 if xi else None)
@@ -652,7 +621,7 @@ def test_one_evaluation_makes_two_sparse_lus(model, cos_potential, monkeypatch):
 
     monkeypatch.setattr(spla, "splu", counting)
     _evaluate(model_spec, spec, cos_potential, constants, DEFAULT_TOL_IDENTITY, 1e-12)
-    assert calls == ["NATURAL", "NATURAL"]
+    assert calls == ["NATURAL"]
 
 
 def test_oracle_and_pipeline_leave_no_reference_cycles(adl_ops, cos_potential):
@@ -685,6 +654,21 @@ def test_exact_resolvent_norm_default_rejects_singular(tiny):
     mat = sp.diags([diag, np.ones(n - 1)], [0, 1], format="csr")
     with pytest.raises(NumericalFailure, match="exact_resolvent_norm.*singular"):
         exact_resolvent_norm(mat)
+
+
+def test_exact_resolvent_norm_checks_sigma_min_against_one_matvec(adl_ops, monkeypatch):
+    # a sigma_min 1e-6 off passes ARPACK's own checks but not |L z|/|z| >= sigma_min
+    real = schur._lanczos_sigma_min
+
+    def off(*args):
+        smin, quotient = real(*args)
+        return (1.0 + 1e-6) * smin, quotient
+
+    monkeypatch.setattr(schur, "_lanczos_sigma_min", off)
+    with pytest.raises(NumericalFailure, match=r"exact_resolvent_norm: sigma_min \S+ "
+                                               r"inaccurate: \|L z\|/\|z\| = \S+ at its "
+                                               r"vector z, relative gap 1.000e-06"):
+        exact_resolvent_norm(adl_ops.L)
 
 
 def test_backward_error_check_does_not_overflow():
