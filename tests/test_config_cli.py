@@ -305,6 +305,19 @@ def test_cli_huge_friction_bound_is_one_numerical_failure(capsys):
         "L numerically singular"]
 
 
+@pytest.mark.parametrize("n_q", [4, 8])
+def test_cli_small_friction_rhmc_is_no_invariant_violation(n_q, tmp_path, capsys):
+    # at (8, 64), a rung of both configs, route one's rounding (~1/gamma) makes S0
+    # visibly asymmetric; that is no broken identity (exit 1).  The oracle's accuracy
+    # gap there sits near RITZ_RTOL, so exit 0 and 3 both stand
+    path = tmp_path / "rhmc.cfg"
+    path.write_text(f"model = boltzmann_rhmc\npotential = {COS_Q}\ngamma = 1e-4\n"
+                    f"n_q = {n_q}\nn_p = 64\n")
+    code, err = _main_without_warnings(["bound", "--config", str(path)], capsys)
+    assert code in (0, 3)
+    assert not any("symmetry" in line for line in err)
+
+
 def test_cli_huge_beta_lemmas(tmp_path, capsys):
     # 16 / beta**2 in the Villani lemma overflowed a Python float at beta = 1e300
     path = tmp_path / "hot.cfg"

@@ -161,18 +161,14 @@ def test_rhmc_bound_rejects_other_models(langevin_ops):
         rhmc_bound(dec, {})
 
 
-def test_model_bound_report_passes_tol_identity_to_rhmc_bound(monkeypatch, cos_potential):
-    received = []
-
-    def recording(*args, **kwargs):
-        received.append(kwargs.get("tol_identity"))
-        return rhmc_bound(*args, **kwargs)
-
-    monkeypatch.setattr(hypoco.models, "rhmc_bound", recording)
-    model_bound_report(ModelSpec(model="boltzmann_rhmc", gamma=1.0),
-                       BasisSpec(d=1, n_q=4, n_p=4), potential=cos_potential,
-                       check_convergence=False, tol_identity=1e-9)
-    assert received == [1e-9]
+def test_rhmc_bound_checks_collision_value_on_h1_exactly(rhmc_ops):
+    # S one value on H1 passes _model_norms; that value must be -gamma itself
+    s = np.where(rhmc_ops.basis.p_degree == 1, 2.0 * rhmc_ops.S, rhmc_ops.S)
+    ops = ModelOperators(model=rhmc_ops.model, basis=rhmc_ops.basis, A=rhmc_ops.A, S=s,
+                         pi0=rhmc_ops.pi0, reversal=rhmc_ops.reversal)
+    with pytest.raises(InvariantViolation,
+                       match=r"collision S on H1 is -2\.0, not -gamma = -1\.0"):
+        rhmc_bound(build_decomposition(ops), {})
 
 
 # ---------------------------------------------------------------------------
