@@ -692,6 +692,26 @@ def build_basis(spec: BasisSpec, potential: Potential | None = None) -> BasisSet
     return basis
 
 
+class TransportCache(OrderedDict):
+    """The friction-free half of each evaluation: ``derived(name, build, *sources)``
+    is ``build()``, made once per name and source objects (a transport A, never a
+    basis or entries), whose ids key it; it holds them, so no id is reused.  The
+    4 * BASIS_CACHE_SIZE most recently used values are kept, read-only."""
+
+    def derived(self, name, build, *sources):
+        key = (name, *map(id, sources))
+        if key not in self:
+            self[key] = (sources, _read_only(build()))
+            if len(self) > 4 * BASIS_CACHE_SIZE:
+                self.popitem(last=False)
+        self.move_to_end(key)
+        return self[key][1]
+
+
+TRANSPORTS = TransportCache()
+
+
 def clear_basis_cache() -> None:
-    """Drop every basis :func:`build_basis` keeps."""
+    """Drop every basis :func:`build_basis` keeps and every value of :data:`TRANSPORTS`."""
     _BASES.clear()
+    TRANSPORTS.clear()

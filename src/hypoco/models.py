@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .basis import DEFAULT_TOL_IDENTITY, BasisSpec, Potential, build_basis
+from .basis import DEFAULT_TOL_IDENTITY, TRANSPORTS, BasisSpec, Potential, build_basis
 from .constants import constants_cutoff, constants_summary
 from .errors import ConfigError, InvariantViolation, NumericalFailure
 from .operators import ModelOperators, ModelSpec, assemble_model, verify_structural_assumptions
@@ -31,17 +31,19 @@ from .schur import (ASTAR_A_RTOL, CONVERGENCE_RTOL, BoundReport, Decomposition,
 def norm_X_hamiltonian_squared(ops: ModelOperators) -> float:
     """Squared norm of (1-Pi0) A^2 Pi0 (A_{+0}* A_{+0})^{-1}.
 
-    Needs only the assembled antisymmetric part, so it also runs on problem
-    sizes where the full H1/H2 split is never built.
+    Needs only the assembled antisymmetric part A, once per A object, so it
+    also runs on problem sizes where the full H1/H2 split is never built.
     """
-    # from Hermite degree 0, A^2 reaches degree <= 2 only: solve on its nonzero rows
-    a2 = (ops.A @ ops.A[:, ops.idx0].tocsc())[ops.idx_plus]
-    rows = np.flatnonzero(a2.getnnz(axis=1))
-    try:
-        x_mat = np.linalg.solve(ops.apl0_gram, a2[rows].toarray().T).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"macroscopic coercivity failure: {exc}") from exc
-    return float(operator_norm(x_mat) ** 2)
+    def build():
+        # from Hermite degree 0, A^2 reaches degree <= 2 only: solve on its nonzero rows
+        a2 = (ops.A @ ops.A[:, ops.idx0].tocsc())[ops.idx_plus]
+        rows = np.flatnonzero(a2.getnnz(axis=1))
+        try:
+            x_mat = np.linalg.solve(ops.apl0_gram, a2[rows].toarray().T).T
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"macroscopic coercivity failure: {exc}") from exc
+        return float(operator_norm(x_mat) ** 2)
+    return TRANSPORTS.derived("X2", build, ops.A)
 
 
 def _model_norms(dec: Decomposition) -> dict:
@@ -150,10 +152,13 @@ def adl_AstarA_residual(ops: ModelOperators) -> float:
         raise ConfigError(["A*A identity check applies to adaptive_langevin only"])
     spec = ops.basis.spec
     m, beta, eps, d = spec.mass, spec.beta, ops.model.epsilon, spec.d
-    xi_number, witten = ops.basis.derived("adl_AstarA_blocks", _adl_AstarA_blocks)
-    analytic = (2.0 * d / (m**2 * beta**2 * eps**2)) * xi_number + witten / (m * beta)
-    scale = max(float(np.max(np.abs(analytic))), 1.0)
-    residual = float(np.max(np.abs(ops.apl0_gram - analytic))) / scale
+
+    def build():
+        xi_number, witten = ops.basis.derived("adl_AstarA_blocks", _adl_AstarA_blocks)
+        analytic = (2.0 * d / (m**2 * beta**2 * eps**2)) * xi_number + witten / (m * beta)
+        scale = max(float(np.max(np.abs(analytic))), 1.0)
+        return float(np.max(np.abs(ops.apl0_gram - analytic))) / scale
+    residual = TRANSPORTS.derived(("AstarA", eps), build, ops.A)
     if residual > ASTAR_A_RTOL:
         raise InvariantViolation(f"NH assembly error: A*A residual {residual:.3e}")
     return residual
@@ -188,9 +193,9 @@ def adl_bound(dec: Decomposition, constants: dict) -> tuple[float, dict]:
     residual = adl_AstarA_residual(ops)
     norms = intermediate_norms(dec)
     beta, d, eps, m = ops.model.beta, ops.basis.spec.d, ops.model.epsilon, ops.model.mass
-    _, witten = ops.basis.derived("adl_AstarA_blocks", _adl_AstarA_blocks)
     xi0 = ops.basis.xi_degree[ops.idx0] == 0  # mean-zero position functions
-    k_nu2 = float(np.linalg.eigvalsh(witten[np.ix_(xi0, xi0)])[0])
+    k_nu2 = ops.basis.derived("adl_K_nu2", lambda b: float(np.linalg.eigvalsh(
+        b.derived("adl_AstarA_blocks", _adl_AstarA_blocks)[1][np.ix_(xi0, xi0)])[0]))
     floor = adl_a_squared(beta, d, eps, k_nu2, m)
     # relative to the floor's own size, which reaches 1e9 at m = 1e-9
     if norms["a"] ** 2 < floor - 1e-8 * max(floor, 1.0):

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import DEFAULT_TOL_IDENTITY, BasisSet, Potential, fourier_mult, position_deriv
+from .basis import DEFAULT_TOL_IDENTITY, TRANSPORTS, BasisSet, fourier_mult, position_deriv
 from .errors import ConfigError
 
 MODELS = ("langevin", "boltzmann_rhmc", "adaptive_langevin")
@@ -96,7 +96,7 @@ def _nosehoover_span(basis: BasisSet) -> sp.csr_matrix:
     if not spec.n_xi:
         raise ConfigError(["model/basis mismatch: thermostat coupling needs the xi coordinate"])
     m, herm = spec.mass, basis.herm
-    w = (herm.mult2 - herm.variance * np.eye(herm.n + 1)) / m**2
+    w = (herm.mult2 - herm.variance * np.eye(herm.n + 1)) / m / m  # m**2 overflows at 1e155
     z = 0.5 * (herm.mult @ herm.anti + herm.anti @ herm.mult)
     out = None
     for i in range(spec.d):
@@ -158,7 +158,7 @@ class ModelOperators:
     held as 1-D arrays of their diagonals.  H0 = ker S is the Hermite
     momentum degree-0 block ``idx0`` and H+ its complement ``idx_plus``.
     Each block is sliced once, when first read, and kept while the bundle
-    lives; one bundle serves one evaluation.
+    lives, A_{+0} once per A object; one bundle serves one evaluation.
     """
 
     model: ModelSpec
@@ -195,8 +195,8 @@ class ModelOperators:
 
     @cached_property
     def apl0(self) -> sp.csr_matrix:
-        """A_{+0}, the transport from H0 into H+."""
-        return self.A[self.idx_plus][:, self.idx0]
+        """A_{+0}, the transport from H0 into H+, sliced once per transport."""
+        return TRANSPORTS.derived("apl0", lambda: self.A[self.idx_plus][:, self.idx0], self.A)
 
     @cached_property
     def apl0_gram(self) -> np.ndarray:
@@ -226,21 +226,24 @@ def assemble_model(basis: BasisSet, model: ModelSpec) -> ModelOperators:
     """Assemble A (antisymmetric part), S (symmetric part) and companions.
 
     Pi0, R, the transport pieces and L_FD do not depend on gamma or epsilon
-    and are shared read-only through the basis; each call forms S, the
-    thermostat A for its epsilon, and L.
+    and are shared read-only through the basis, the thermostat A at each
+    epsilon through ``TRANSPORTS``, which keys friction-free values on A.
+    Each call forms S and L.
     """
     _check_model_basis(basis, model)
     pi0 = assemble_pi0(basis)
     rev = assemble_reversal(basis)
-    if model.model == "langevin":
-        a = assemble_hamiltonian(basis)
-        s = model.gamma * assemble_fd(basis)
-    elif model.model == "boltzmann_rhmc":
-        a = assemble_hamiltonian(basis)
+    a = h = assemble_hamiltonian(basis)
+    if model.model == "boltzmann_rhmc":
         s = assemble_boltzmann_collision(basis, model.gamma)
+    elif not model.gamma * float(-np.min(assemble_fd(basis), initial=0.0)) < np.inf:
+        raise ConfigError([f"friction gamma = {model.gamma!r} over mass = {model.mass!r} "
+                           "overflows S = gamma L_FD, which reaches gamma d n_p / m"])
     else:
-        a = assemble_hamiltonian(basis) + assemble_nosehoover(basis) / model.epsilon
         s = model.gamma * assemble_fd(basis)
+    if model.model == "adaptive_langevin":
+        a = TRANSPORTS.derived(("thermostat", model.epsilon),
+                               lambda: h + assemble_nosehoover(basis) / model.epsilon, h)
     return ModelOperators(model=model, basis=basis, A=a, S=s, pi0=pi0, reversal=rev)
 
 
@@ -291,16 +294,19 @@ def verify_structural_assumptions(ops: ModelOperators,
     separately and does not gate `passed` for the thermostated model.
     """
     A, S, P, R = ops.A, ops.S, ops.pi0, ops.reversal
-    a = A.tocoo()
-    i, j, v = a.row, a.col, a.data
+
+    def transport_residuals():
+        i, j, v = (a := A.tocoo()).row, a.col, a.data
+        return _max_abs(P[i] * v * P[j]), _max_abs(R[i] * v * R[j] + v), _max_abs((A + A.T).data)
+    pi0_a_pi0, r_a_r, antisymmetry = TRANSPORTS.derived("verify", transport_residuals, A, P, R)
     res = {
-        "pi0_A_pi0": _max_abs(P[i] * v * P[j]),
+        "pi0_A_pi0": pi0_a_pi0,
         "S_pi0": _max_abs(S * P),
         "pi0_S": _max_abs(P * S),
         "R_squared": _max_abs(R * R - 1.0),
         "R_S_R_minus_S": _max_abs(R * S * R - S),
-        "R_A_R_plus_A": _max_abs(R[i] * v * R[j] + v),
-        "A_antisymmetry": _max_abs((A + A.T).data),
+        "R_A_R_plus_A": r_a_r,
+        "A_antisymmetry": antisymmetry,
         "S_symmetry": 0.0,
         "pi0_projector": _max_abs(P * P - P),
         "R_pi0_commutator": _max_abs(R * P - P * R),

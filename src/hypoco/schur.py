@@ -26,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .basis import DEFAULT_TOL_IDENTITY
+from .basis import DEFAULT_TOL_IDENTITY, TRANSPORTS
 from .errors import ConfigError, InvariantViolation, NumericalFailure
 from .operators import AssumptionReport, ModelOperators
 
@@ -84,7 +84,8 @@ class Decomposition:
     is stored.  H2 is never formed: it is reached through the projector P2 =
     1 - Q1 Q1^T, as |Q2^T Y| = |P2 Y|, so P2 L++ Q1 = L++ Q1 - Q1 L11 stands in
     for L21.  A10 is square (dim H1 = dim0) and invertible whenever the build
-    succeeded.  ``top`` is the Gershgorin bound on lambda_max(sym L++), proved
+    succeeded; Q1 and A10 are this decomposition's own copies of its transport's
+    split.  ``top`` is the Gershgorin bound on lambda_max(sym L++), proved
     below rounding level, so |L++^{-1}| <= 1/|top|.  ``factor`` is the unpivoted
     H0-last LU of L.
     """
@@ -111,11 +112,12 @@ def build_decomposition(ops: ModelOperators,
                         tol_identity: float = DEFAULT_TOL_IDENTITY) -> Decomposition:
     """Split H+ into H1 = ran(A_{+0}) and H2 = ran(P2) by pivoted QR; factor L.
 
-    A maps Hermite degree 0 only into degree 1 (degree <= 2 with the
-    thermostat coupling), so the QR runs on the nonzero rows of A_{+0}.
-    ``rank_tol`` multiplies the leading R diagonal of the pivoted QR; any
-    trailing diagonal below that threshold means A_{+0} lost rank, i.e. the
-    coarse-grained transport has a flat direction.
+    A maps Hermite degree 0 only into degree 1 (degree <= 2 with the thermostat
+    coupling), so the QR runs on the nonzero rows of A_{+0}, once per transport
+    ``ops.A``; the tolerances judge it on every call.  ``rank_tol`` multiplies the
+    leading R diagonal; a trailing diagonal below that threshold means A_{+0} lost
+    rank (a flat direction of the coarse transport), unless A_{+0} has full rank
+    with unit rows: row scaling keeps the rank, so A10 is ill-conditioned (exit 3).
 
     Where R is one sign on ``h1_rows``, RAR = -A leaves A nothing between them, so
     L11 = S11, which the bound reads in its place: L11 is held symmetric there.
@@ -128,20 +130,27 @@ def build_decomposition(ops: ModelOperators,
     order the basis keeps, and H0 last, after Gershgorin proves sym L++ < 0
     by more than 64 dim H+ eps |L++|: a dissipation at rounding level is refused.
     """
+    def split():
+        rows = np.flatnonzero(ops.apl0.getnnz(axis=1))
+        block = ops.apl0[rows].toarray()
+        q1, r, _piv = sla.qr(block, mode="economic", pivoting=True)
+        a10 = q1.T @ block
+        scale = max(operator_norm_upper(block), 1.0)
+        pi1_range = float(np.max(np.abs(q1 @ a10 - block), initial=0.0)) / scale
+        pi1_idem = float(np.max(np.abs(q1.T @ q1 - np.eye(q1.shape[1])), initial=0.0))
+        return rows, q1, np.abs(np.diag(r)), a10, pi1_range, pi1_idem
+    rows, q1, diag, a10, pi1_range, pi1_idem = TRANSPORTS.derived("h1_split", split, ops.A)
     dim0 = len(ops.idx0)
-    rows = np.flatnonzero(ops.apl0.getnnz(axis=1))
-    block = ops.apl0[rows].toarray()
-    q1, r, _piv = sla.qr(block, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > rank_tol * diag[0])) if diag.size else 0
     if rank < dim0:
-        raise InvariantViolation(
-            f"macroscopic coercivity failure: rank(A10) = {rank} < dim H0 = {dim0}"
-        )
-
-    scale = max(operator_norm_upper(block), 1.0)
-    pi1_range = float(np.max(np.abs(q1 @ (q1.T @ block) - block))) / scale
-    pi1_idem = float(np.max(np.abs(q1.T @ q1 - np.eye(dim0))))
+        block = ops.apl0[rows].toarray()
+        scaled = block / np.max(np.abs(block), axis=1, keepdims=True)
+        r = np.abs(np.diag(sla.qr(scaled, mode="r", pivoting=True)[0]))
+        ill = r.size >= dim0 and int(np.sum(r > rank_tol * r[0])) == dim0
+        raise (NumericalFailure if ill else InvariantViolation)(
+            f"macroscopic coercivity failure: rank(A10) = {rank} < dim H0 = {dim0}" + (
+                f", smallest |R_ii|/|R_00| = {diag.min() / diag[0]:.3e}, but A_+0 has full rank "
+                "with its rows scaled to unit size: A10 is ill-conditioned" if ill else ""))
     if max(pi1_range, pi1_idem) > tol_identity:
         raise InvariantViolation(
             f"H1 projector residuals exceed tolerance: range {pi1_range:.3e}, "
@@ -188,7 +197,7 @@ def build_decomposition(ops: ModelOperators,
     y = factor.solve(b)
     _check_backward_error([(ops.L @ y - b, y)], operator_norm_upper(ops.L), "Schur complement")
     return Decomposition(
-        ops=ops, h1_rows=rows, Q1=q1, A10=q1.T @ block,
+        ops=ops, h1_rows=rows, Q1=q1.copy(), A10=a10.copy(),
         L11=l11, S11=s11,
         pi1_idempotency_residual=pi1_idem, pi1_range_residual=pi1_range,
         l11_symmetry_residual=l11_sym, top=top, factor=factor,
@@ -211,13 +220,13 @@ def operator_norm_upper(mat) -> float:
 
 
 def macroscopic_coercivity(dec: Decomposition) -> float:
-    """Smallest singular value a of A10, i.e. the coarse transport gap.
+    """Smallest singular value a of A10, i.e. the coarse transport gap, once per transport.
 
     No analytic floor is checked here: for Langevin and RHMC none holds at
     a finite cutoff, and the thermostat's is checked by
     :func:`hypoco.models.adl_bound` at the operators' own cutoff.
     """
-    return float(sla.svdvals(dec.A10)[-1])
+    return TRANSPORTS.derived("a", lambda: float(sla.svdvals(dec.A10)[-1]), dec.ops.A)
 
 
 # ---------------------------------------------------------------------------

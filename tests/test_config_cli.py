@@ -373,6 +373,44 @@ def test_cli_huge_mass_bound_is_a_dissipation_failure(tmp_path, capsys, mass):
                              f"of sym L++ reaches -1.000e-{mass[2:]}, not below")
 
 
+def test_cli_overflowing_friction_over_mass_is_a_config_error(tmp_path, capsys):
+    # S = gamma L_FD reaches gamma n_p / m = 4e500, which overflowed in the multiply
+    path = tmp_path / "light.cfg"
+    path.write_text(SMALL_CFGS["langevin"].replace("mass = 1.0", "mass = 1e-300")
+                    .replace("gamma = 1.0", "gamma = 1e200"))
+    code, err = _main_without_warnings(["verify", "--config", str(path)], capsys)
+    assert (code, err) == (2, ["ConfigError: friction gamma = 1e+200 over mass = 1e-300 "
+                               "overflows S = gamma L_FD, which reaches gamma d n_p / m"])
+
+
+@pytest.mark.parametrize("mass, rank", [("1e300", 40), ("1e-300", 36)])
+def test_cli_extreme_thermostat_mass_is_assembled_and_ill_conditioned(tmp_path, capsys,
+                                                                     mass, rank):
+    # the thermostat coupling divided by m**2, which overflowed a Python float at
+    # m = 1e300 and underflowed to a division by zero at m = 1e-300
+    path = tmp_path / "thermostat.cfg"
+    path.write_text(SMALL_CFGS["adaptive_langevin"].replace("mass = 1.0", f"mass = {mass}"))
+    code, err = _main_without_warnings(["verify", "--config", str(path)], capsys)
+    assert (code, err) == (0, [])
+    code, err = _main_without_warnings(["bound", "--config", str(path)], capsys)
+    assert code == 3 and len(err) == 1
+    assert err[0].startswith(f"NumericalFailure: macroscopic coercivity failure: rank(A10) = "
+                             f"{rank} < dim H0 = 44, smallest |R_ii|/|R_00| = ")
+    assert err[0].endswith("A10 is ill-conditioned")
+
+
+@pytest.mark.parametrize("epsilon, rank", [("1e200", 84), ("1e-200", 78)])
+def test_cli_extreme_thermostat_coupling_is_a_conditioning_failure(capsys, epsilon, rank):
+    # A10 has full rank in exact arithmetic, and so has A_+0 with its rows scaled to
+    # unit size; its rank test sees coupling scales eps apart, not a flat direction
+    cfg = os.path.join(CONFIGS, "adl_1d.cfg")
+    argv = ["bound", "--config", cfg, "--epsilon-range", epsilon]
+    code, err = _main_without_warnings(argv, capsys)
+    assert code == 3 and len(err) == 1
+    assert err[0].startswith(f"NumericalFailure: macroscopic coercivity failure: rank(A10) = "
+                             f"{rank} < dim H0 = 90, smallest |R_ii|/|R_00| = ")
+
+
 @pytest.mark.parametrize("model", ["langevin", "boltzmann_rhmc", "adaptive_langevin"])
 def test_cli_vanishing_friction_bound_is_a_dissipation_failure(capsys, model):
     # Langevin and RHMC overflowed in the route check, the thermostat's LU pivoted
