@@ -579,28 +579,15 @@ class BasisSet:
         self._keep_span = keep
 
     def _build_index_arrays(self):
-        spec = self.spec
-        inner = self.inner
-        dim_h = spec.dimension
-        n_t = spec.n_pos - 1
-
-        p_degree = np.zeros(dim_h, dtype=int)
-        xi_degree = np.zeros(dim_h, dtype=int)
-        # remaining columns: decode the span index they select
-        rem = self._keep_span
-        r = rem % inner
-        nxi_tot = spec.n_xi_tot
-        herm_part = r // nxi_tot
-        xi_part = r % nxi_tot
-        digits = np.zeros((spec.d, rem.size), dtype=int)
-        h = herm_part.copy()
-        for i in range(spec.d - 1, -1, -1):
-            digits[i] = h % (spec.n_p + 1)
-            h //= spec.n_p + 1
-        p_degree[n_t:] = digits.sum(axis=0)
-        xi_degree[n_t:] = xi_part
-        self.p_degree = p_degree
-        self.xi_degree = xi_degree
+        spec, n_t = self.spec, self.spec.n_pos - 1
+        self.p_degree = np.zeros(spec.dimension, dtype=int)
+        self.xi_degree = np.zeros(spec.dimension, dtype=int)
+        # past the n_t mean-zero position columns: the degrees of the span index each selects
+        herm, xi = np.divmod(self._keep_span % self.inner, spec.n_xi_tot)
+        self.xi_degree[n_t:] = xi
+        for _ in range(spec.d):
+            herm, digit = np.divmod(herm, spec.n_p + 1)
+            self.p_degree[n_t:] += digit
 
     # -- assembly helpers ----------------------------------------------------
 

@@ -42,6 +42,8 @@ def norm_X_hamiltonian_squared(ops: ModelOperators) -> float:
             x_mat = np.linalg.solve(ops.apl0_gram, a2[rows].toarray().T).T
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"macroscopic coercivity failure: {exc}") from exc
+        if not np.all(np.isfinite(x_mat)):
+            raise NumericalFailure("X^2: X = (1 - Pi0) A^2 Pi0 (A_+0* A_+0)^-1 is not finite")
         return float(operator_norm(x_mat) ** 2)
     return TRANSPORTS.derived("X2", build, ops.A)
 

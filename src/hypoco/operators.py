@@ -156,9 +156,8 @@ class ModelOperators:
 
     A is antisymmetric and sparse; S, Pi0 and the reversal are diagonal and
     held as 1-D arrays of their diagonals.  H0 = ker S is the Hermite
-    momentum degree-0 block ``idx0`` and H+ its complement ``idx_plus``.
-    Each block is sliced once, when first read, and kept while the bundle
-    lives, A_{+0} once per A object; one bundle serves one evaluation.
+    momentum degree-0 block ``idx0`` and H+ its complement ``idx_plus``.  Its one
+    sparse block, A_{+0}, is sliced once per A object; one bundle serves one evaluation.
     """
 
     model: ModelSpec
@@ -184,10 +183,6 @@ class ModelOperators:
     @cached_property
     def idx_plus(self) -> np.ndarray:
         return np.where(self.basis.p_degree > 0)[0]
-
-    @cached_property
-    def Lpp(self) -> sp.csr_matrix:
-        return self.L[self.idx_plus][:, self.idx_plus]
 
     @cached_property
     def Spp(self) -> np.ndarray:

@@ -127,8 +127,9 @@ def build_decomposition(ops: ModelOperators,
     that meets H2 (of codimension dim1 in H+), so |R22| >= 1 = |R|.
 
     The factor is the unpivoted LU of L with H+ first, in the nested-dissection
-    order the basis keeps, and H0 last, after Gershgorin proves sym L++ < 0
-    by more than 64 dim H+ eps |L++|: a dissipation at rounding level is refused.
+    order the basis keeps, and H0 last, after Gershgorin proves sym L++ < 0 by
+    more than 64 dim H+ eps |L++|, both read off A's sums plus the diagonal S: a
+    dissipation at rounding level is refused.  Nothing H+ x H+ is sliced.
     """
     def split():
         rows = np.flatnonzero(ops.apl0.getnnz(axis=1))
@@ -157,12 +158,13 @@ def build_decomposition(ops: ModelOperators,
             f"idempotency {pi1_idem:.3e}"
         )
 
-    l11 = q1.T @ (ops.Lpp[rows][:, rows] @ q1)
+    h1 = ops.idx_plus[rows]
+    l11 = q1.T @ (ops.L[h1][:, h1] @ q1)
     s11 = q1.T @ (ops.Spp[rows, None] * q1)
     l11_sym = float(np.max(np.abs(l11 - l11.T)))
     # L11's entries scale like 1/mass, so its asymmetry is judged against them
     l11_scale = max(float(np.max(np.abs(l11))), 1.0)
-    one_sign = np.unique(ops.reversal[ops.idx_plus[rows]]).size == 1
+    one_sign = np.unique(ops.reversal[h1]).size == 1
     if one_sign and l11_sym > tol_identity * l11_scale:
         raise InvariantViolation(
             f"L11 symmetry residual {l11_sym:.3e} exceeds tolerance {tol_identity:g} "
@@ -179,9 +181,9 @@ def build_decomposition(ops: ModelOperators,
         raise InvariantViolation(f"build_decomposition: |R22| = 1 not proved, sign counts "
                                  f"(+1, -1) = {counts} of R on H+ not above dim H1 = {dim0}")
 
-    top = gershgorin_max(0.5 * (ops.Lpp + ops.Lpp.T))
+    top, norm_lpp, norm_l = _dissipation_bounds(ops)
     # the floor of exact_resolvent_norm's singularity verdict, with |L++| bounded above
-    floor = 64 * len(ops.idx_plus) * np.finfo(float).eps * operator_norm_upper(ops.Lpp)
+    floor = 64 * len(ops.idx_plus) * np.finfo(float).eps * norm_lpp
     if not top < -floor:
         raise NumericalFailure(f"dissipation failure on H2: Gershgorin bound of sym L++ "
                                f"reaches {top:.3e}, not below -64 dim_+ eps |L++| = "
@@ -195,7 +197,7 @@ def build_decomposition(ops: ModelOperators,
     # trailing block alone, and below DENSE_THRESHOLD the oracle never solves through it
     b = np.random.default_rng(0).standard_normal(ops.dim)
     y = factor.solve(b)
-    _check_backward_error([(ops.L @ y - b, y)], operator_norm_upper(ops.L), "Schur complement")
+    _check_backward_error([(ops.L @ y - b, y)], norm_l, "Schur complement")
     return Decomposition(
         ops=ops, h1_rows=rows, Q1=q1.copy(), A10=a10.copy(),
         L11=l11, S11=s11,
@@ -204,11 +206,25 @@ def build_decomposition(ops: ModelOperators,
     )
 
 
-def gershgorin_max(sym) -> float:
-    """Upper bound max_i (a_ii + sum_{j != i} |a_ij|) on the top eigenvalue
-    of a sparse symmetric matrix."""
-    diag = sym.diagonal()
-    return float(np.max(diag - np.abs(diag) + np.asarray(abs(sym).sum(axis=1)).ravel()))
+def _dissipation_bounds(ops: ModelOperators) -> tuple[float, float, float]:
+    """Gershgorin's ``top`` >= lambda_max(sym L++), and sqrt(|.|_1 |.|_inf) >= |L++|, |L|.
+    S is diagonal, so each adds S to sums of A made once per transport: sym A++'s
+    Gershgorin rows, read, not assumed zero, and the |.| column and row sums of A++
+    and A, to which |S| is added, as |a + s| <= |a| + |s|."""
+    def sums():
+        abs_a, sym, idx = abs(ops.A), 0.5 * (ops.A + ops.A.T), ops.idx_plus
+        plus, diag = (ops.basis.p_degree > 0).astype(float), sym.diagonal()
+        return ((diag - np.abs(diag) + abs(sym) @ plus)[idx], (abs_a.T @ plus)[idx],
+                (abs_a @ plus)[idx], abs_a.T @ np.ones(ops.dim), abs_a @ np.ones(ops.dim))
+    gershgorin, cols_pp, rows_pp, cols, rows = TRANSPORTS.derived("dissipation", sums, ops.A)
+    s, spp = np.abs(ops.S), np.abs(ops.Spp)
+    return (float(np.max(ops.Spp + gershgorin)), _norm_upper(cols_pp + spp, rows_pp + spp),
+            _norm_upper(cols + s, rows + s))
+
+
+def _norm_upper(col_sums, row_sums) -> float:
+    """sqrt(norm_1 * norm_inf) from a matrix's absolute column and row sums."""
+    return float(np.sqrt(col_sums.max()) * np.sqrt(row_sums.max()))
 
 
 def operator_norm_upper(mat) -> float:
@@ -216,7 +232,7 @@ def operator_norm_upper(mat) -> float:
     if mat.size == 0:
         return 0.0
     a = abs(mat)
-    return float(np.sqrt(a.sum(axis=0).max()) * np.sqrt(a.sum(axis=1).max()))
+    return _norm_upper(a.sum(axis=0), a.sum(axis=1))
 
 
 def macroscopic_coercivity(dec: Decomposition) -> float:
@@ -486,7 +502,7 @@ def norm_X21(dec: Decomposition) -> float:
     this differs from |L21 A10^{-1}|.  P2 L++ Q1 is formed only on ``h1_rows``
     and the rows L++ reaches from them: it vanishes on every other row.
     """
-    lpp_h1 = dec.ops.Lpp[:, dec.h1_rows]
+    lpp_h1 = dec.ops.L[:, dec.ops.idx_plus[dec.h1_rows]][dec.ops.idx_plus]
     rows = np.union1d(dec.h1_rows, np.flatnonzero(lpp_h1.getnnz(axis=1)))
     p2lq1 = lpp_h1[rows] @ dec.Q1
     p2lq1[np.searchsorted(rows, dec.h1_rows)] -= dec.Q1 @ dec.L11

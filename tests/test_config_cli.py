@@ -267,6 +267,28 @@ def test_cli_tiny_mass_bound_exits_zero(tmp_path, capsys):
     assert (code, err) == (0, [])
 
 
+def test_cli_non_finite_x_is_one_numerical_failure(tmp_path, capsys):
+    # at beta = 1e-8, m = 1e-300, X = (1 - Pi0) A^2 Pi0 (A_+0* A_+0)^-1 comes out
+    # non-finite; its SVD used to end in a ValueError traceback (exit 1)
+    path = tmp_path / "cold_light.cfg"
+    path.write_text(f"model = langevin\nbeta = 1e-8\nmass = 1e-300\npotential = {COS_Q}\n"
+                    "n_q = 4\nn_p = 4\n")
+    code, err = _main_without_warnings(["bound", "--config", str(path)], capsys)
+    assert code == 3
+    assert err == ["NumericalFailure: X^2: X = (1 - Pi0) A^2 Pi0 (A_+0* A_+0)^-1 is not finite"]
+
+
+def test_cli_poincare_constant_at_rounding_level_is_one_numerical_failure(tmp_path, capsys):
+    # W is positive semidefinite and the border removes its kernel sqrt(rho), so the
+    # -4.65e-14 that cutoff 128 gives at beta = 20 is rounding: exit 3, not 1
+    path = tmp_path / "wells.cfg"
+    path.write_text("model = langevin\nbeta = 20\npotential = 1:0.5,0;3:0.4,0.2;7:0.3,0\n"
+                    "n_q = 64\nn_p = 4\n")
+    code, err = _main_without_warnings(["constants", "--config", str(path)], capsys)
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith("NumericalFailure: Poincare constant K_nu2 = -")
+
+
 def test_cli_huge_beta_constants(tmp_path, capsys):
     # beta^2 overflowed a Python float; beta/mass = inf is refused as input
     path = tmp_path / "hot.cfg"

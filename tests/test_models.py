@@ -486,22 +486,34 @@ def test_broken_symmetry_fails_the_run(which, part, key, sign, cos_potential, mo
 
 @pytest.mark.parametrize("which", sorted(_MODEL_SPECS))
 def test_each_block_is_sliced_once_per_evaluation(which, cos_potential, monkeypatch):
-    # L++ is the only sparse H+ x H+ slice and A_{+0} the only H+ x H0 one,
-    # each sliced once
-    calls = {"Lpp": 0, "apl0": 0}
-    for name in calls:
-        block = getattr(ModelOperators, name).func
+    # each evaluation reads A_{+0} once, and only the first slices it: it is kept per
+    # transport.  The second slices no H+ x H+ block: L11 and X21 read L on the H1 rows
+    # and columns only, and the dissipation proof adds S to sums of A kept per transport
+    calls, shapes = {"apl0": 0}, []
+    block = ModelOperators.apl0.func
 
-        def counting(self, block=block, name=name):
-            calls[name] += 1
-            return block(self)
+    def counting(self):
+        calls["apl0"] += 1
+        return block(self)
 
-        counted = cached_property(counting)
-        counted.__set_name__(ModelOperators, name)
-        monkeypatch.setattr(ModelOperators, name, counted)
+    counted = cached_property(counting)
+    counted.__set_name__(ModelOperators, "apl0")
+    monkeypatch.setattr(ModelOperators, "apl0", counted)
+    for cls in (sp.csr_matrix, sp.csc_matrix):
+        def recording(self, key, getitem=cls.__getitem__):
+            out = getitem(self, key)
+            shapes.append(getattr(out, "shape", None))
+            return out
+        monkeypatch.setattr(cls, "__getitem__", recording)
     model, spec = _MODEL_SPECS[which]
+    p_degree = build_basis(spec, cos_potential).p_degree
+    n_plus, n0 = int(np.sum(p_degree > 0)), int(np.sum(p_degree == 0))
     model_bound_report(model, spec, cos_potential, check_convergence=False)
-    assert calls == {"Lpp": 1, "apl0": 1}
+    cold = len(shapes)
+    model_bound_report(replace(model, gamma=2.0), spec, cos_potential, check_convergence=False)
+    assert calls == {"apl0": 2}
+    assert (n_plus, n0) in shapes[:cold]
+    assert (n_plus, n0) not in shapes[cold:] and (n_plus, n_plus) not in shapes[cold:]
 
 
 # ---------------------------------------------------------------------------

@@ -349,7 +349,8 @@ def test_trailing_block_of_h0_last_lu_is_the_schur_complement(which, langevin_de
     assert np.array_equal(np.sort(order[:n]), ops.idx_plus)
     assert np.array_equal(order[n:], ops.idx0)
     apl0 = ops.apl0.toarray()
-    dense = apl0.T @ np.linalg.solve(ops.Lpp.toarray(), apl0)
+    lpp = ops.L[ops.idx_plus][:, ops.idx_plus].toarray()
+    dense = apl0.T @ np.linalg.solve(lpp, apl0)
     trailing = (lu.L[n:, n:] @ lu.U[n:, n:]).toarray()
     assert np.linalg.norm(trailing - dense) <= 1e-12 * np.linalg.norm(dense)
 
@@ -723,7 +724,7 @@ def test_theorem_bound_rejects_bad_inputs():
 def _t3_identity_residual(dec):
     """Relative residual of T3* T3 = -(S on H+)^{-1}, behind the bound's 3/s term,
     against dense inverses of L++ and S++."""
-    lpp = dec.ops.Lpp.toarray()
+    lpp = dec.ops.L[dec.ops.idx_plus][:, dec.ops.idx_plus].toarray()
     spp = np.diag(dec.ops.Spp)
     linv = np.linalg.inv(lpp)
     sym = -0.5 * (linv + linv.T)
@@ -898,6 +899,47 @@ def test_theorem_bound_holds_on_abstract_generators():
         margins.append(bound / exact_resolvent_norm(ops.L, factor=dec.factor))
     assert len(margins) >= 270
     assert min(margins) >= 1.0
+
+
+def _gershgorin_and_norm_bounds(ops):
+    """Gershgorin's bound on lambda_max(sym L++) and the |L++| and |L| bounds, on L itself."""
+    lpp = ops.L[ops.idx_plus][:, ops.idx_plus]
+    sym = 0.5 * (lpp + lpp.T)
+    diag = sym.diagonal()
+    top = float(np.max(diag - np.abs(diag) + np.asarray(abs(sym).sum(axis=1)).ravel()))
+    return top, operator_norm_upper(lpp), operator_norm_upper(ops.L)
+
+
+@pytest.mark.parametrize("which", ["langevin", "rhmc", "adl"])
+def test_dissipation_bounds_read_off_the_transport_match_those_of_l(which, langevin_ops,
+                                                                    rhmc_ops, adl_ops):
+    # A is antisymmetric, so S is all of sym L++: top is bitwise Gershgorin's on L++,
+    # and the norm bounds differ from those summed on L only in the summation order
+    ops = {"langevin": langevin_ops, "rhmc": rhmc_ops, "adl": adl_ops}[which]
+    top, norm_lpp, norm_l = schur._dissipation_bounds(ops)
+    direct = _gershgorin_and_norm_bounds(ops)
+    assert top == direct[0] == float(np.max(ops.Spp))
+    assert norm_lpp == pytest.approx(direct[1], rel=1e-15)
+    assert norm_l == pytest.approx(direct[2], rel=1e-15)
+
+
+def test_dissipation_bounds_hold_for_a_transport_with_a_symmetric_part():
+    # the per-transport sums read sym A++ and |A| instead of assuming A antisymmetric,
+    # so top and both norm bounds still bound the values taken on L itself
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        ops = _abstract_generator(rng)
+        sym = rng.standard_normal((ops.dim, ops.dim)) * (rng.random((ops.dim, ops.dim)) < 0.4)
+        a = ops.A + sp.csr_matrix(0.5 * (sym + sym.T))
+        ops = ModelOperators(model=None, basis=ops.basis, A=a, S=ops.S, pi0=ops.pi0,
+                             reversal=ops.reversal)
+        top, norm_lpp, norm_l = schur._dissipation_bounds(ops)
+        direct_top, direct_lpp, direct_l = _gershgorin_and_norm_bounds(ops)
+        rounding = 1e-14 * direct_lpp
+        assert direct_top - rounding <= top <= direct_top + rounding
+        assert direct_top > float(np.max(ops.Spp)) + 0.1  # so top = max(S++) would fail
+        assert norm_lpp >= direct_lpp * (1 - 1e-15)
+        assert norm_l >= direct_l * (1 - 1e-15)
 
 
 @settings(max_examples=25, deadline=None)
