@@ -683,13 +683,14 @@ class TransportCache(OrderedDict):
     """The friction-free half of each evaluation: ``derived(name, build, *sources)``
     is ``build()``, made once per name and source objects (a transport A, never a
     basis or entries), whose ids key it; it holds them, so no id is reused.  The
-    4 * BASIS_CACHE_SIZE most recently used values are kept, read-only."""
+    8 * BASIS_CACHE_SIZE most recently used values are kept, read-only: a transport
+    holds 8 (the thermostat's 9), so one per basis :func:`build_basis` keeps fits."""
 
     def derived(self, name, build, *sources):
         key = (name, *map(id, sources))
         if key not in self:
             self[key] = (sources, _read_only(build()))
-            if len(self) > 4 * BASIS_CACHE_SIZE:
+            if len(self) > 8 * BASIS_CACHE_SIZE:
                 self.popitem(last=False)
         self.move_to_end(key)
         return self[key][1]

@@ -158,6 +158,7 @@ class ModelOperators:
     held as 1-D arrays of their diagonals.  H0 = ker S is the Hermite
     momentum degree-0 block ``idx0`` and H+ its complement ``idx_plus``.  Its one
     sparse block, A_{+0}, is sliced once per A object; one bundle serves one evaluation.
+    S is diagonal, so L and its blocks are refilled from A's, kept with H+ diagonal slots.
     """
 
     model: ModelSpec
@@ -169,11 +170,37 @@ class ModelOperators:
     L: sp.csr_matrix = field(init=False)
 
     def __post_init__(self):
-        self.L = sp.csr_matrix(self.A + diagonal(self.S))
+        self.L = self.refill(self.pattern())
 
     @property
     def dim(self) -> int:
         return self.L.shape[0]
+
+    def pattern(self, take=None) -> tuple:
+        """Friction-free pattern of ``take(L)``, a block sliced from L (all of L, kept per
+        transport, without ``take``): A's block with an explicit zero slot on each H+
+        diagonal entry it meets, those slots' positions in its data, and their indices."""
+        if take is None:
+            return TRANSPORTS.derived("L", lambda: self.pattern(lambda m: m), self.A)
+        a, plus = self.A.tocoo(), self.idx_plus
+        full = sp.csr_matrix((np.r_[a.data, np.zeros(plus.size)],
+                              (np.r_[a.row, plus], np.r_[a.col, plus])), shape=a.shape)
+        # sliced with its entries numbered, the block says where each of its entries sits
+        block = take(sp.csr_matrix((np.arange(full.nnz, dtype=float), full.indices,
+                                    full.indptr), shape=a.shape))
+        pos = block.data.astype(np.intp)
+        rows = np.repeat(np.arange(a.shape[0]), np.diff(full.indptr))[pos]
+        slots = np.flatnonzero((full.indices[pos] == rows) & (self.basis.p_degree[rows] > 0))
+        block.data = full.data[pos]
+        return block, slots, rows[slots]
+
+    def refill(self, pattern: tuple):
+        """The block whose :meth:`pattern` this is, bitwise as if sliced from A + diag(S):
+        S is added into the slots of a copy of its data; its index arrays are shared."""
+        block, slots, src = pattern
+        data = block.data.copy()
+        data[slots] += self.S[src]
+        return type(block)((data, block.indices, block.indptr), shape=block.shape)
 
     @cached_property
     def idx0(self) -> np.ndarray:

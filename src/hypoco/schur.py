@@ -131,16 +131,7 @@ def build_decomposition(ops: ModelOperators,
     more than 64 dim H+ eps |L++|, both read off A's sums plus the diagonal S: a
     dissipation at rounding level is refused.  Nothing H+ x H+ is sliced.
     """
-    def split():
-        rows = np.flatnonzero(ops.apl0.getnnz(axis=1))
-        block = ops.apl0[rows].toarray()
-        q1, r, _piv = sla.qr(block, mode="economic", pivoting=True)
-        a10 = q1.T @ block
-        scale = max(operator_norm_upper(block), 1.0)
-        pi1_range = float(np.max(np.abs(q1 @ a10 - block), initial=0.0)) / scale
-        pi1_idem = float(np.max(np.abs(q1.T @ q1 - np.eye(q1.shape[1])), initial=0.0))
-        return rows, q1, np.abs(np.diag(r)), a10, pi1_range, pi1_idem
-    rows, q1, diag, a10, pi1_range, pi1_idem = TRANSPORTS.derived("h1_split", split, ops.A)
+    (rows, q1, diag, a10, pi1_range, pi1_idem), (l11_pattern, *_) = _h1_split(ops)
     dim0 = len(ops.idx0)
     rank = int(np.sum(diag > rank_tol * diag[0])) if diag.size else 0
     if rank < dim0:
@@ -159,7 +150,7 @@ def build_decomposition(ops: ModelOperators,
         )
 
     h1 = ops.idx_plus[rows]
-    l11 = q1.T @ (ops.L[h1][:, h1] @ q1)
+    l11 = q1.T @ (ops.refill(l11_pattern) @ q1)
     s11 = q1.T @ (ops.Spp[rows, None] * q1)
     l11_sym = float(np.max(np.abs(l11 - l11.T)))
     # L11's entries scale like 1/mass, so its asymmetry is judged against them
@@ -192,7 +183,9 @@ def build_decomposition(ops: ModelOperators,
     order = ops.basis.derived("h0_last_order", lambda _: _h0_last_order(ops.L))
     if not np.array_equal(order[len(ops.idx_plus):], ops.idx0):
         raise InvariantViolation("H0-last order: the zero diagonal of L is not ker S")
-    factor = H0LastLU(_h0_last_lu(ops.L[order][:, order]), order)
+    ordered = TRANSPORTS.derived("h0_last", lambda: ops.pattern(
+        lambda m: sp.csc_matrix(m[order][:, order])), ops.A, order)
+    factor = H0LastLU(_h0_last_lu(ops.refill(ordered)), order)
     # only this solve sees a fault in eliminating L++: the route certificate reads the
     # trailing block alone, and below DENSE_THRESHOLD the oracle never solves through it
     b = np.random.default_rng(0).standard_normal(ops.dim)
@@ -204,6 +197,26 @@ def build_decomposition(ops: ModelOperators,
         pi1_idempotency_residual=pi1_idem, pi1_range_residual=pi1_range,
         l11_symmetry_residual=l11_sym, top=top, factor=factor,
     )
+
+
+def _h1_split(ops: ModelOperators) -> tuple:
+    """A_{+0}'s split by pivoted QR on its nonzero rows and the friction-free patterns of
+    L's blocks read on it, kept per transport: L11's on H1 x H1, and L++'s on X21's rows
+    (of H+: the H1 rows and those L++ reaches from H1, kept with it) x H1."""
+    def split():
+        rows = np.flatnonzero(ops.apl0.getnnz(axis=1))
+        block = ops.apl0[rows].toarray()
+        q1, r, _piv = sla.qr(block, mode="economic", pivoting=True)
+        a10 = q1.T @ block
+        scale = max(operator_norm_upper(block), 1.0)
+        pi1_range = float(np.max(np.abs(q1 @ a10 - block), initial=0.0)) / scale
+        pi1_idem = float(np.max(np.abs(q1.T @ q1 - np.eye(q1.shape[1])), initial=0.0))
+        plus, h1 = ops.idx_plus, ops.idx_plus[rows]
+        x21_rows = np.union1d(rows, np.flatnonzero(ops.L[:, h1][plus].getnnz(axis=1)))
+        return ((rows, q1, np.abs(np.diag(r)), a10, pi1_range, pi1_idem),
+                (ops.pattern(lambda m: m[h1][:, h1]), x21_rows,
+                 ops.pattern(lambda m: m[plus[x21_rows]][:, h1])))
+    return TRANSPORTS.derived("h1_split", split, ops.A)
 
 
 def _dissipation_bounds(ops: ModelOperators) -> tuple[float, float, float]:
@@ -502,9 +515,8 @@ def norm_X21(dec: Decomposition) -> float:
     this differs from |L21 A10^{-1}|.  P2 L++ Q1 is formed only on ``h1_rows``
     and the rows L++ reaches from them: it vanishes on every other row.
     """
-    lpp_h1 = dec.ops.L[:, dec.ops.idx_plus[dec.h1_rows]][dec.ops.idx_plus]
-    rows = np.union1d(dec.h1_rows, np.flatnonzero(lpp_h1.getnnz(axis=1)))
-    p2lq1 = lpp_h1[rows] @ dec.Q1
+    _, rows, pattern = _h1_split(dec.ops)[1]
+    p2lq1 = dec.ops.refill(pattern) @ dec.Q1
     p2lq1[np.searchsorted(rows, dec.h1_rows)] -= dec.Q1 @ dec.L11
     return operator_norm(np.linalg.solve(dec.A10, p2lq1.T).T)
 

@@ -1,6 +1,7 @@
 """The friction-free half of an evaluation is made once per transport A object."""
 
 import tracemalloc
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -8,13 +9,13 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from hypoco.basis import TRANSPORTS, BasisSpec, build_basis, clear_basis_cache
+from hypoco.basis import TRANSPORTS, BasisSpec, Potential, build_basis, clear_basis_cache
 from hypoco.constants import constants_summary
 from hypoco.errors import InvariantViolation
 from hypoco.models import model_bound_report
-from hypoco.operators import (ModelOperators, ModelSpec, assemble_model,
+from hypoco.operators import (ModelOperators, ModelSpec, assemble_model, diagonal,
                               verify_structural_assumptions)
-from hypoco.schur import build_decomposition, schur_complement
+from hypoco.schur import build_decomposition, norm_X21, schur_complement
 
 SPEC = BasisSpec(d=1, n_q=8, n_p=8)
 LANGEVIN = ModelSpec(model="langevin", gamma=1.0)
@@ -140,3 +141,99 @@ def test_repeated_passes_hold_no_more_memory(cos_potential, constants):
     (current, peak), (last_current, last_peak) = held[0], held[-1]
     assert last_current <= current + 64 * 1024
     assert last_peak <= peak + 64 * 1024
+
+
+_COS_2D = "1 0:0.5,0;0 1:0.5,0"
+_REFILLED = [
+    (LANGEVIN, BasisSpec(d=1, n_q=8, n_p=32), None),
+    (ModelSpec(model="boltzmann_rhmc", gamma=1.0), BasisSpec(d=1, n_q=16, n_p=16), None),
+    (ModelSpec(model="adaptive_langevin", gamma=1.0, epsilon=0.5),
+     BasisSpec(d=1, n_q=6, n_p=6, n_xi=6), None),
+    (ModelSpec(model="adaptive_langevin", gamma=1.0, epsilon=2.0),
+     BasisSpec(d=1, n_q=6, n_p=6, n_xi=6), None),
+    (ModelSpec(model="langevin", gamma=1.0, d=2), BasisSpec(d=2, n_q=3, n_p=3), _COS_2D),
+]
+
+
+def _assert_bitwise(mat, expected):
+    assert type(mat) is type(expected) and mat.shape == expected.shape
+    for part in ("indptr", "indices", "data"):
+        got, want = getattr(mat, part), getattr(expected, part)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), part
+
+
+@pytest.mark.parametrize("gamma", [1e-4, 1.0, 1e3])
+@pytest.mark.parametrize("model, spec, text", _REFILLED)
+def test_refilled_blocks_are_bitwise_the_slices_of_a_plus_s(model, spec, text, gamma,
+                                                             cos_potential, monkeypatch):
+    # L and each block an evaluation reads are refilled from a friction-free pattern;
+    # values, zero signs, indices and indptr must be those of slicing A + diag(S)
+    potential = cos_potential if text is None else Potential.from_string(text, d=spec.d)
+    basis = build_basis(spec, potential)
+    assemble_model(basis, model)  # the patterns are kept from a first friction
+    refilled, refill = [], ModelOperators.refill
+
+    def recording(self, pattern):
+        refilled.append(refill(self, pattern))
+        return refilled[-1]
+
+    monkeypatch.setattr(ModelOperators, "refill", recording)
+    ops = assemble_model(basis, replace(model, gamma=gamma))
+    dec = build_decomposition(ops)
+    norm_X21(dec)
+    L = sp.csr_matrix(ops.A + diagonal(ops.S))
+    plus, order, h1 = ops.idx_plus, dec.factor.order, ops.idx_plus[dec.h1_rows]
+    lpp_h1 = L[:, h1][plus]
+    x21_rows = np.union1d(dec.h1_rows, np.flatnonzero(lpp_h1.getnnz(axis=1)))
+    expected = [L, L[h1][:, h1], sp.csc_matrix(L[order][:, order]), lpp_h1[x21_rows]]
+    assert len(refilled) == len(expected)
+    for mat, want in zip(refilled, expected):
+        _assert_bitwise(mat, want)
+    _assert_bitwise(ops.L, L)
+
+
+@pytest.mark.parametrize("model, spec", [
+    (LANGEVIN, SPEC),
+    (ModelSpec(model="boltzmann_rhmc", gamma=1.0), SPEC),
+    (ModelSpec(model="adaptive_langevin", gamma=1.0, epsilon=0.5),
+     BasisSpec(d=1, n_q=4, n_p=4, n_xi=4)),
+])
+def test_a_warm_evaluation_adds_no_entry_and_slices_only_a_plus_zero(model, spec,
+                                                                      cos_potential,
+                                                                      constants, monkeypatch):
+    # at a second friction on a cached transport, L and its blocks are refilled, not
+    # sliced: the only slice left reads A_{+0} on its H1 rows, for the route certificate
+    model_bound_report(model, spec, cos_potential, constants=constants,
+                       check_convergence=False)
+    ops = assemble_model(build_basis(spec, cos_potential), model)
+    apl0_h1 = (len(build_decomposition(ops).h1_rows), len(ops.idx0))
+    entries, shapes = len(TRANSPORTS), []
+    for cls in (sp.csr_matrix, sp.csc_matrix):
+        def recording(self, key, getitem=cls.__getitem__):
+            out = getitem(self, key)
+            shapes.append(out.shape)
+            return out
+        monkeypatch.setattr(cls, "__getitem__", recording)
+    model_bound_report(replace(model, gamma=3.0), spec, cos_potential, constants=constants,
+                       check_convergence=False)
+    assert len(TRANSPORTS) == entries
+    assert shapes in ([], [apl0_h1])
+
+
+def test_twenty_transports_fit_the_cache(cos_potential, constants):
+    # the benchmark's 1-d sweep runs 15 transports a pass at seed 0, and 20 at a seed
+    # that draws the RHMC points' potential apart from Langevin's: values per transport
+    # past the cache's capacity would evict and rebuild every value on every pass
+    specs = [BasisSpec(d=1, n_q=n_q, n_p=n_p) for n_q in (3, 4, 5, 6) for n_p in range(3, 8)]
+
+    def one_round():
+        for spec in specs:
+            model_bound_report(LANGEVIN, spec, cos_potential, constants=constants,
+                               check_convergence=False)
+
+    one_round()
+    held = dict(TRANSPORTS)
+    assert len({id(sources[0]) for sources, _ in held.values()}) == len(specs)
+    one_round()
+    assert len(TRANSPORTS) == len(held)
+    assert all(TRANSPORTS.get(key) is value for key, value in held.items())
