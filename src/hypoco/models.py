@@ -9,6 +9,7 @@ decomposition plus a constants dictionary as produced by
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -157,7 +158,8 @@ def adl_AstarA_residual(ops: ModelOperators) -> float:
 
     def build():
         xi_number, witten = ops.basis.derived("adl_AstarA_blocks", _adl_AstarA_blocks)
-        analytic = (2.0 * d / (m**2 * beta**2 * eps**2)) * xi_number + witten / (m * beta)
+        xi_scale = 2.0 * d / _squares("(m beta eps)^2", m, beta, eps)
+        analytic = xi_scale * xi_number + witten / (m * beta)
         scale = max(float(np.max(np.abs(analytic))), 1.0)
         return float(np.max(np.abs(ops.apl0_gram - analytic))) / scale
     residual = TRANSPORTS.derived(("AstarA", eps), build, ops.A)
@@ -169,7 +171,19 @@ def adl_AstarA_residual(ops: ModelOperators) -> float:
 def adl_a_squared(beta: float, d: int, epsilon: float, K_nu2: float,
                   mass: float = 1.0) -> float:
     """Analytic macroscopic coercivity (1/b) min(2d/(m eps)^2 ... , K_nu^2/m)."""
-    return min(2.0 * d / (mass**2 * epsilon**2), K_nu2 / mass) / beta
+    return min(2.0 * d / _squares("(m eps)^2", mass, epsilon), K_nu2 / mass) / beta
+
+
+def _squares(name: str, *values: float) -> float:
+    """The product of the squares of ``values``, left to right as the closed forms write
+    it, refused where it leaves the float range: divided by, it would give 0 or inf."""
+    try:
+        out = math.prod(v**2 for v in values)
+    except OverflowError:  # a Python float's ** raises where * gives inf
+        out = math.inf
+    if not 0.0 < out < math.inf:
+        raise NumericalFailure(f"thermostat scale {name} = {out!r} leaves the float range")
+    return out
 
 
 def adl_envelope(gamma: float, epsilon: float) -> float:

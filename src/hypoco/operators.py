@@ -96,6 +96,10 @@ def _nosehoover_span(basis: BasisSet) -> sp.csr_matrix:
     if not spec.n_xi:
         raise ConfigError(["model/basis mismatch: thermostat coupling needs the xi coordinate"])
     m, herm = spec.mass, basis.herm
+    # w's largest entry, 2 n_p m/beta on the diagonal, by the same float operations
+    if not ((2 * herm.n + 1) * herm.variance - herm.variance) / m / m < np.inf:
+        raise ConfigError(f"mass = {m!r} and beta = {spec.beta!r} overflow the thermostat "
+                          "coupling (p_i^2 - m/beta)/m^2, with p_i^2 up to (2 n_p + 1) m/beta")
     w = (herm.mult2 - herm.variance * np.eye(herm.n + 1)) / m / m  # m**2 overflows at 1e155
     z = 0.5 * (herm.mult @ herm.anti + herm.anti @ herm.mult)
     out = None
@@ -235,6 +239,8 @@ def _check_model_basis(basis: BasisSet, model: ModelSpec):
         problems.append("model/basis mismatch: model and basis disagree on beta")
     if abs(model.mass - spec.mass) > 1e-12 * spec.mass:
         problems.append("model/basis mismatch: model and basis disagree on mass")
+    if not spec.n_q or not spec.n_p:
+        problems.append(f"n_q = {spec.n_q} and n_p = {spec.n_p} must be >= 1: H0 or H+ is empty")
     needs_xi = model.model == "adaptive_langevin"
     if needs_xi and not spec.n_xi:
         problems.append("model/basis mismatch: adaptive_langevin needs a basis with xi")

@@ -82,12 +82,13 @@ class Decomposition:
     H0 is the coordinate block ``ops.idx0``; Q1 holds the H1 basis on its rows
     ``h1_rows``, the H+ coordinates where A_{+0} is nonzero, and nothing dim H+ tall
     is stored.  H2 is never formed: it is reached through the projector P2 =
-    1 - Q1 Q1^T, as |Q2^T Y| = |P2 Y|, so P2 L++ Q1 = L++ Q1 - Q1 L11 stands in
-    for L21.  A10 is square (dim H1 = dim0) and invertible whenever the build
-    succeeded; Q1 and A10 are this decomposition's own copies of its transport's
-    split.  ``top`` is the Gershgorin bound on lambda_max(sym L++), proved
-    below rounding level, so |L++^{-1}| <= 1/|top|.  ``factor`` is the unpivoted
-    H0-last LU of L.
+    1 - Q1 Q1^T, as |Q2^T Y| = |P2 Y|, so P2 L++ Q1 = LQ1 - Q1 L11 stands in for
+    L21, with ``LQ1`` = L++ Q1 on X21's rows (the H1 rows and those L++ reaches from
+    them) and L11 = Q1^T LQ1 on the H1 rows.  A10 is square (dim H1 = dim0) and
+    invertible whenever the build succeeded; Q1 and A10 are this decomposition's own
+    copies of its transport's split.  ``top`` bounds lambda_max(sym L++) by Gershgorin,
+    proved below rounding level, so |L++^{-1}| <= 1/|top|.  ``factor`` is the
+    unpivoted H0-last LU of L.
     """
 
     ops: ModelOperators
@@ -96,6 +97,7 @@ class Decomposition:
     A10: np.ndarray
     L11: np.ndarray
     S11: np.ndarray
+    LQ1: np.ndarray
     pi1_idempotency_residual: float
     pi1_range_residual: float
     l11_symmetry_residual: float
@@ -131,11 +133,10 @@ def build_decomposition(ops: ModelOperators,
     more than 64 dim H+ eps |L++|, both read off A's sums plus the diagonal S: a
     dissipation at rounding level is refused.  Nothing H+ x H+ is sliced.
     """
-    (rows, q1, diag, a10, pi1_range, pi1_idem), (l11_pattern, *_) = _h1_split(ops)
+    rows, q1, diag, a10, pi1_range, pi1_idem, block, x21_pattern, h1_at = _h1_split(ops)
     dim0 = len(ops.idx0)
     rank = int(np.sum(diag > rank_tol * diag[0])) if diag.size else 0
     if rank < dim0:
-        block = ops.apl0[rows].toarray()
         scaled = block / np.max(np.abs(block), axis=1, keepdims=True)
         r = np.abs(np.diag(sla.qr(scaled, mode="r", pivoting=True)[0]))
         ill = r.size >= dim0 and int(np.sum(r > rank_tol * r[0])) == dim0
@@ -150,7 +151,8 @@ def build_decomposition(ops: ModelOperators,
         )
 
     h1 = ops.idx_plus[rows]
-    l11 = q1.T @ (ops.refill(l11_pattern) @ q1)
+    lq1 = ops.refill(x21_pattern) @ q1
+    l11 = q1.T @ lq1[h1_at]
     s11 = q1.T @ (ops.Spp[rows, None] * q1)
     l11_sym = float(np.max(np.abs(l11 - l11.T)))
     # L11's entries scale like 1/mass, so its asymmetry is judged against them
@@ -193,16 +195,16 @@ def build_decomposition(ops: ModelOperators,
     _check_backward_error([(ops.L @ y - b, y)], norm_l, "Schur complement")
     return Decomposition(
         ops=ops, h1_rows=rows, Q1=q1.copy(), A10=a10.copy(),
-        L11=l11, S11=s11,
+        L11=l11, S11=s11, LQ1=lq1,
         pi1_idempotency_residual=pi1_idem, pi1_range_residual=pi1_range,
         l11_symmetry_residual=l11_sym, top=top, factor=factor,
     )
 
 
 def _h1_split(ops: ModelOperators) -> tuple:
-    """A_{+0}'s split by pivoted QR on its nonzero rows and the friction-free patterns of
-    L's blocks read on it, kept per transport: L11's on H1 x H1, and L++'s on X21's rows
-    (of H+: the H1 rows and those L++ reaches from H1, kept with it) x H1."""
+    """A_{+0}'s split by pivoted QR on its nonzero rows, those rows of A_{+0} dense, and
+    the friction-free pattern of L++ on X21's rows (of H+: the H1 rows and those L++
+    reaches from H1) x H1, with the H1 rows' positions among them, kept per transport."""
     def split():
         rows = np.flatnonzero(ops.apl0.getnnz(axis=1))
         block = ops.apl0[rows].toarray()
@@ -213,9 +215,8 @@ def _h1_split(ops: ModelOperators) -> tuple:
         pi1_idem = float(np.max(np.abs(q1.T @ q1 - np.eye(q1.shape[1])), initial=0.0))
         plus, h1 = ops.idx_plus, ops.idx_plus[rows]
         x21_rows = np.union1d(rows, np.flatnonzero(ops.L[:, h1][plus].getnnz(axis=1)))
-        return ((rows, q1, np.abs(np.diag(r)), a10, pi1_range, pi1_idem),
-                (ops.pattern(lambda m: m[h1][:, h1]), x21_rows,
-                 ops.pattern(lambda m: m[plus[x21_rows]][:, h1])))
+        return (rows, q1, np.abs(np.diag(r)), a10, pi1_range, pi1_idem, block,
+                ops.pattern(lambda m: m[plus[x21_rows]][:, h1]), np.searchsorted(x21_rows, rows))
     return TRANSPORTS.derived("h1_split", split, ops.A)
 
 
@@ -268,18 +269,19 @@ def schur_complement(dec: Decomposition) -> np.ndarray:
 
     Route one, the trailing block of ``dec.factor``, is A_{+0}^T M A_{+0} with
     M = L++^{-1}; route two, through the stored H1 split, is B^T M B with
-    B = Q1 A10.  With E = A_{+0} - B on ``h1_rows`` and |M| <= 1/|top| they
-    differ by at most (2|B||E| + |E|^2)/|top|, which must be within ROUTE_RTOL
-    of route one's largest entry.  Sign and symmetry are proved, not checked:
-    sym L++ <= top < 0 and rank A_{+0} = dim0 give sym S0 = A_{+0}^T sym(M) A_{+0} < 0;
-    where R = 1 on H0, RSR = S and RAR = -A give R++ M R++ = M^T and
-    R++ A_{+0} = -A_{+0}, so S0^T = S0.  Nothing is stored.
+    B = Q1 A10.  With E = A_{+0} - B on ``h1_rows`` (A_{+0} as the transport's split
+    holds it, dense) and |M| <= 1/|top| they differ by at most (2|B||E| + |E|^2)/|top|,
+    which must be within ROUTE_RTOL of route one's largest entry.  Sign and symmetry
+    are proved, not checked: sym L++ <= top < 0 and rank A_{+0} = dim0 give
+    sym S0 = A_{+0}^T sym(M) A_{+0} < 0; where R = 1 on H0, RSR = S and RAR = -A give
+    R++ M R++ = M^T and R++ A_{+0} = -A_{+0}, so S0^T = S0.  Nothing is stored.
     """
-    ops, lu, n = dec.ops, dec.factor.lu, len(dec.ops.idx_plus)
+    lu, n = dec.factor.lu, len(dec.ops.idx_plus)
     s0 = (lu.L[n:, n:] @ lu.U[n:, n:]).toarray()
     b = dec.Q1 @ dec.A10
     norm_b = operator_norm_upper(b)
-    norm_e = operator_norm_upper(ops.apl0[dec.h1_rows].toarray() - b)
+    *_, block, _, _ = _h1_split(dec.ops)
+    norm_e = operator_norm_upper(block - b)
     gap = norm_e * (2.0 * norm_b + norm_e) / abs(dec.top)
     rel = gap / max(float(np.max(np.abs(s0))), np.finfo(float).tiny)
     if not rel <= ROUTE_RTOL:
@@ -335,8 +337,7 @@ def _nested_dissection(graph, leaf: int = 64) -> np.ndarray:
 
 def _h0_last_order(L) -> np.ndarray:
     """H+, the indices where L's diagonal is nonzero, in nested-dissection
-    order of |L++| + |L++^T|, then H0, its zero diagonal."""
-    L = sp.csr_matrix(L)
+    order of |L++| + |L++^T|, then H0, its zero diagonal.  ``L`` is CSR."""
     zero = L.diagonal() == 0
     plus = np.flatnonzero(~zero)
     lpp = abs(L[plus][:, plus])
@@ -400,7 +401,7 @@ def exact_resolvent_norm(L, method: str = "auto",
     """
     if method not in ("auto", "dense", "iterative"):
         raise ConfigError([f"unknown method {method!r}"])
-    mat = sp.csc_matrix(L)
+    mat = sp.csr_matrix(L)
     n = mat.shape[0]
     if method == "auto":
         method = "dense" if n < dense_threshold else "iterative"
@@ -421,7 +422,7 @@ def exact_resolvent_norm(L, method: str = "auto",
     return 1.0 / smin
 
 
-def _lanczos_sigma_min(mat: sp.csc_matrix, factor: H0LastLU | None,
+def _lanczos_sigma_min(mat: sp.csr_matrix, factor: H0LastLU | None,
                        smax: float) -> tuple[float, float]:
     """sigma_min of a sparse square matrix from ARPACK on (L^T L)^{-1}, and the
     quotient |L z|/|z| at the last iterate z = (L^T L)^{-1} x."""
@@ -512,12 +513,12 @@ def norm_X21(dec: Decomposition) -> float:
 
     Evaluated as |P2 L++ Q1 A10^{-T}| = |L21 A10^{-T}|, using that A10 is
     square: A10 (A10^T A10)^{-1} = A10^{-T}.  A10 is not symmetric in general, so
-    this differs from |L21 A10^{-1}|.  P2 L++ Q1 is formed only on ``h1_rows``
-    and the rows L++ reaches from them: it vanishes on every other row.
+    this differs from |L21 A10^{-1}|.  P2 L++ Q1 is formed from ``dec.LQ1``, only
+    on ``h1_rows`` and the rows L++ reaches from them: it vanishes on every other row.
     """
-    _, rows, pattern = _h1_split(dec.ops)[1]
-    p2lq1 = dec.ops.refill(pattern) @ dec.Q1
-    p2lq1[np.searchsorted(rows, dec.h1_rows)] -= dec.Q1 @ dec.L11
+    *_, h1_at = _h1_split(dec.ops)
+    p2lq1 = dec.LQ1.copy()
+    p2lq1[h1_at] -= dec.Q1 @ dec.L11
     return operator_norm(np.linalg.solve(dec.A10, p2lq1.T).T)
 
 

@@ -306,6 +306,29 @@ def test_cli_huge_beta_constants(tmp_path, capsys):
                    "mass = 1e-30"]
 
 
+_COUPLING = ("overflow the thermostat coupling (p_i^2 - m/beta)/m^2, with p_i^2 up to "
+             "(2 n_p + 1) m/beta")
+
+
+@pytest.mark.parametrize("command, text, code, line", [
+    # w = (p^2 - m/beta)/m/m overflows; numpy warned, and verify exited 1
+    ("verify", "beta = 1e-300\nmass = 1e-300\n", 2,
+     f"ConfigError: mass = 1e-300 and beta = 1e-300 {_COUPLING}"),
+    # the moment p^2 = (2k + 1) m/beta overflows before w is formed
+    ("verify", "beta = 1e-8\nmass = 1e300\n", 2,
+     f"ConfigError: mass = 1e+300 and beta = 1e-08 {_COUPLING}"),
+    # the A*A identity's scale m^2 beta^2 eps^2 underflows to 0: a ZeroDivisionError
+    ("bound", "beta = 1e-300\ngamma = 1e200\n", 3,
+     "NumericalFailure: thermostat scale (m beta eps)^2 = 0.0 leaves the float range"),
+], ids=["coupling", "momentum_moment", "astar_a_scale"])
+def test_cli_thermostat_out_of_float_range_is_one_error_line(tmp_path, capsys, command, text,
+                                                              code, line):
+    path = tmp_path / "thermostat.cfg"
+    path.write_text(SMALL_CFGS["adaptive_langevin"].replace("beta = 1.0\nmass = 1.0\n", "")
+                    .replace("gamma = 1.0\n", "") + text)
+    assert _main_without_warnings([command, "--config", str(path)], capsys) == (code, [line])
+
+
 @pytest.mark.parametrize("mass", ["3", "7"])
 def test_cli_large_friction_verify_passes(tmp_path, capsys, mass):
     # s = gamma/m ~ 1e6 carries its own rounding: gamma*(1/m) and gamma/m differ by

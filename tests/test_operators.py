@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hypoco.basis import BasisSet, BasisSpec, Potential, build_basis
 from hypoco.errors import ConfigError
+from hypoco.models import model_bound_report
 from hypoco.operators import (MODELS, ModelSpec, assemble_boltzmann_collision,
                               assemble_fd, assemble_hamiltonian, assemble_model,
                               assemble_nosehoover, assemble_pi0,
@@ -61,6 +62,16 @@ def test_model_basis_mismatch(cos_basis, adl_basis):
     with pytest.raises(ConfigError, match="model/basis mismatch"):
         assemble_model(cos_basis, ModelSpec(model="langevin", gamma=1.0,
                                             beta=2.0))
+
+
+@pytest.mark.parametrize("cutoffs", [{"n_q": 0}, {"n_p": 0}])
+def test_a_zero_cutoff_is_refused_through_the_api(cutoffs):
+    # BasisSpec takes 0 (the Poincare constant builds n_p = 0); H0 or H+ would be
+    # empty, which ended in a bare ValueError deep in the evaluation
+    spec = BasisSpec(**{"d": 1, "n_q": 4, "n_p": 4, **cutoffs})
+    with pytest.raises(ConfigError, match="H0 or H\\+ is empty"):
+        model_bound_report(ModelSpec(model="langevin", gamma=1.0), spec,
+                           constants={}, check_convergence=False)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ def test_h0_h1_dimensions(langevin_dec):
 @pytest.mark.parametrize("name", ["langevin_dec", "rhmc_dec", "adl_dec"])
 def test_h1_split_is_held_on_its_support_rows(request, name):
     # Q1 vanishes off the nonzero rows of A_{+0}, and only those rows are stored:
-    # no array of the decomposition is dim H+ tall
+    # no array of the decomposition, L++ Q1 on X21's rows included, is dim H+ tall
     dec = request.getfixturevalue(name)
     ops, n_plus = dec.ops, len(dec.ops.idx_plus)
     assert np.array_equal(dec.h1_rows, np.flatnonzero(ops.apl0.getnnz(axis=1)))
@@ -71,7 +71,7 @@ def test_h1_split_is_held_on_its_support_rows(request, name):
     assert dec.Q1.shape == (len(dec.h1_rows), dec.dim0)
     arrays = [getattr(dec, f.name) for f in dataclasses.fields(dec)]
     arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-    assert len(arrays) == 5
+    assert len(arrays) == 6
     assert all(a.shape[0] != n_plus for a in arrays)
 
 

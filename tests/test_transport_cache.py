@@ -185,11 +185,13 @@ def test_refilled_blocks_are_bitwise_the_slices_of_a_plus_s(model, spec, text, g
     plus, order, h1 = ops.idx_plus, dec.factor.order, ops.idx_plus[dec.h1_rows]
     lpp_h1 = L[:, h1][plus]
     x21_rows = np.union1d(dec.h1_rows, np.flatnonzero(lpp_h1.getnnz(axis=1)))
-    expected = [L, L[h1][:, h1], sp.csc_matrix(L[order][:, order]), lpp_h1[x21_rows]]
+    expected = [L, lpp_h1[x21_rows], sp.csc_matrix(L[order][:, order])]
     assert len(refilled) == len(expected)
     for mat, want in zip(refilled, expected):
         _assert_bitwise(mat, want)
     _assert_bitwise(ops.L, L)
+    # L11 is read off X21's product L++ Q1 on its H1 rows, bitwise as if sliced
+    assert dec.L11.tobytes() == (dec.Q1.T @ (L[h1][:, h1] @ dec.Q1)).tobytes()
 
 
 @pytest.mark.parametrize("model, spec", [
@@ -198,26 +200,29 @@ def test_refilled_blocks_are_bitwise_the_slices_of_a_plus_s(model, spec, text, g
     (ModelSpec(model="adaptive_langevin", gamma=1.0, epsilon=0.5),
      BasisSpec(d=1, n_q=4, n_p=4, n_xi=4)),
 ])
-def test_a_warm_evaluation_adds_no_entry_and_slices_only_a_plus_zero(model, spec,
-                                                                      cos_potential,
-                                                                      constants, monkeypatch):
+def test_a_warm_evaluation_adds_no_entry_and_slices_nothing(model, spec, cos_potential,
+                                                             constants, monkeypatch):
     # at a second friction on a cached transport, L and its blocks are refilled, not
-    # sliced: the only slice left reads A_{+0} on its H1 rows, for the route certificate
+    # sliced or converted: three refills (L, L++ on X21's rows, L in the H0-last order),
+    # and the route certificate reads A_{+0} on its H1 rows off the transport's split
     model_bound_report(model, spec, cos_potential, constants=constants,
                        check_convergence=False)
-    ops = assemble_model(build_basis(spec, cos_potential), model)
-    apl0_h1 = (len(build_decomposition(ops).h1_rows), len(ops.idx0))
-    entries, shapes = len(TRANSPORTS), []
+    entries, shapes, refills, converted = len(TRANSPORTS), [], [], []
     for cls in (sp.csr_matrix, sp.csc_matrix):
         def recording(self, key, getitem=cls.__getitem__):
             out = getitem(self, key)
             shapes.append(out.shape)
             return out
         monkeypatch.setattr(cls, "__getitem__", recording)
+    refill, tocsc = ModelOperators.refill, sp.csr_matrix.tocsc
+    monkeypatch.setattr(ModelOperators, "refill",
+                        lambda self, pattern: refills.append(pattern) or refill(self, pattern))
+    monkeypatch.setattr(sp.csr_matrix, "tocsc",
+                        lambda self, copy=False: converted.append(self.shape) or tocsc(self, copy))
     model_bound_report(replace(model, gamma=3.0), spec, cos_potential, constants=constants,
                        check_convergence=False)
     assert len(TRANSPORTS) == entries
-    assert shapes in ([], [apl0_h1])
+    assert (shapes, len(refills), converted) == ([], 3, [])
 
 
 def test_twenty_transports_fit_the_cache(cos_potential, constants):
